@@ -41,7 +41,6 @@ from .gram import (
     monomial_gram,
     monomial_index,
 )
-from .kernels import active_backend, set_backend
 from .ortho import (
     CoefficientTable,
     VerificationReport,
@@ -100,7 +99,6 @@ __all__ = [
     "TerminalIsotropicVector",
     "VerificationReport",
     "WeightFunction",
-    "active_backend",
     "build_explicit",
     "cross_overlap",
     "eigh",
@@ -121,7 +119,6 @@ __all__ = [
     "pseudo_orthonormalize_graded",
     "residual_gram",
     "residual_gram_direct",
-    "set_backend",
     "signature_split",
     "verify_table",
 ]

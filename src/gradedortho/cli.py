@@ -64,6 +64,20 @@ def _load_problem(path):
     return parse_problem(path)
 
 
+def _tolerance_override_error(args):
+    """Error message for an override no ``tolerances`` block could hold, else None."""
+    for name in ("degeneracy_tol", "verify_tol"):
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if not np.isfinite(value):
+            return f"{flag} must be finite"
+        if value <= 0:
+            return f"{flag}: tolerances must be positive"
+    return None
+
+
 def _run_method(problem, method, degeneracy_tol):
     if method == "graded":
         if problem.metric == "pseudo":
@@ -75,6 +89,9 @@ def _run_method(problem, method, degeneracy_tol):
 
 
 def cmd_run(args):
+    message = _tolerance_override_error(args)
+    if message is not None:
+        return _fail(EXIT_SCHEMA, message)
     try:
         problem = _load_problem(args.input)
     except (SchemaError, GradedOrthoError, OSError) as err:
@@ -155,6 +172,9 @@ def cmd_verify(args):
 
 
 def cmd_compare(args):
+    message = _tolerance_override_error(args)
+    if message is not None:
+        return _fail(EXIT_SCHEMA, message)
     try:
         problem = _load_problem(args.input)
     except (SchemaError, GradedOrthoError, OSError) as err:

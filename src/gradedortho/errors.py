@@ -10,10 +10,7 @@ class NonSquare(GradedOrthoError):
 
 
 class NoConvergence(GradedOrthoError):
-    def __init__(self, message, sweeps=None, off_norm=None):
-        super().__init__(message)
-        self.sweeps = sweeps
-        self.off_norm = off_norm
+    """Raised when an eigendecomposition fails or misses its residual bound."""
 
 
 class NotPositiveDefinite(GradedOrthoError):

@@ -304,9 +304,11 @@ def result_payload(problem, table, report, method):
 
 
 def write_result(path, payload):
-    text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    # Streamed: json.dumps would hold every encoded chunk plus the joined
+    # text in memory at once, the largest allocation of a run.
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        json.dump(payload, fh, indent=2, ensure_ascii=False)
+        fh.write("\n")
 
 
 def parse_result(path):

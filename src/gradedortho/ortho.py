@@ -173,12 +173,6 @@ def mixing_block(overlap, normalizer):
     return -overlap @ normalizer
 
 
-def _embed(total, cols, square_block):
-    block = np.zeros((total, square_block.shape[1]), dtype=np.complex128)
-    block[cols, :] = square_block
-    return block
-
-
 def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     """Orthonormalize a graded system while preserving its grading.
 
@@ -186,6 +180,13 @@ def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     against all finished levels and then normalized symmetrically, so
     singleton levels reproduce Gram-Schmidt and a single level
     reproduces the Gram (Loewdin) method.
+
+    The finished output vectors are the leading columns of one N x N
+    coefficient matrix C; because it is block upper triangular, level k
+    at rows lo:hi needs only the overlaps D = C[:lo, :lo]† G[:lo, lo:hi]
+    with all finished levels at once (one matmul), the projected block
+    Γ - D†D, and one more matmul C[:lo, :lo] (-D q) for its lower-level
+    coefficients.
 
     Parameters
     ----------
@@ -201,20 +202,20 @@ def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     """
     gram = source.matrix
     index = source.index
+    c = np.zeros((index.total, index.total), dtype=np.complex128)
     table = CoefficientTable(index, [], [], {})
     for k in range(len(index)):
         cols = index.level_slice(k)
-        gamma = gram[cols, cols]
-        overlaps = [cross_overlap(source, table, k, j) for j in range(k)]
-        corrections = [hermitize(d.conj().T @ d)[0] for d in overlaps]
-        b = residual_gram(gamma, corrections)
+        lo = cols.start
+        d = c[:lo, :lo].conj().T @ gram[:lo, cols]
+        b = hermitize(gram[cols, cols] - d.conj().T @ d)[0]
         q = level_normalizer(b, degeneracy_tol, level=index.level_ids[k])
-        block = _embed(index.total, cols, q)
-        for j, d in enumerate(overlaps):
-            p = mixing_block(d, q)
-            table.mixings[(k, j)] = p
-            block += table.blocks[j] @ p
-        table.blocks.append(block)
+        p = -d @ q
+        c[cols, cols] = q
+        c[:lo, cols] = c[:lo, :lo] @ p
+        for j in range(k):
+            table.mixings[(k, j)] = p[index.level_slice(j)]
+        table.blocks.append(c[:, cols].copy())
         table.normalizers.append(q)
     return table
 

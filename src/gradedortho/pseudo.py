@@ -81,14 +81,20 @@ def pseudo_orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     """
     gram = source.matrix
     index = source.index
+    # Promotion only ever merges a level into the next one, so every
+    # pending level is a contiguous row range and the finished output
+    # vectors always occupy the leading columns [0, lo) of c.
     pending = [
         {
             "id": index.level_ids[k],
             "labels": list(index.levels[k]),
-            "cols": list(range(index.offsets[k], index.offsets[k] + index.sizes[k])),
+            "lo": index.offsets[k],
+            "hi": index.offsets[k] + index.sizes[k],
         }
         for k in range(len(index))
     ]
+    c = np.zeros((index.total, index.total), dtype=np.complex128)
+    finished_signs = np.zeros(index.total)
     blocks = []
     normalizers = []
     mixings = {}
@@ -96,28 +102,22 @@ def pseudo_orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     promotions = []
     out_ids = []
     out_labels = []
+    out_slices = []
 
     pos = 0
     while pos < len(pending):
         level = pending[pos]
-        cols = np.asarray(level["cols"], dtype=np.intp)
-        gamma = gram[np.ix_(cols, cols)]
+        lo = level["lo"]
+        cols = slice(lo, level["hi"])
+        gamma = gram[cols, cols]
         raw_scale = max(max_abs(gamma), 1.0)
         if is_lone_isotropic(gamma, degeneracy_tol):
             _promote(pending, pos, promotions)
             pos += 1
             continue
-        overlaps = []
-        corrections = []
-        for j in range(len(blocks)):
-            d = blocks[j].conj().T @ gram[:, cols]
-            overlaps.append(d)
-            signed = level_signs[j][:, None] * d
-            corrections.append(hermitize(d.conj().T @ signed)[0])
-        b = gamma.copy()
-        for delta in corrections:
-            b = b - delta
-        b = hermitize(b)[0]
+        d = c[:lo, :lo].conj().T @ gram[:lo, cols]
+        signed = finished_signs[:lo, None] * d
+        b = hermitize(gamma - d.conj().T @ signed)[0]
         if is_lone_isotropic(b, degeneracy_tol, scale=raw_scale):
             # Unreachable when the nondegeneracy hypothesis holds, but a
             # projected singleton that collapses gets the same treatment.
@@ -132,18 +132,19 @@ def pseudo_orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
                 f"the metric violates the nondegeneracy hypothesis",
                 level=level["id"],
             ) from err
-        block = np.zeros((index.total, len(cols)), dtype=np.complex128)
-        block[cols, :] = r
+        p = -signed @ r
+        c[cols, cols] = r
+        c[:lo, cols] = c[:lo, :lo] @ p
+        finished_signs[cols] = signs
         k_out = len(blocks)
-        for j, d in enumerate(overlaps):
-            p = -(level_signs[j][:, None] * d) @ r
-            mixings[(k_out, j)] = p
-            block += blocks[j] @ p
-        blocks.append(block)
+        for j, rows in enumerate(out_slices):
+            mixings[(k_out, j)] = p[rows]
+        blocks.append(c[:, cols].copy())
         normalizers.append(r)
         level_signs.append(signs)
         out_ids.append(level["id"])
         out_labels.append(tuple(level["labels"]))
+        out_slices.append(cols)
         pos += 1
 
     output_index = GradedIndex(out_labels, level_ids=out_ids)
@@ -164,7 +165,7 @@ def _promote(pending, pos, promotions):
         )
     target = pending[pos + 1]
     target["labels"] = level["labels"] + target["labels"]
-    target["cols"] = level["cols"] + target["cols"]
+    target["lo"] = level["lo"]
     promotions.append((level["id"], label, target["id"]))
 
 

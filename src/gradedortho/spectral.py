@@ -2,16 +2,16 @@
 
 Everything downstream (graded orthonormalization, signature handling,
 the CLI) goes through the five functions here: ``hermitize``, ``eigh``,
-``inv_sqrt``, ``signature_split`` and ``pseudo_normalizer``.  The
-eigensolver is a cyclic complex Jacobi iteration (see ``kernels``);
-problem sizes are small dense matrices, a few hundred rows at most.
+``inv_sqrt``, ``signature_split`` and ``pseudo_normalizer``.
+Eigendecompositions use LAPACK through ``numpy.linalg.eigh``; the
+package only fixes the order, the basis inside degenerate clusters and
+the phases of the eigenvectors, so results are deterministic.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     DegenerateMetric,
     NoConvergence,
@@ -20,11 +20,6 @@ from .errors import (
 )
 
 DEFAULT_DEGENERACY_TOL = 1e-10
-
-# Jacobi iteration controls: stop once the off-diagonal Frobenius norm
-# drops below OFF_NORM_FACTOR * ||A||_F, give up after MAX_SWEEPS.
-OFF_NORM_FACTOR = 1e-13
-MAX_SWEEPS = 50
 
 # Eigenvalues closer than this (relative to the spectral radius) are
 # treated as one degenerate cluster when cleaning up eigenvectors.
@@ -72,7 +67,7 @@ def max_abs(a):
 
 
 def eigh(a, tol=1e-11):
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a Hermitian matrix (LAPACK via numpy).
 
     Parameters
     ----------
@@ -88,26 +83,23 @@ def eigh(a, tol=1e-11):
         Real eigenvalues in descending order and a unitary eigenvector
         matrix with a fixed phase convention (the largest-magnitude
         component of each column is real positive).
+
+    Raises
+    ------
+    NoConvergence
+        When LAPACK fails to converge or the reconstruction residual
+        exceeds the tolerance.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     h, _ = hermitize(a)
     n = h.shape[0]
-    work = h.copy()
-    vectors = np.eye(n, dtype=np.complex128)
-    off_target = OFF_NORM_FACTOR * float(np.linalg.norm(h))
-    sweeps, off = kernels.jacobi_sweeps(work, vectors, off_target, MAX_SWEEPS)
-    if off > off_target:
-        raise NoConvergence(
-            f"Jacobi iteration stalled after {sweeps} sweeps "
-            f"(off-diagonal norm {off:.3e}, target {off_target:.3e})",
-            sweeps=sweeps,
-            off_norm=off,
-        )
-    values = np.diag(work).real.copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    try:
+        values, vectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as err:
+        raise NoConvergence(f"eigendecomposition failed: {err}") from err
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1].copy()
     _orthonormalize_clusters(values, vectors)
     _fix_phases(vectors)
     values.setflags(write=False)
@@ -117,9 +109,7 @@ def eigh(a, tol=1e-11):
     if residual > tol * max(n, 1) * max(max_abs(h), np.finfo(float).tiny):
         raise NoConvergence(
             f"eigendecomposition residual {residual:.3e} exceeds requested"
-            f" tolerance",
-            sweeps=sweeps,
-            off_norm=off,
+            f" tolerance"
         )
     return decomposition
 
@@ -129,8 +119,8 @@ def _reconstruct(dec):
 
 
 def _orthonormalize_clusters(values, vectors):
-    # Jacobi already returns a unitary basis; this pass only pins down a
-    # deterministic choice inside (numerically) degenerate eigenspaces.
+    # LAPACK already returns a unitary basis; this pass re-orthogonalizes
+    # each (numerically) degenerate eigenspace in a fixed column order.
     n = values.shape[0]
     scale = max(float(np.max(np.abs(values))), 1.0) if n else 1.0
     gap = CLUSTER_GAP_FACTOR * scale

@@ -1,14 +1,10 @@
 import numpy as np
-import pytest
 
 import gradedortho as go
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # Warm the active kernel before any timed test runs; with the numba
-    # kernel active this triggers its one-off compilation.
-    go.eigh(np.array([[2.0, 1.0j], [-1.0j, 2.0]], dtype=complex))
+def relative_error(actual, expected):
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
 
 
 def random_unitary(rng, n):

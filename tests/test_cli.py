@@ -2,13 +2,16 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gradedortho.cli import EXIT_MATH, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, main
-from gradedortho.fileio import parse_problem, parse_result
+from gradedortho.fileio import parse_problem, parse_result, write_result
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 EXEMPLARS = sorted(PROBLEM_DIR.glob("*.json"))
@@ -306,3 +309,48 @@ def test_tolerance_overrides_recorded(pair_problem, tmp_path):
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["tolerances"] == {"degeneracy_tol": 1e-9, "verify_tol": 1e-8}
+
+
+def test_write_result_streams_the_documented_text(tmp_path):
+    payload = {
+        "levels": [{"labels": ["x²", "φ"], "coefficients": [[[0.1, -2.5e-17]]]}],
+        "report": {"max_residual": 1.25e-16, "pass": True},
+    }
+    out = tmp_path / "result.json"
+    write_result(out, payload)
+    expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [("run", "--degeneracy-tol"), ("run", "--verify-tol"), ("compare", "--degeneracy-tol")],
+)
+def test_tolerance_overrides_rejected(pair_problem, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "tol.json"
+    argv = [command, str(pair_problem), f"{flag}={value}"]
+    if command == "run":
+        argv += ["--output", str(out)]
+    assert main(argv) == EXIT_SCHEMA
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_reruns_byte_identical_per_blas_thread_count(tmp_path, threads):
+    # Results may differ in the last bits between thread counts; only
+    # reruns under one setting are required to match.
+    problem = PROBLEM_DIR / "fourier_euclidean.json"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for rerun in range(2):
+        out = tmp_path / f"r{rerun}.json"
+        subprocess.run(
+            [sys.executable, "-m", "gradedortho.cli", "run", str(problem), "--output", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -5,7 +5,7 @@ import pytest
 
 import gradedortho as go
 
-from conftest import random_graded_source, random_spd
+from conftest import random_graded_source, random_spd, relative_error
 
 PAIR_GRAM = np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex)
 
@@ -280,6 +280,16 @@ def test_projection_oracle_matches_block_recursion():
             b = go.residual_gram(src.matrix[sl, sl], deltas)
             h = go.residual_gram_direct(src, partial, k)
             assert np.max(np.abs(b - h)) <= 1e-10
+            # the batched loop's mixings and blocks equal the per-pair
+            # K^2 recursion built from the public helpers
+            q = table.normalizers[k]
+            assembled = np.zeros_like(table.blocks[k])
+            assembled[sl, :] = q
+            for j, d in enumerate(overlaps):
+                p = go.mixing_block(d, q)
+                assert relative_error(table.mixings[(k, j)], p) <= 1e-12
+                assembled += table.blocks[j] @ p
+            assert relative_error(table.blocks[k], assembled) <= 1e-12
 
 
 # --- verify ------------------------------------------------------------------

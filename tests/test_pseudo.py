@@ -6,7 +6,7 @@ import pytest
 
 import gradedortho as go
 
-from conftest import random_indefinite_source, random_spd
+from conftest import random_indefinite_source, random_spd, relative_error
 
 PROMOTION_GRAM = np.array([[0.0, 1.0], [1.0, 2.0]], dtype=complex)
 
@@ -132,6 +132,33 @@ def test_random_indefinite_suite():
         assert eps_sum == p - q
         report = go.verify_table(src, table, 1e-9)
         assert report.passed and report.structural_ok
+
+
+def test_signed_oracle_matches_block_recursion_with_promotion():
+    # sizes 2, 1, 2, 1, 3; both singletons are exactly isotropic and get
+    # promoted into the level after them
+    rng = np.random.default_rng(505)
+    idx = go.GradedIndex([["a", "b"], ["c"], ["d", "e"], ["f"], ["g", "h", "i"]])
+    for _ in range(5):
+        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        g = go.hermitize(a + a.conj().T)[0]
+        g[2, 2] = g[5, 5] = 0.0
+        src = go.build_explicit(idx, g)
+        table = go.pseudo_orthonormalize_graded(src)
+        assert table.promotions == [(1, "c", 2), (3, "f", 4)]
+        out = table.output_index
+        for k in range(len(out)):
+            cols = out.level_slice(k)
+            r = table.normalizers[k]
+            assembled = np.zeros_like(table.blocks[k])
+            assembled[cols, :] = r
+            for j in range(k):
+                d = table.blocks[j].conj().T @ g[:, cols]
+                p = go.mixing_block(table.signs[j][:, None] * d, r)
+                assert relative_error(table.mixings[(k, j)], p) <= 1e-12
+                assembled += table.blocks[j] @ p
+            assert relative_error(table.blocks[k], assembled) <= 1e-12
+        assert signed_residual(src, table) <= 1e-9
 
 
 def test_signed_projection_reduces_to_plain_when_all_positive():
