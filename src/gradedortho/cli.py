@@ -20,6 +20,7 @@ from .errors import (
     GradedOrthoError,
     LinearlyDependentInput,
     SchemaError,
+    ShapeMismatch,
     TerminalIsotropicVector,
 )
 from .fileio import (
@@ -32,6 +33,7 @@ from .fileio import (
 from .ortho import (
     gram_method_reference,
     gram_schmidt_reference,
+    orthonormality_residual,
     orthonormalize_graded,
     verify_table,
 )
@@ -138,27 +140,17 @@ def cmd_verify(args):
             "result file was computed from a different problem file "
             f"(digest {result.digest_hex[:12]}... vs {problem.digest_hex[:12]}...)",
         )
-    gram = problem.source.matrix
-    total = gram.shape[0]
-    for pos, block in enumerate(result.blocks):
-        if block.shape[0] != total:
-            return _fail(
-                EXIT_SCHEMA,
-                f"level entry {pos} has {block.shape[0]} coefficient rows, "
-                f"expected {total}",
-            )
-    c = np.hstack(result.blocks)
-    if c.shape[1] != total:
+    total = problem.source.index.total
+    columns = sum(block.shape[1] for block in result.blocks)
+    if columns != total:
         return _fail(
             EXIT_SCHEMA,
-            f"result provides {c.shape[1]} output vectors for {total} inputs",
+            f"result provides {columns} output vectors for {total} inputs",
         )
-    product = c.conj().T @ gram @ c
-    if result.signs is not None:
-        target = np.diag(np.concatenate(result.signs).astype(np.complex128))
-    else:
-        target = np.eye(total, dtype=np.complex128)
-    residual = max_abs(product - target)
+    try:
+        residual = orthonormality_residual(problem.source.matrix, result.blocks, result.signs)
+    except ShapeMismatch as err:
+        return _fail(EXIT_SCHEMA, str(err))
     embedded = result.report.get("max_residual")
     print(f"recomputed orthonormality residual: {residual:.6e}")
     if embedded is not None:

@@ -3,14 +3,16 @@
 Problems and results are UTF-8 JSON.  Complex numbers are written as
 two-element ``[re, im]`` arrays (plain numbers are accepted on input),
 matrices as row-major arrays of rows, levels as arrays of label
-strings.  Result files embed a SHA-256 digest of the problem file they
-were computed from so ``verify`` can refuse mismatched pairs, and
-contain no timestamps, which keeps reruns byte-identical.
+strings.  Result files are one line of compact JSON, embed a SHA-256
+digest of the problem file they were computed from so ``verify`` can
+refuse mismatched pairs, and contain no timestamps, which keeps reruns
+byte-identical.
 """
 
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -70,7 +72,10 @@ def _require(obj, field, kind, path):
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"field '{where}' must be a number", field=where)
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = float("inf")
     if not np.isfinite(value):
         raise SchemaError(f"field '{where}' must be finite", field=where)
     return value
@@ -86,7 +91,8 @@ def _entry_to_complex(entry, where):
     )
 
 
-def parse_matrix(obj, path, rows=None, cols=None):
+def _walk_matrix(obj, path, rows, cols):
+    """Entry-by-entry parse; its errors name the first offending entry."""
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"field '{path}' must be a non-empty matrix", field=path)
     if rows is not None and len(obj) != rows:
@@ -106,12 +112,58 @@ def parse_matrix(obj, path, rows=None, cols=None):
     return np.asarray(data, dtype=np.complex128)
 
 
+_NUMBER_TYPES = {int, float}
+
+
+def _bulk_matrix(obj, rows, cols):
+    """The whole matrix in a few C-level passes, or None if in any doubt.
+
+    Accepts exactly what :func:`_walk_matrix` accepts, with bit-identical
+    values (the (re, im) float pairs are viewed as complex, so -0.0
+    survives); anything else is left to the walk, which raises.
+    """
+    if type(obj) is not list or not obj or set(map(type, obj)) != {list}:
+        return None
+    width = len(obj[0])
+    if not width or set(map(len, obj)) != {width}:
+        return None
+    if rows not in (None, len(obj)) or cols not in (None, width):
+        return None
+    flat = list(chain.from_iterable(obj))
+    kinds = set(map(type, flat))
+    if kinds <= _NUMBER_TYPES:
+        parts, pairs = flat, False
+    elif list in kinds and kinds <= _NUMBER_TYPES | {list}:
+        if kinds != {list}:
+            flat = [e if type(e) is list else [e, 0.0] for e in flat]
+        if set(map(len, flat)) != {2}:
+            return None
+        parts, pairs = list(chain.from_iterable(flat)), True
+        if not set(map(type, parts)) <= _NUMBER_TYPES:
+            return None
+    else:
+        return None
+    try:
+        values = np.array(parts, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    matrix = values.view(np.complex128) if pairs else values.astype(np.complex128)
+    return matrix.reshape(len(obj), width)
+
+
+def parse_matrix(obj, path, rows=None, cols=None):
+    """A JSON matrix of numbers or [re, im] pairs as a complex array."""
+    matrix = _bulk_matrix(obj, rows, cols)
+    if matrix is None:
+        matrix = _walk_matrix(obj, path, rows, cols)
+    return matrix
+
+
 def matrix_to_json(matrix):
     matrix = np.asarray(matrix, dtype=np.complex128)
-    return [
-        [[float(z.real), float(z.imag)] for z in row]
-        for row in matrix
-    ]
+    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
 
 
 def _parse_weight(obj, path):
@@ -261,14 +313,7 @@ def result_payload(problem, table, report, method):
             "level": int(lid),
             "labels": list(labels),
             "coefficients": matrix_to_json(table.blocks[pos]),
-            "normalizer": matrix_to_json(table.normalizers[pos]),
         }
-        mixing = {}
-        for (k, j), m in sorted(table.mixings.items()):
-            if k == pos:
-                mixing[str(int(out_ids[j]))] = matrix_to_json(m)
-        if mixing:
-            entry["mixing"] = mixing
         if table.signs is not None:
             entry["signs"] = [int(s) for s in table.signs[pos]]
         levels.append(entry)
@@ -304,20 +349,41 @@ def result_payload(problem, table, report, method):
 
 
 def write_result(path, payload):
-    # Streamed: json.dumps would hold every encoded chunk plus the joined
-    # text in memory at once, the largest allocation of a run.
+    # Compact text in one json.dumps call: that is the only form the C
+    # encoder serves (json.dump and any indent take the pure-Python one).
+    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=False)
+        fh.write(text)
         fh.write("\n")
 
 
+def _parse_signs(obj, count, where):
+    if len(obj) != count:
+        raise SchemaError(
+            f"field '{where}' must have one sign per coefficient column ({count})",
+            field=where,
+        )
+    if not all(type(s) is int and s in (1, -1) for s in obj):
+        raise SchemaError(f"field '{where}' must hold only the integers 1 and -1", field=where)
+    return np.asarray(obj, dtype=np.int64)
+
+
 def parse_result(path):
-    """Load a result file back into arrays for re-verification."""
+    """Load a result file back into arrays for re-verification.
+
+    Reads the keys every result file has had; files that also carry the
+    ``normalizer`` and ``mixing`` blocks of earlier versions parse the
+    same, since those keys are ignored.
+    """
     payload, _ = _load_json(path)
     digest_obj = _require(payload, "input_digest", dict, "")
     digest_hex = _require(digest_obj, "hex", str, "input_digest.")
     metric = _require(payload, "metric", str, "")
+    if metric not in METRICS:
+        raise SchemaError(f"field 'metric' must be one of {METRICS}", field="metric")
     method = _require(payload, "method", str, "")
+    if method not in METHODS:
+        raise SchemaError(f"field 'method' must be one of {METHODS}", field="method")
     tols = _require(payload, "tolerances", dict, "")
     verify_tol = _number(_require(tols, "verify_tol", None, "tolerances."), "tolerances.verify_tol")
     levels_obj = _require(payload, "levels", list, "")
@@ -328,19 +394,27 @@ def parse_result(path):
     blocks = []
     signs = [] if metric == "pseudo" else None
     for i, entry in enumerate(levels_obj):
-        lid = _require(entry, "level", int, f"levels[{i}].")
-        labels = _require(entry, "labels", list, f"levels[{i}].")
+        where = f"levels[{i}]."
+        lid = _require(entry, "level", int, where)
+        labels = _require(entry, "labels", list, where)
         coeff = parse_matrix(
-            _require(entry, "coefficients", list, f"levels[{i}]."),
-            f"levels[{i}].coefficients",
+            _require(entry, "coefficients", list, where), f"{where}coefficients"
         )
+        count = coeff.shape[1]
+        if len(labels) != count or not all(type(s) is str for s in labels):
+            raise SchemaError(
+                f"field '{where}labels' must hold one label string per "
+                f"coefficient column ({count})",
+                field=where + "labels",
+            )
         level_ids.append(lid)
-        level_labels.append([str(s) for s in labels])
+        level_labels.append(labels)
         blocks.append(coeff)
         if signs is not None:
-            sgn = _require(entry, "signs", list, f"levels[{i}].")
-            signs.append(np.asarray([int(s) for s in sgn], dtype=np.int64))
+            signs.append(_parse_signs(_require(entry, "signs", list, where), count, where + "signs"))
     report = _require(payload, "report", dict, "")
+    if report.get("max_residual") is not None:
+        _require(report, "max_residual", (int, float), "report.")
     return ResultData(
         metric=metric,
         method=method,

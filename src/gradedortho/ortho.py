@@ -304,10 +304,11 @@ def _table_from_columns(source, columns, extract_mixings=True):
         block = columns[:, cols].copy()
         blocks.append(block)
         normalizers.append(block[cols, :].copy())
-        if extract_mixings:
+        if extract_mixings and k:
+            # overlaps of all lower output vectors with level k, one matmul
+            p = mixing_block(_cross_overlap(gram, columns[:, : cols.start], cols), normalizers[k])
             for j in range(k):
-                d = _cross_overlap(gram, blocks[j], cols)
-                mixings[(k, j)] = mixing_block(d, normalizers[k])
+                mixings[(k, j)] = p[index.level_slice(j)]
     return CoefficientTable(index, blocks, normalizers, mixings)
 
 
@@ -320,6 +321,28 @@ def _condition_number(block):
     return float(np.sqrt(values[0] / smallest))
 
 
+def orthonormality_residual(gram, blocks, signs=None):
+    """Largest entry of C† G C - diag(signs), C the blocks side by side.
+
+    The residual both :func:`verify_table` and ``gradedortho verify``
+    report; ``signs`` holds one ±1 array per block, None meaning all +1.
+    """
+    total = gram.shape[0]
+    for pos, block in enumerate(blocks):
+        if block.shape[0] != total:
+            raise ShapeMismatch(
+                f"level entry {pos} has {block.shape[0]} coefficient rows, "
+                f"expected {total}"
+            )
+    c = np.hstack(blocks)
+    product = c.conj().T @ gram @ c
+    if signs is None:
+        target = np.eye(c.shape[1], dtype=np.complex128)
+    else:
+        target = np.diag(np.concatenate(signs).astype(np.complex128))
+    return max_abs(product - target)
+
+
 def verify_table(source, table, tolerance=1e-9):
     """Re-check a finished table against its source from first principles.
 
@@ -328,18 +351,7 @@ def verify_table(source, table, tolerance=1e-9):
     signed tables), checks the structural grading zeros, and reports
     per-level condition numbers of the normalizer blocks.
     """
-    gram = source.matrix
-    c = table.matrix()
-    if c.shape[0] != gram.shape[0]:
-        raise ShapeMismatch(
-            f"table has {c.shape[0]} coefficient rows, Gram matrix is "
-            f"{gram.shape[0]} x {gram.shape[1]}"
-        )
-    product = c.conj().T @ gram @ c
-    target = np.eye(c.shape[1], dtype=np.complex128)
-    if table.signs is not None:
-        target = np.diag(np.concatenate(table.signs).astype(np.complex128))
-    max_residual = max_abs(product - target)
+    max_residual = orthonormality_residual(source.matrix, table.blocks, table.signs)
 
     row_ids = source.index.row_level_ids()
     structural_ok = True

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gradedortho.cli import EXIT_MATH, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, main
-from gradedortho.fileio import parse_problem, parse_result, write_result
+from gradedortho.fileio import parse_problem, parse_result
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 EXEMPLARS = sorted(PROBLEM_DIR.glob("*.json"))
@@ -311,15 +311,35 @@ def test_tolerance_overrides_recorded(pair_problem, tmp_path):
     assert payload["tolerances"] == {"degeneracy_tol": 1e-9, "verify_tol": 1e-8}
 
 
-def test_write_result_streams_the_documented_text(tmp_path):
-    payload = {
-        "levels": [{"labels": ["x²", "φ"], "coefficients": [[[0.1, -2.5e-17]]]}],
-        "report": {"max_residual": 1.25e-16, "pass": True},
-    }
+# case: (path to the replaced value, new value, field the error must name)
+MALFORMED_RESULTS = {
+    "signs-length": (("levels", 0, "signs"), [1, 1, 1], "levels[0].signs"),
+    "sign-string": (("levels", 2, "signs", 0), "x", "levels[2].signs"),
+    "sign-five": (("levels", 2, "signs", 0), 5, "levels[2].signs"),
+    "sign-float": (("levels", 2, "signs", 0), 1.0, "levels[2].signs"),
+    "sign-bool": (("levels", 2, "signs", 0), True, "levels[2].signs"),
+    "metric": (("metric",), "pseud", "metric"),
+    "labels-count": (("levels", 2, "labels"), ["h"], "levels[2].labels"),
+    "max-residual": (("report", "max_residual"), "small", "report.max_residual"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RESULTS))
+def test_verify_rejects_malformed_result(tmp_path, capsys, case):
+    (*parents, leaf), value, field = MALFORMED_RESULTS[case]
+    problem = PROBLEM_DIR / "fourier_pseudo.json"
     out = tmp_path / "result.json"
-    write_result(out, payload)
-    expected = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    assert out.read_bytes() == expected.encode("utf-8")
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert [len(level["labels"]) for level in payload["levels"]] == [1, 2, 2]
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_SCHEMA
+    assert f"'{field}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

@@ -178,6 +178,20 @@ def test_gram_schmidt_reference_examples():
     assert np.allclose(table.matrix().real, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
 
 
+def test_gram_schmidt_mixings_match_per_pair_oracle():
+    rng = np.random.default_rng(405)
+    for _ in range(3):
+        src = random_graded_source(rng, cond=1e4)
+        table = go.gram_schmidt_reference(src)
+        assert sorted(table.mixings) == [
+            (k, j) for k in range(len(src.index)) for j in range(k)
+        ]
+        for (k, j), mixing in table.mixings.items():
+            d = go.cross_overlap(src, table.partial(k), k, j)
+            p = go.mixing_block(d, table.normalizers[k])
+            assert relative_error(mixing, p) <= 1e-12
+
+
 def test_gram_schmidt_detects_dependence():
     idx = go.GradedIndex([["a"], ["b"]])
     src = go.build_explicit(idx, np.array([[1.0, 1.0], [1.0, 1.0]]))
