@@ -47,6 +47,7 @@ from .ortho import (
     cross_overlap,
     gram_method_reference,
     gram_schmidt_reference,
+    is_lone_isotropic,
     level_normalizer,
     mixing_block,
     orthonormalize_graded,
@@ -56,9 +57,7 @@ from .ortho import (
 )
 from .pseudo import (
     FailureTrace,
-    SignedCoefficientTable,
     gram_schmidt_isotropic_obstruction,
-    is_lone_isotropic,
     pseudo_orthonormalize_graded,
 )
 from .spectral import (
@@ -95,7 +94,6 @@ __all__ = [
     "QuadratureOrderTooLow",
     "SchemaError",
     "ShapeMismatch",
-    "SignedCoefficientTable",
     "TerminalIsotropicVector",
     "VerificationReport",
     "WeightFunction",

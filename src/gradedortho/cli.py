@@ -122,9 +122,8 @@ def cmd_run(args):
     print(f"wrote {output}")
     for line in report.lines():
         print(line)
-    if getattr(table, "promotions", None):
-        for from_level, label, to_level in table.promotions:
-            print(f"promoted '{label}' from level {from_level} to level {to_level}")
+    for from_level, label, to_level in table.promotions:
+        print(f"promoted '{label}' from level {from_level} to level {to_level}")
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

@@ -333,7 +333,7 @@ def result_payload(problem, table, report, method):
         ],
         "levels": levels,
     }
-    if getattr(table, "promotions", None):
+    if table.promotions:
         payload["promotions"] = [
             {"from_level": int(a), "label": lbl, "to_level": int(b)}
             for a, lbl, b in table.promotions

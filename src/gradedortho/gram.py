@@ -188,12 +188,9 @@ def fourier_gram(max_harmonic, weight):
         for s in range(n_coeff):
             moments[s] = (TWO_PI / n_grid) * np.sum(np.exp(1j * s * x) * samples)
     harmonics = _fourier_harmonics(max_harmonic)
-    size = harmonics.size
-    gram = np.empty((size, size), dtype=np.complex128)
-    for i in range(size):
-        for j in range(size):
-            s = int(harmonics[i] - harmonics[j])
-            gram[i, j] = moments[s] if s >= 0 else np.conj(moments[-s])
+    # moment of every difference s = -2M..2M at position s + 2M
+    by_difference = np.concatenate([np.conj(moments[:0:-1]), moments])
+    gram = by_difference[harmonics[:, None] - harmonics[None, :] + 2 * max_harmonic]
     return GramSource("fourier", index, gram)
 
 

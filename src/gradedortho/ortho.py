@@ -21,13 +21,16 @@ from .errors import (
     LinearlyDependentInput,
     NotPositiveDefinite,
     ShapeMismatch,
+    TerminalIsotropicVector,
 )
+from .grading import GradedIndex
 from .spectral import (
     DEFAULT_DEGENERACY_TOL,
     eigh,
     hermitize,
     inv_sqrt,
     max_abs,
+    pseudo_normalizer,
 )
 
 
@@ -40,31 +43,35 @@ class CoefficientTable:
     ``normalizers[k]`` is the square block acting on level k's own raw
     vectors, and ``mixings[(k, j)]`` the rectangular block mixing in the
     finished level-j vectors.
+
+    ``signs`` is None for a Euclidean table; for a signed one
+    ``signs[k]`` holds the pseudo-norm (+1 or -1) of each column of
+    ``blocks[k]``.  Columns are grouped by the output levels of
+    ``output_index``, which differs from ``index`` only after isotropic
+    promotion merged levels; coefficient rows stay in the flat order of
+    ``index``.  ``promotions`` lists one ``(from_level, label,
+    to_level)`` triple per promoted vector.
     """
 
-    def __init__(self, index, blocks, normalizers, mixings):
+    def __init__(self, index, blocks, normalizers, mixings, signs=None,
+                 output_index=None, promotions=()):
         self.index = index
         self.blocks = list(blocks)
         self.normalizers = list(normalizers)
         self.mixings = dict(mixings)
+        self.signs = None if signs is None else list(signs)
+        self.output_index = index if output_index is None else output_index
+        self.promotions = list(promotions)
 
     @property
     def completed(self):
         return len(self.blocks)
 
-    @property
-    def complete(self):
-        return self.completed == len(self.index)
-
-    @property
-    def signs(self):
-        return None
-
     def output_level_ids(self):
-        return tuple(self.index.level_ids[: self.completed])
+        return tuple(self.output_index.level_ids[: self.completed])
 
     def output_labels(self):
-        return tuple(self.index.levels[: self.completed])
+        return tuple(self.output_index.levels[: self.completed])
 
     def matrix(self):
         """All coefficient columns, level-major."""
@@ -74,11 +81,15 @@ class CoefficientTable:
         """View of the first ``upto`` completed levels."""
         if upto > self.completed:
             raise LevelNotReady(f"only {self.completed} levels are completed")
+        kept = self.output_index.level_ids[:upto]
         return CoefficientTable(
             self.index,
             self.blocks[:upto],
             self.normalizers[:upto],
             {key: m for key, m in self.mixings.items() if key[0] < upto},
+            None if self.signs is None else self.signs[:upto],
+            self.output_index,
+            [step for step in self.promotions if step[2] in kept],
         )
 
 
@@ -200,24 +211,116 @@ def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     -------
     CoefficientTable
     """
+    return _orthonormalize_levels(source, degeneracy_tol, signed=False)
+
+
+def is_lone_isotropic(block, degeneracy_tol=DEFAULT_DEGENERACY_TOL, scale=None):
+    """True when a 1x1 level Gram block is zero relative to the level scale.
+
+    ``scale`` defaults to the block's own largest magnitude with a floor
+    of one; the pipeline passes the raw level block's scale explicitly
+    when probing projected blocks.
+    """
+    block = np.asarray(block)
+    if block.shape != (1, 1):
+        return False
+    if scale is None:
+        scale = max(max_abs(block), 1.0)
+    return bool(abs(block[0, 0]) <= degeneracy_tol * scale)
+
+
+def _orthonormalize_levels(source, degeneracy_tol, signed):
+    """The graded level loop of both metrics.
+
+    Each level is projected against all finished levels with the signs
+    S of the finished vectors (all +1 for the Euclidean metric, where
+    multiplying by S changes no value) and normalized symmetrically.  Only two
+    steps depend on ``signed``: which normalizer runs, and whether a
+    lone isotropic vector is promoted into the following level.
+    """
     gram = source.matrix
     index = source.index
+    # Promotion only ever merges a level into the next one, so every
+    # pending level is a contiguous row range and the finished output
+    # vectors always occupy the leading columns [0, lo) of c.
+    pending = [
+        {
+            "id": index.level_ids[k],
+            "labels": list(index.levels[k]),
+            "lo": index.offsets[k],
+            "hi": index.offsets[k] + index.sizes[k],
+        }
+        for k in range(len(index))
+    ]
     c = np.zeros((index.total, index.total), dtype=np.complex128)
-    table = CoefficientTable(index, [], [], {})
-    for k in range(len(index)):
-        cols = index.level_slice(k)
-        lo = cols.start
+    finished_signs = np.ones(index.total)
+    blocks = []
+    normalizers = []
+    mixings = {}
+    level_signs = []
+    promotions = []
+    done = []  # the pending levels that became output levels
+
+    for pos, level in enumerate(pending):
+        lo = level["lo"]
+        cols = slice(lo, level["hi"])
+        gamma = gram[cols, cols]
+        if signed and is_lone_isotropic(gamma, degeneracy_tol):
+            _promote(pending, pos, promotions)
+            continue
         d = c[:lo, :lo].conj().T @ gram[:lo, cols]
-        b = hermitize(gram[cols, cols] - d.conj().T @ d)[0]
-        q = level_normalizer(b, degeneracy_tol, level=index.level_ids[k])
-        p = -d @ q
-        c[cols, cols] = q
+        sd = finished_signs[:lo, None] * d
+        b = hermitize(gamma - d.conj().T @ sd)[0]
+        if not signed:
+            r = level_normalizer(b, degeneracy_tol, level=level["id"])
+        elif is_lone_isotropic(b, degeneracy_tol, scale=max(max_abs(gamma), 1.0)):
+            # Unreachable when the nondegeneracy hypothesis holds, but a
+            # projected singleton that collapses gets the same treatment.
+            _promote(pending, pos, promotions)
+            continue
+        else:
+            try:
+                r, signs = pseudo_normalizer(b, degeneracy_tol)
+            except DegenerateMetric as err:
+                raise DegenerateMetric(
+                    f"level {level['id']}: projected Gram block is degenerate; "
+                    f"the metric violates the nondegeneracy hypothesis",
+                    level=level["id"],
+                ) from err
+            finished_signs[cols] = signs
+            level_signs.append(signs)
+        p = -sd @ r
+        c[cols, cols] = r
         c[:lo, cols] = c[:lo, :lo] @ p
-        for j in range(k):
-            table.mixings[(k, j)] = p[index.level_slice(j)]
-        table.blocks.append(c[:, cols].copy())
-        table.normalizers.append(q)
-    return table
+        for j, finished in enumerate(done):
+            mixings[(len(done), j)] = p[finished["lo"]:finished["hi"]]
+        blocks.append(c[:, cols].copy())
+        normalizers.append(r)
+        done.append(level)
+
+    output_index = GradedIndex(
+        [level["labels"] for level in done], level_ids=[level["id"] for level in done]
+    )
+    return CoefficientTable(
+        index, blocks, normalizers, mixings, level_signs if signed else None,
+        output_index, promotions,
+    )
+
+
+def _promote(pending, pos, promotions):
+    level = pending[pos]
+    label = level["labels"][0]
+    if pos + 1 >= len(pending):
+        raise TerminalIsotropicVector(
+            f"level {level['id']}: lone isotropic vector '{label}' has no "
+            f"following level to join",
+            level=level["id"],
+            label=label,
+        )
+    target = pending[pos + 1]
+    target["labels"] = level["labels"] + target["labels"]
+    target["lo"] = level["lo"]
+    promotions.append((level["id"], label, target["id"]))
 
 
 def residual_gram_direct(source, table, k):

@@ -1,5 +1,7 @@
 """Graded pseudo-orthonormalization for nondegenerate indefinite metrics.
 
+The signed run of the graded level loop in :mod:`gradedortho.ortho`,
+plus the demonstration of why Gram-Schmidt fails on an isotropic vector.
 Projection against finished levels carries each finished vector's sign
 (pseudo-norm +1 or -1), the per-level normalization brings the projected
 block to diag(+1.., -1..), and a lone isotropic vector is promoted into
@@ -10,163 +12,23 @@ with more than one element has a nondegenerate Gram matrix.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (
-    DegenerateMetric,
-    NotACounterexample,
-    TerminalIsotropicVector,
-)
-from .grading import GradedIndex
-from .ortho import CoefficientTable
-from .spectral import (
-    DEFAULT_DEGENERACY_TOL,
-    hermitize,
-    max_abs,
-    pseudo_normalizer,
-)
-
-
-class SignedCoefficientTable(CoefficientTable):
-    """Coefficient table whose output vectors carry pseudo-norm signs.
-
-    ``level_signs[k]`` aligns with the columns of ``blocks[k]``.
-    Columns are grouped by the post-promotion levels described by
-    ``output_index``; coefficient rows stay in the original flat order
-    of ``index``.
-    """
-
-    def __init__(self, index, output_index, blocks, normalizers, mixings,
-                 level_signs, promotions):
-        super().__init__(index, blocks, normalizers, mixings)
-        self.output_index = output_index
-        self.level_signs = list(level_signs)
-        self.promotions = list(promotions)
-
-    @property
-    def signs(self):
-        return self.level_signs
-
-    def output_level_ids(self):
-        return tuple(self.output_index.level_ids[: self.completed])
-
-    def output_labels(self):
-        return tuple(self.output_index.levels[: self.completed])
-
-
-def is_lone_isotropic(block, degeneracy_tol=DEFAULT_DEGENERACY_TOL, scale=None):
-    """True when a 1x1 level Gram block is zero relative to the level scale.
-
-    ``scale`` defaults to the block's own largest magnitude with a floor
-    of one; the pipeline passes the raw level block's scale explicitly
-    when probing projected blocks.
-    """
-    block = np.asarray(block)
-    if block.shape != (1, 1):
-        return False
-    if scale is None:
-        scale = max(max_abs(block), 1.0)
-    return bool(abs(block[0, 0]) <= degeneracy_tol * scale)
+from .errors import NotACounterexample
+from .ortho import _orthonormalize_levels
+from .spectral import DEFAULT_DEGENERACY_TOL, hermitize, max_abs
 
 
 def pseudo_orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     """Pseudo-orthonormalize a graded system, promoting isotropic strays.
 
-    Returns a :class:`SignedCoefficientTable` whose columns satisfy
-    c_a† G c_b = sign(a) * delta_ab.  A singleton level whose vector is
-    isotropic is merged into the next level (logged in ``promotions``);
-    if no next level exists the run fails with TerminalIsotropicVector.
-    On a positive definite source every step reduces exactly to the
-    Euclidean path and all signs come out +1.
+    Returns a :class:`~gradedortho.ortho.CoefficientTable` with
+    ``signs``, whose columns satisfy c_a† G c_b = sign(a) * delta_ab.  A
+    singleton level whose vector is isotropic is merged into the next
+    level (logged in ``promotions``, with the merged levels in
+    ``output_index``); if no next level exists the run fails with
+    TerminalIsotropicVector.  On a positive definite source every step
+    reduces exactly to the Euclidean path and all signs come out +1.
     """
-    gram = source.matrix
-    index = source.index
-    # Promotion only ever merges a level into the next one, so every
-    # pending level is a contiguous row range and the finished output
-    # vectors always occupy the leading columns [0, lo) of c.
-    pending = [
-        {
-            "id": index.level_ids[k],
-            "labels": list(index.levels[k]),
-            "lo": index.offsets[k],
-            "hi": index.offsets[k] + index.sizes[k],
-        }
-        for k in range(len(index))
-    ]
-    c = np.zeros((index.total, index.total), dtype=np.complex128)
-    finished_signs = np.zeros(index.total)
-    blocks = []
-    normalizers = []
-    mixings = {}
-    level_signs = []
-    promotions = []
-    out_ids = []
-    out_labels = []
-    out_slices = []
-
-    pos = 0
-    while pos < len(pending):
-        level = pending[pos]
-        lo = level["lo"]
-        cols = slice(lo, level["hi"])
-        gamma = gram[cols, cols]
-        raw_scale = max(max_abs(gamma), 1.0)
-        if is_lone_isotropic(gamma, degeneracy_tol):
-            _promote(pending, pos, promotions)
-            pos += 1
-            continue
-        d = c[:lo, :lo].conj().T @ gram[:lo, cols]
-        signed = finished_signs[:lo, None] * d
-        b = hermitize(gamma - d.conj().T @ signed)[0]
-        if is_lone_isotropic(b, degeneracy_tol, scale=raw_scale):
-            # Unreachable when the nondegeneracy hypothesis holds, but a
-            # projected singleton that collapses gets the same treatment.
-            _promote(pending, pos, promotions)
-            pos += 1
-            continue
-        try:
-            r, signs = pseudo_normalizer(b, degeneracy_tol)
-        except DegenerateMetric as err:
-            raise DegenerateMetric(
-                f"level {level['id']}: projected Gram block is degenerate; "
-                f"the metric violates the nondegeneracy hypothesis",
-                level=level["id"],
-            ) from err
-        p = -signed @ r
-        c[cols, cols] = r
-        c[:lo, cols] = c[:lo, :lo] @ p
-        finished_signs[cols] = signs
-        k_out = len(blocks)
-        for j, rows in enumerate(out_slices):
-            mixings[(k_out, j)] = p[rows]
-        blocks.append(c[:, cols].copy())
-        normalizers.append(r)
-        level_signs.append(signs)
-        out_ids.append(level["id"])
-        out_labels.append(tuple(level["labels"]))
-        out_slices.append(cols)
-        pos += 1
-
-    output_index = GradedIndex(out_labels, level_ids=out_ids)
-    return SignedCoefficientTable(
-        index, output_index, blocks, normalizers, mixings, level_signs, promotions
-    )
-
-
-def _promote(pending, pos, promotions):
-    level = pending[pos]
-    label = level["labels"][0]
-    if pos + 1 >= len(pending):
-        raise TerminalIsotropicVector(
-            f"level {level['id']}: lone isotropic vector '{label}' has no "
-            f"following level to join",
-            level=level["id"],
-            label=label,
-        )
-    target = pending[pos + 1]
-    target["labels"] = level["labels"] + target["labels"]
-    target["lo"] = level["lo"]
-    promotions.append((level["id"], label, target["id"]))
+    return _orthonormalize_levels(source, degeneracy_tol, signed=True)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,12 @@ def test_positive_definite_reduces_to_euclidean_exactly():
     src = go.build_explicit(idx, random_spd(rng, 6, cond=1e3))
     euclid = go.orthonormalize_graded(src)
     signed = go.pseudo_orthonormalize_graded(src)
-    assert np.max(np.abs(euclid.matrix() - signed.matrix())) < 1e-12
+    assert np.array_equal(euclid.matrix(), signed.matrix())
+    assert len(euclid.normalizers) == len(signed.normalizers)
+    assert all(np.array_equal(q, r) for q, r in zip(euclid.normalizers, signed.normalizers))
+    assert euclid.mixings.keys() == signed.mixings.keys()
+    assert all(np.array_equal(euclid.mixings[key], signed.mixings[key]) for key in euclid.mixings)
+    assert euclid.signs is None
     assert all(np.all(s == 1) for s in signed.signs)
     assert signed.promotions == []
     assert signed.output_index == idx
@@ -70,6 +75,14 @@ def test_isotropic_leader_promoted():
     # signature of the merged block is (1, 1)
     p, q, _ = go.signature_split(src.matrix)
     assert (p, q) == (1, 1)
+
+
+def test_euclidean_loop_never_promotes():
+    src = go.build_explicit(go.GradedIndex([["a"], ["b"]]), PROMOTION_GRAM)
+    with pytest.raises(go.LinearlyDependentInput) as info:
+        go.orthonormalize_graded(src)
+    assert info.value.level == 0
+    assert go.pseudo_orthonormalize_graded(src).promotions == [(0, "a", 1)]
 
 
 def test_trailing_isotropic_vector_is_terminal():
@@ -110,6 +123,41 @@ def test_promotion_keeps_filtration_zeros():
     assert signed_residual(src, table) < 1e-12
     report = go.verify_table(src, table, 1e-12)
     assert report.passed and report.structural_ok
+
+
+def test_partial_of_signed_table_keeps_signs_and_output_levels():
+    g = np.array(
+        [[0.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0]],
+        dtype=complex,
+    )
+    src = go.build_explicit(go.GradedIndex([["a"], ["b"], ["c", "d"]]), g)
+    table = go.pseudo_orthonormalize_graded(src)
+    assert table.output_level_ids() == (1, 2)
+    for k in range(1, table.completed + 1):
+        part = table.partial(k)
+        assert part.output_level_ids() == (1, 2)[:k]
+        assert part.output_labels() == (("a", "b"), ("c", "d"))[:k]
+        assert len(part.signs) == k
+        assert part.promotions == [(0, "a", 1)]
+        report = go.verify_table(src, part, 1e-12)
+        assert report.passed and report.structural_ok
+
+
+def test_partial_keeps_only_promotions_into_kept_levels():
+    rng = np.random.default_rng(505)
+    idx = go.GradedIndex([["a", "b"], ["c"], ["d", "e"], ["f"], ["g", "h", "i"]])
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    g = go.hermitize(a + a.conj().T)[0]
+    g[2, 2] = g[5, 5] = 0.0
+    src = go.build_explicit(idx, g)
+    table = go.pseudo_orthonormalize_graded(src)
+    kept = [[], [(1, "c", 2)], [(1, "c", 2), (3, "f", 4)]]
+    for k in range(1, table.completed + 1):
+        part = table.partial(k)
+        assert part.promotions == kept[k - 1]
+        assert part.output_level_ids() == (0, 2, 4)[:k]
+        report = go.verify_table(src, part, 1e-9)
+        assert report.passed and report.structural_ok
 
 
 def test_degenerate_multielement_level_rejected():
