@@ -37,7 +37,6 @@ from .gram import (
     WeightFunction,
     build_explicit,
     fourier_gram,
-    full_gram,
     monomial_gram,
     monomial_index,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "cross_overlap",
     "eigh",
     "fourier_gram",
-    "full_gram",
     "gram_method_reference",
     "gram_schmidt_isotropic_obstruction",
     "gram_schmidt_reference",

@@ -62,10 +62,6 @@ def _math_exit(err):
     return _fail(EXIT_MATH, f"{type(err).__name__}{where}: {err}")
 
 
-def _load_problem(path):
-    return parse_problem(path)
-
-
 def _tolerance_override_error(args):
     """Error message for an override no ``tolerances`` block could hold, else None."""
     for name in ("degeneracy_tol", "verify_tol"):
@@ -95,7 +91,7 @@ def cmd_run(args):
     if message is not None:
         return _fail(EXIT_SCHEMA, message)
     try:
-        problem = _load_problem(args.input)
+        problem = parse_problem(args.input)
     except (SchemaError, GradedOrthoError, OSError) as err:
         return _fail(EXIT_SCHEMA, str(err))
     if args.degeneracy_tol is not None:
@@ -129,7 +125,7 @@ def cmd_run(args):
 
 def cmd_verify(args):
     try:
-        problem = _load_problem(args.problem)
+        problem = parse_problem(args.problem)
         result = parse_result(args.result)
     except (SchemaError, GradedOrthoError, OSError) as err:
         return _fail(EXIT_SCHEMA, str(err))
@@ -167,7 +163,7 @@ def cmd_compare(args):
     if message is not None:
         return _fail(EXIT_SCHEMA, message)
     try:
-        problem = _load_problem(args.input)
+        problem = parse_problem(args.input)
     except (SchemaError, GradedOrthoError, OSError) as err:
         return _fail(EXIT_SCHEMA, str(err))
     if problem.metric != "euclidean":

@@ -26,13 +26,12 @@ from .gram import (
     monomial_gram,
 )
 from .grading import GradedIndex
+from .ortho import DEFAULT_VERIFY_TOL
+from .spectral import DEFAULT_DEGENERACY_TOL
 
 MODES = ("explicit", "fourier", "monomial")
 METRICS = ("euclidean", "pseudo")
 METHODS = ("graded", "gram-schmidt", "gram")
-
-DEFAULT_DEGENERACY_TOL = 1e-10
-DEFAULT_VERIFY_TOL = 1e-9
 
 
 @dataclass
@@ -292,7 +291,12 @@ def parse_problem(path):
             verify_tol = _number(tols["verify_tol"], "tolerances.verify_tol")
         if degeneracy_tol <= 0 or verify_tol <= 0:
             raise SchemaError("tolerances must be positive", field="tolerances")
-    source = _build_source(mode, block)
+    try:
+        source = _build_source(mode, block)
+    except ValueError as err:
+        # Values of the right JSON type that no source can be built from
+        # (a duplicate label, an empty box interval, an overflowing Gram).
+        raise SchemaError(f"invalid '{mode}' problem: {err}", field=mode) from err
     return Problem(
         mode=mode,
         metric=metric,

@@ -59,12 +59,6 @@ class GradedIndex:
         """Flat slice occupied by the level at list position ``pos``."""
         return slice(self.offsets[pos], self.offsets[pos] + self.sizes[pos])
 
-    def flat_index(self, pos, label):
-        return self.offsets[pos] + self.levels[pos].index(str(label))
-
-    def flat_labels(self):
-        return [label for level in self.levels for label in level]
-
     def row_level_ids(self):
         """Level id of every flat position, as an int array."""
         out = np.empty(self.total, dtype=np.int64)

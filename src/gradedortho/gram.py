@@ -107,27 +107,13 @@ class GramSource:
                 f"Gram matrix shape {matrix.shape} does not match the "
                 f"{index.total} indexed elements"
             )
+        if not np.isfinite(matrix).all():
+            raise ValueError("Gram matrix has non-finite entries")
         matrix = matrix.copy()
         matrix.setflags(write=False)
         self.kind = kind
         self.index = index
         self.matrix = matrix
-
-    def full(self):
-        """The full Hermitian Gram matrix (a fresh copy)."""
-        return self.matrix.copy()
-
-    def level_block(self, pos):
-        sl = self.index.level_slice(pos)
-        return self.matrix[sl, sl].copy()
-
-    def cross_block(self, pos_a, pos_b):
-        return self.matrix[self.index.level_slice(pos_a), self.index.level_slice(pos_b)].copy()
-
-
-def full_gram(source):
-    """Full Gram matrix of a source (module-level convenience)."""
-    return source.full()
 
 
 def build_explicit(index, matrix):

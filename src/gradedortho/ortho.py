@@ -33,6 +33,8 @@ from .spectral import (
     pseudo_normalizer,
 )
 
+DEFAULT_VERIFY_TOL = 1e-9
+
 
 class CoefficientTable:
     """Output of an orthonormalization run, organized by level.
@@ -40,9 +42,11 @@ class CoefficientTable:
     ``blocks[k]`` holds the coefficient columns of the level-k output
     vectors over the full flat input basis; rows belonging to higher
     levels are exactly zero for the graded and Gram-Schmidt methods.
-    ``normalizers[k]`` is the square block acting on level k's own raw
-    vectors, and ``mixings[(k, j)]`` the rectangular block mixing in the
-    finished level-j vectors.
+    Everything else about a level follows from its block: the normalizer
+    acting on level k's own raw vectors is its own rows (``normalizers``),
+    and the mixing of the finished lower levels is fixed by the lower
+    blocks (``mixing_block`` of their ``cross_overlap``, each row scaled
+    by its vector's sign on a signed table).
 
     ``signs`` is None for a Euclidean table; for a signed one
     ``signs[k]`` holds the pseudo-norm (+1 or -1) of each column of
@@ -53,12 +57,9 @@ class CoefficientTable:
     to_level)`` triple per promoted vector.
     """
 
-    def __init__(self, index, blocks, normalizers, mixings, signs=None,
-                 output_index=None, promotions=()):
+    def __init__(self, index, blocks, signs=None, output_index=None, promotions=()):
         self.index = index
         self.blocks = list(blocks)
-        self.normalizers = list(normalizers)
-        self.mixings = dict(mixings)
         self.signs = None if signs is None else list(signs)
         self.output_index = index if output_index is None else output_index
         self.promotions = list(promotions)
@@ -66,6 +67,13 @@ class CoefficientTable:
     @property
     def completed(self):
         return len(self.blocks)
+
+    @property
+    def normalizers(self):
+        """Each level's square block on its own raw vectors (views of ``blocks``)."""
+        return [
+            block[self.output_index.level_slice(k)] for k, block in enumerate(self.blocks)
+        ]
 
     def output_level_ids(self):
         return tuple(self.output_index.level_ids[: self.completed])
@@ -79,14 +87,14 @@ class CoefficientTable:
 
     def partial(self, upto):
         """View of the first ``upto`` completed levels."""
-        if upto > self.completed:
-            raise LevelNotReady(f"only {self.completed} levels are completed")
+        if not 0 <= upto <= self.completed:
+            raise LevelNotReady(
+                f"cannot keep {upto} levels: {self.completed} levels are completed"
+            )
         kept = self.output_index.level_ids[:upto]
         return CoefficientTable(
             self.index,
             self.blocks[:upto],
-            self.normalizers[:upto],
-            {key: m for key, m in self.mixings.items() if key[0] < upto},
             None if self.signs is None else self.signs[:upto],
             self.output_index,
             [step for step in self.promotions if step[2] in kept],
@@ -129,11 +137,7 @@ def cross_overlap(source, table, k, j):
             f"level {j} is not finished yet (frontier is {table.completed})"
         )
     cols = source.index.level_slice(k)
-    return _cross_overlap(source.matrix, table.blocks[j], cols)
-
-
-def _cross_overlap(gram, finished_block, cols):
-    return finished_block.conj().T @ gram[:, cols]
+    return table.blocks[j].conj().T @ source.matrix[:, cols]
 
 
 def residual_gram(gamma_k, corrections):
@@ -255,8 +259,6 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
     c = np.zeros((index.total, index.total), dtype=np.complex128)
     finished_signs = np.ones(index.total)
     blocks = []
-    normalizers = []
-    mixings = {}
     level_signs = []
     promotions = []
     done = []  # the pending levels that became output levels
@@ -292,18 +294,14 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
         p = -sd @ r
         c[cols, cols] = r
         c[:lo, cols] = c[:lo, :lo] @ p
-        for j, finished in enumerate(done):
-            mixings[(len(done), j)] = p[finished["lo"]:finished["hi"]]
         blocks.append(c[:, cols].copy())
-        normalizers.append(r)
         done.append(level)
 
     output_index = GradedIndex(
         [level["labels"] for level in done], level_ids=[level["id"] for level in done]
     )
     return CoefficientTable(
-        index, blocks, normalizers, mixings, level_signs if signed else None,
-        output_index, promotions,
+        index, blocks, level_signs if signed else None, output_index, promotions
     )
 
 
@@ -373,7 +371,7 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
                 min_eigenvalue=norm_sq,
             )
         col /= np.sqrt(norm_sq)
-    return _table_from_columns(source, c)
+    return _table_from_columns(index, c)
 
 
 def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -392,27 +390,14 @@ def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
             level=None,
             min_eigenvalue=err.min_eigenvalue,
         ) from err
-    return _table_from_columns(source, c, extract_mixings=False)
+    return _table_from_columns(source.index, c)
 
 
-def _table_from_columns(source, columns, extract_mixings=True):
+def _table_from_columns(index, columns):
     """Split flat coefficient columns into per-level table blocks."""
-    index = source.index
-    gram = source.matrix
-    blocks = []
-    normalizers = []
-    mixings = {}
-    for k in range(len(index)):
-        cols = index.level_slice(k)
-        block = columns[:, cols].copy()
-        blocks.append(block)
-        normalizers.append(block[cols, :].copy())
-        if extract_mixings and k:
-            # overlaps of all lower output vectors with level k, one matmul
-            p = mixing_block(_cross_overlap(gram, columns[:, : cols.start], cols), normalizers[k])
-            for j in range(k):
-                mixings[(k, j)] = p[index.level_slice(j)]
-    return CoefficientTable(index, blocks, normalizers, mixings)
+    return CoefficientTable(
+        index, [columns[:, index.level_slice(k)].copy() for k in range(len(index))]
+    )
 
 
 def _condition_number(block):
@@ -446,7 +431,7 @@ def orthonormality_residual(gram, blocks, signs=None):
     return max_abs(product - target)
 
 
-def verify_table(source, table, tolerance=1e-9):
+def verify_table(source, table, tolerance=DEFAULT_VERIFY_TOL):
     """Re-check a finished table against its source from first principles.
 
     Recomputes the full matrix of pairwise inner products through the

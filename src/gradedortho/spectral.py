@@ -4,8 +4,10 @@ Everything downstream (graded orthonormalization, signature handling,
 the CLI) goes through the five functions here: ``hermitize``, ``eigh``,
 ``inv_sqrt``, ``signature_split`` and ``pseudo_normalizer``.
 Eigendecompositions use LAPACK through ``numpy.linalg.eigh``; the
-package only fixes the order, the basis inside degenerate clusters and
-the phases of the eigenvectors, so results are deterministic.
+package only fixes the order (descending) and the phases of the
+eigenvectors.  Inside a degenerate eigenspace the basis is LAPACK's:
+``inv_sqrt`` does not depend on it, the columns ``pseudo_normalizer``
+returns for a mixed signature do.
 """
 
 from dataclasses import dataclass
@@ -20,10 +22,6 @@ from .errors import (
 )
 
 DEFAULT_DEGENERACY_TOL = 1e-10
-
-# Eigenvalues closer than this (relative to the spectral radius) are
-# treated as one degenerate cluster when cleaning up eigenvectors.
-CLUSTER_GAP_FACTOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,6 @@ def eigh(a, tol=1e-11):
         raise NoConvergence(f"eigendecomposition failed: {err}") from err
     values = values[::-1].copy()
     vectors = vectors[:, ::-1].copy()
-    _orthonormalize_clusters(values, vectors)
     _fix_phases(vectors)
     values.setflags(write=False)
     vectors.setflags(write=False)
@@ -116,26 +113,6 @@ def eigh(a, tol=1e-11):
 
 def _reconstruct(dec):
     return (dec.vectors * dec.values) @ dec.vectors.conj().T
-
-
-def _orthonormalize_clusters(values, vectors):
-    # LAPACK already returns a unitary basis; this pass re-orthogonalizes
-    # each (numerically) degenerate eigenspace in a fixed column order.
-    n = values.shape[0]
-    scale = max(float(np.max(np.abs(values))), 1.0) if n else 1.0
-    gap = CLUSTER_GAP_FACTOR * scale
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(values[stop - 1] - values[stop]) <= gap:
-            stop += 1
-        if stop - start > 1:
-            for i in range(start, stop):
-                col = vectors[:, i]
-                for j in range(start, i):
-                    col -= vectors[:, j] * np.vdot(vectors[:, j], col)
-                col /= np.linalg.norm(col)
-        start = stop
 
 
 def _fix_phases(vectors):

@@ -269,6 +269,40 @@ def test_two_mode_blocks_rejected(tmp_path, capsys):
     assert "exactly one mode block" in capsys.readouterr().err
 
 
+def monomial(dimension, max_degree, box):
+    block = {"dimension": dimension, "max_degree": max_degree, "box": box}
+    return {"mode": "monomial", "metric": "euclidean", "monomial": block}
+
+
+# Valid JSON of the right types whose values no Gram source can be built from.
+INVALID_VALUE_PROBLEMS = {
+    "duplicate-label": {
+        "mode": "explicit",
+        "metric": "euclidean",
+        "explicit": {"levels": [["a", "a"]], "gram": [[1.0, 0.0], [0.0, 1.0]]},
+    },
+    "empty-box-interval": monomial(1, 2, [[1.0, 0.0]]),
+    "negative-max-degree": monomial(1, -1, [[0.0, 1.0]]),
+    "zero-dimension": monomial(0, 2, []),
+    "monomial-gram-overflow": monomial(1, 160, [[0.0, 100.0]]),
+    "fourier-gram-overflow": {
+        "mode": "fourier",
+        "metric": "euclidean",
+        "fourier": {"max_harmonic": 0, "weight": {"kind": "samples", "values": [1e308, 1e308]}},
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("case", sorted(INVALID_VALUE_PROBLEMS))
+def test_invalid_values_exit_2(tmp_path, capsys, case, command):
+    path = tmp_path / "invalid.json"
+    write_json(path, INVALID_VALUE_PROBLEMS[case])
+    assert main([command, str(path)]) == EXIT_SCHEMA
+    assert "error: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "invalid.result.json").exists()
+
+
 def test_fourier_result_file_passes_symmetry_recheck(tmp_path):
     # independent recomputation of the conjugate-mirror property from the
     # persisted coefficients of the committed rho = 2 + cos(x), M = 4 problem

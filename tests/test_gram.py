@@ -14,8 +14,6 @@ def test_index_offsets_and_slices():
     assert idx.sizes == (2, 1, 3)
     assert idx.offsets == (0, 2, 3)
     assert idx.level_slice(2) == slice(3, 6)
-    assert idx.flat_index(2, "e") == 4
-    assert idx.flat_labels() == ["a", "b", "c", "d", "e", "f"]
     assert list(idx.row_level_ids()) == [0, 0, 1, 2, 2, 2]
 
 
@@ -38,7 +36,7 @@ def test_index_allows_same_label_on_different_levels():
 def test_build_explicit_identity():
     idx = go.GradedIndex([["a"], ["b"]])
     src = go.build_explicit(idx, np.eye(2))
-    assert np.array_equal(go.full_gram(src), np.eye(2))
+    assert np.array_equal(src.matrix, np.eye(2))
     assert src.kind == "explicit"
 
 
@@ -46,9 +44,7 @@ def test_build_explicit_returns_given_hermitian():
     idx = go.GradedIndex([["a", "b"], ["c"]])
     h = np.array([[2.0, 1.0j, 0.0], [-1.0j, 3.0, 0.5], [0.0, 0.5, 1.0]])
     src = go.build_explicit(idx, h)
-    assert np.max(np.abs(src.full() - h)) == 0.0
-    assert np.array_equal(src.level_block(0), h[:2, :2])
-    assert np.array_equal(src.cross_block(1, 0), h[2:, :2])
+    assert np.array_equal(src.matrix, h)
 
 
 def test_build_explicit_rejects_non_hermitian():
@@ -79,13 +75,13 @@ def sampled_weight(n, fn):
 def test_fourier_uniform_is_scaled_identity():
     src = go.fourier_gram(1, go.WeightFunction.uniform())
     assert src.index.levels == (("0",), ("+", "-"))
-    assert np.array_equal(src.full(), 2.0 * np.pi * np.eye(3))
+    assert np.array_equal(src.matrix, 2.0 * np.pi * np.eye(3))
 
 
 def test_fourier_cosine_weight_matches_hand_integrals():
     # rho = 2 + cos x: diagonal entries 4*pi, nearest-harmonic coupling pi
     weight, _ = sampled_weight(64, lambda x: 2.0 + np.cos(x))
-    g = go.fourier_gram(2, weight).full()
+    g = go.fourier_gram(2, weight).matrix
     assert np.allclose(np.diag(g), 4.0 * np.pi, atol=1e-12)
     assert abs(g[1, 0] - np.pi) < 1e-12
     assert abs(g[0, 2] - np.pi) < 1e-12
@@ -94,7 +90,7 @@ def test_fourier_cosine_weight_matches_hand_integrals():
 def test_fourier_quadrature_matches_dense_quadrature_oracle():
     # independent check of one entry with a fine trapezoid rule
     weight, _ = sampled_weight(256, lambda x: 1.5 + 0.5 * np.sin(2 * x) ** 2)
-    g = go.fourier_gram(3, weight).full()
+    g = go.fourier_gram(3, weight).matrix
     xs = np.linspace(0.0, 2.0 * np.pi, 200001)
     rho = 1.5 + 0.5 * np.sin(2 * xs) ** 2
     integrand = np.exp(1j * (2 - (-1)) * xs) * rho
@@ -106,7 +102,7 @@ def test_fourier_quadrature_matches_dense_quadrature_oracle():
 
 def test_fourier_gram_is_exactly_toeplitz_and_hermitian():
     weight, _ = sampled_weight(64, lambda x: 2.0 + np.cos(x))
-    g = go.fourier_gram(4, weight).full()
+    g = go.fourier_gram(4, weight).matrix
     assert np.array_equal(g, g.conj().T)
     harmonics = [0] + [h for k in range(1, 5) for h in (k, -k)]
     seen = {}
@@ -120,7 +116,7 @@ def test_fourier_gram_is_exactly_toeplitz_and_hermitian():
 
 def test_fourier_real_weight_conjugate_pairing():
     weight, _ = sampled_weight(64, lambda x: 2.0 + np.cos(x))
-    g = go.fourier_gram(3, weight).full()
+    g = go.fourier_gram(3, weight).matrix
     harmonics = [0] + [h for k in range(1, 4) for h in (k, -k)]
     pos = {h: i for i, h in enumerate(harmonics)}
     for hi in harmonics:
@@ -130,7 +126,7 @@ def test_fourier_real_weight_conjugate_pairing():
 
 def test_fourier_positive_definite():
     weight, _ = sampled_weight(64, lambda x: 2.0 + np.cos(x))
-    g = go.fourier_gram(8, weight).full()
+    g = go.fourier_gram(8, weight).matrix
     assert go.eigh(g).values[-1] > 0.0
 
 
@@ -148,7 +144,7 @@ def test_fourier_rejects_bad_weights():
 
 def test_monomial_interval_closed_forms():
     spec = go.MonomialBasisSpec(dimension=1, max_degree=2, box=[(-1.0, 1.0)])
-    g = go.monomial_gram(spec).full().real
+    g = go.monomial_gram(spec).matrix.real
     assert abs(g[0, 0] - 2.0) < 1e-14
     assert abs(g[1, 1] - 2.0 / 3.0) < 1e-14
     assert abs(g[0, 1]) < 1e-14
@@ -163,7 +159,7 @@ def test_monomial_level_labels_lexicographic():
 
 def test_monomial_unit_interval_hilbert_entries():
     spec = go.MonomialBasisSpec(dimension=1, max_degree=3, box=[(0.0, 1.0)])
-    g = go.monomial_gram(spec).full().real
+    g = go.monomial_gram(spec).matrix.real
     for a in range(4):
         for b in range(4):
             assert abs(g[a, b] - 1.0 / (a + b + 1)) < 1e-14
@@ -172,7 +168,7 @@ def test_monomial_unit_interval_hilbert_entries():
 @pytest.mark.parametrize("degree", [4, 6, 8])
 def test_monomial_quadrature_exactness_1d(degree):
     spec = go.MonomialBasisSpec(dimension=1, max_degree=degree, box=[(-1.0, 1.0)])
-    g = go.monomial_gram(spec).full().real
+    g = go.monomial_gram(spec).matrix.real
     for a in range(degree + 1):
         for b in range(degree + 1):
             p = a + b
@@ -183,7 +179,7 @@ def test_monomial_quadrature_exactness_1d(degree):
 def test_monomial_symmetric_box_parity_zeros():
     spec = go.MonomialBasisSpec(dimension=2, max_degree=3, box=[(-1.0, 1.0), (-2.0, 2.0)])
     src = go.monomial_gram(spec)
-    g = src.full().real
+    g = src.matrix.real
     _, exponents = go.monomial_index(2, 3)
     for i, mi in enumerate(exponents):
         for j, mj in enumerate(exponents):
@@ -193,7 +189,7 @@ def test_monomial_symmetric_box_parity_zeros():
 
 def test_monomial_positive_definite():
     spec = go.MonomialBasisSpec(dimension=2, max_degree=3, box=[(-1.0, 1.0), (0.0, 1.0)])
-    g = go.monomial_gram(spec).full()
+    g = go.monomial_gram(spec).matrix
     assert go.eigh(g).values[-1] > 0.0
 
 
@@ -204,7 +200,7 @@ def test_monomial_sampled_weight_matches_uniform_when_constant():
     weight = go.WeightFunction.samples(np.ones(order * order))
     spec_s = go.MonomialBasisSpec(dimension=2, max_degree=2, box=[(-1.0, 1.0)] * 2,
                                   weight=weight, quadrature_order=order)
-    assert np.array_equal(go.monomial_gram(spec_u).full(), go.monomial_gram(spec_s).full())
+    assert np.array_equal(go.monomial_gram(spec_u).matrix, go.monomial_gram(spec_s).matrix)
 
 
 def test_monomial_rejects_low_order_and_bad_box():

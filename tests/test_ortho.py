@@ -49,12 +49,25 @@ def test_cross_overlap_fourier_uniform_vanishes():
 
 def test_cross_overlap_level_not_ready():
     src = pair_source()
-    empty = go.CoefficientTable(src.index, [], [], {})
+    empty = go.CoefficientTable(src.index, [])
     with pytest.raises(go.LevelNotReady):
         go.cross_overlap(src, empty, 1, 0)
     table = go.orthonormalize_graded(src)
     with pytest.raises(go.LevelNotReady):
         go.cross_overlap(src, table, 1, 1)
+
+
+def test_partial_rejects_levels_out_of_range():
+    table = go.orthonormalize_graded(identity_source())
+    assert table.partial(0).completed == 0
+    for upto in (-1, table.completed + 1):
+        with pytest.raises(go.LevelNotReady):
+            table.partial(upto)
+
+
+def test_every_public_name_resolves():
+    for name in go.__all__:
+        assert hasattr(go, name), name
 
 
 # --- residual_gram / level_normalizer / mixing_block -------------------------
@@ -112,7 +125,6 @@ def test_pair_fixture_full_chain():
     # D=[1], Q=[1], P=[-1]: f1 = e2 - e1 = (0, 1) in the plane
     src = pair_source()
     table = go.orthonormalize_graded(src)
-    assert np.allclose(table.mixings[(1, 0)], [[-1.0]], atol=1e-14)
     assert np.allclose(table.matrix().real, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
 
 
@@ -178,18 +190,22 @@ def test_gram_schmidt_reference_examples():
     assert np.allclose(table.matrix().real, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
 
 
-def test_gram_schmidt_mixings_match_per_pair_oracle():
+def test_gram_schmidt_blocks_match_block_recursion():
+    # Gram-Schmidt tables obey the same recursion as graded ones:
+    # blocks[k] = E_k q + sum_j blocks[j] @ mixing_block(cross_overlap, q)
     rng = np.random.default_rng(405)
     for _ in range(3):
         src = random_graded_source(rng, cond=1e4)
         table = go.gram_schmidt_reference(src)
-        assert sorted(table.mixings) == [
-            (k, j) for k in range(len(src.index)) for j in range(k)
-        ]
-        for (k, j), mixing in table.mixings.items():
-            d = go.cross_overlap(src, table.partial(k), k, j)
-            p = go.mixing_block(d, table.normalizers[k])
-            assert relative_error(mixing, p) <= 1e-12
+        for k in range(len(src.index)):
+            partial = table.partial(k)
+            q = table.normalizers[k]
+            assembled = np.zeros_like(table.blocks[k])
+            assembled[src.index.level_slice(k), :] = q
+            for j in range(k):
+                d = go.cross_overlap(src, partial, k, j)
+                assembled += table.blocks[j] @ go.mixing_block(d, q)
+            assert relative_error(table.blocks[k], assembled) <= 1e-12
 
 
 def test_gram_schmidt_detects_dependence():
@@ -263,7 +279,7 @@ def test_methods_genuinely_differ_on_multielement_levels():
 
 def test_residual_gram_direct_base_cases():
     src = pair_source()
-    empty = go.CoefficientTable(src.index, [], [], {})
+    empty = go.CoefficientTable(src.index, [])
     assert np.array_equal(go.residual_gram_direct(src, empty, 0), PAIR_GRAM[:1, :1])
     table = go.orthonormalize_graded(src)
     h = go.residual_gram_direct(src, table.partial(1), 1)
@@ -294,15 +310,13 @@ def test_projection_oracle_matches_block_recursion():
             b = go.residual_gram(src.matrix[sl, sl], deltas)
             h = go.residual_gram_direct(src, partial, k)
             assert np.max(np.abs(b - h)) <= 1e-10
-            # the batched loop's mixings and blocks equal the per-pair
-            # K^2 recursion built from the public helpers
+            # the batched loop's blocks equal the per-pair K^2 recursion
+            # built from the public helpers
             q = table.normalizers[k]
             assembled = np.zeros_like(table.blocks[k])
             assembled[sl, :] = q
             for j, d in enumerate(overlaps):
-                p = go.mixing_block(d, q)
-                assert relative_error(table.mixings[(k, j)], p) <= 1e-12
-                assembled += table.blocks[j] @ p
+                assembled += table.blocks[j] @ go.mixing_block(d, q)
             assert relative_error(table.blocks[k], assembled) <= 1e-12
 
 
