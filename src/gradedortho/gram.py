@@ -171,8 +171,10 @@ def fourier_gram(max_harmonic, weight):
                 f"{max_harmonic}; need at least {4 * max_harmonic + 1}"
             )
         x = TWO_PI * np.arange(n_grid) / n_grid
-        for s in range(n_coeff):
-            moments[s] = (TWO_PI / n_grid) * np.sum(np.exp(1j * s * x) * samples)
+        # GramSource rejects moments that left the float range.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(n_coeff):
+                moments[s] = (TWO_PI / n_grid) * np.sum(np.exp(1j * s * x) * samples)
     harmonics = _fourier_harmonics(max_harmonic)
     # moment of every difference s = -2M..2M at position s + 2M
     by_difference = np.concatenate([np.conj(moments[:0:-1]), moments])
@@ -255,11 +257,16 @@ def monomial_gram(spec):
         quad_weights = quad_weights * samples
     n_terms = len(exponents)
     values = np.empty((n_terms, points.shape[1]))
-    for t, m in enumerate(exponents):
-        v = np.ones(points.shape[1])
-        for axis, e in enumerate(m):
-            if e:
-                v = v * points[axis] ** e
-        values[t] = v
-    gram = (values * quad_weights) @ values.T
+    # Powers of a wide box can leave the float range; the finiteness
+    # check below names that, instead of one warning per numpy step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, m in enumerate(exponents):
+            v = np.ones(points.shape[1])
+            for axis, e in enumerate(m):
+                if e:
+                    v = v * points[axis] ** e
+            values[t] = v
+        gram = (values * quad_weights) @ values.T
+    if not np.isfinite(gram).all():
+        raise ValueError("Gram matrix has non-finite entries")
     return GramSource("monomial", index, hermitize(gram)[0])

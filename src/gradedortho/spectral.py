@@ -40,7 +40,7 @@ def _as_complex_square(a, who):
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquare(f"{who} requires a square matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError(f"{who}: matrix contains non-finite entries")
     return a
 
@@ -54,7 +54,7 @@ def hermitize(a):
     """
     a = _as_complex_square(a, "hermitize")
     h = 0.5 * (a + a.conj().T)
-    np.fill_diagonal(h, np.diag(h).real)
+    h.flat[:: h.shape[0] + 1] = h.diagonal().real
     adjustment = float(np.max(np.abs(h - a))) if a.size else 0.0
     return h, adjustment
 

@@ -1,6 +1,7 @@
 """CLI subcommands: round trips, exit codes, determinism, schema rejection."""
 
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -15,10 +16,20 @@ from gradedortho.fileio import parse_problem, parse_result
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 EXEMPLARS = sorted(PROBLEM_DIR.glob("*.json"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def run_python(*args, **overrides):
+    """A fresh interpreter on the repository's sources, with extra environment."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.fixture
@@ -293,6 +304,72 @@ INVALID_VALUE_PROBLEMS = {
 }
 
 
+@pytest.mark.parametrize("case", ["monomial-gram-overflow", "fourier-gram-overflow"])
+def test_gram_overflow_prints_one_error_line(tmp_path, case):
+    path = tmp_path / "invalid.json"
+    write_json(path, INVALID_VALUE_PROBLEMS[case])
+    proc = run_python("-m", "gradedortho.cli", "run", str(path))
+    assert proc.returncode == EXIT_SCHEMA
+    assert "RuntimeWarning" not in proc.stderr
+    mode = INVALID_VALUE_PROBLEMS[case]["mode"]
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: invalid '{mode}' problem: ")
+    assert "Gram matrix" in line
+
+
+def test_subnormal_gram_entry_runs_and_verifies(tmp_path, capsys):
+    # the level-0 normalizer is 1e155: squaring it to get a condition
+    # number would overflow
+    path = tmp_path / "subnormal.json"
+    write_json(
+        path,
+        {
+            "mode": "explicit",
+            "metric": "euclidean",
+            "explicit": {"levels": [["a"], ["b"]], "gram": [[1e-310, 0.0], [0.0, 1.0]]},
+        },
+    )
+    out = tmp_path / "subnormal.result.json"
+    assert main(["run", str(path), "--output", str(out)]) == EXIT_OK
+    assert main(["verify", str(path), str(out)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "level 0: normalizer condition number 1.000000e+00" in text
+    assert text.rstrip().endswith("verification: PASS")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_gc_state_alone(pair_problem, tmp_path, enabled):
+    switch = {True: gc.enable, False: gc.disable}
+    was = gc.isenabled()
+    try:
+        switch[enabled]()
+        assert main(["run", str(pair_problem), "--output", str(tmp_path / "r.json")]) == EXIT_OK
+        assert gc.isenabled() == enabled
+    finally:
+        switch[was]()
+
+
+def test_entry_disables_gc():
+    code = (
+        "import gc, gradedortho.cli as cli\n"
+        "cli.main = lambda: print('gc enabled:', gc.isenabled()) or 0\n"
+        "cli.entry()\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "gc enabled: False\n"
+
+
+def test_subprocess_run_writes_in_process_bytes(tmp_path):
+    problem = PROBLEM_DIR / "fourier_euclidean.json"
+    child = tmp_path / "child.json"
+    proc = run_python("-m", "gradedortho.cli", "run", str(problem), "--output", str(child))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    here = tmp_path / "here.json"
+    assert main(["run", str(problem), "--output", str(here)]) == EXIT_OK
+    assert child.read_bytes() == here.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("case", sorted(INVALID_VALUE_PROBLEMS))
 def test_invalid_values_exit_2(tmp_path, capsys, case, command):
@@ -396,15 +473,13 @@ def test_reruns_byte_identical_per_blas_thread_count(tmp_path, threads):
     # Results may differ in the last bits between thread counts; only
     # reruns under one setting are required to match.
     problem = PROBLEM_DIR / "fourier_euclidean.json"
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outputs = []
     for rerun in range(2):
         out = tmp_path / f"r{rerun}.json"
-        subprocess.run(
-            [sys.executable, "-m", "gradedortho.cli", "run", str(problem), "--output", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
+        proc = run_python(
+            "-m", "gradedortho.cli", "run", str(problem), "--output", str(out),
+            OPENBLAS_NUM_THREADS=threads,
         )
+        assert proc.returncode == EXIT_OK, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

@@ -1,13 +1,19 @@
 """The graded orthonormalization core and its reference methods."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import gradedortho as go
+from gradedortho import spectral
+from gradedortho.fileio import parse_problem
 
 from conftest import random_graded_source, random_spd, relative_error
 
 PAIR_GRAM = np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex)
+EXEMPLARS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
 
 
 def pair_source():
@@ -347,6 +353,51 @@ def test_verify_condition_numbers_sane():
     assert [lid for lid, _ in report.condition_numbers] == [0, 1]
     for _, cond in report.condition_numbers:
         assert cond == pytest.approx(1.0)
+
+
+def exemplar_table(path):
+    problem = parse_problem(path)
+    if problem.metric == "pseudo":
+        return problem.source, go.pseudo_orthonormalize_graded(problem.source)
+    return problem.source, go.orthonormalize_graded(problem.source)
+
+
+@pytest.mark.parametrize("path", EXEMPLARS, ids=lambda p: p.stem)
+def test_verify_condition_numbers_match_per_level_oracles(path):
+    # the batched singular values against each level's own svd and
+    # against sqrt(lambda_max / lambda_min) of r^dagger r
+    source, table = exemplar_table(path)
+    report = go.verify_table(source, table)
+    assert [lid for lid, _ in report.condition_numbers] == list(table.output_level_ids())
+    for (_, cond), r in zip(report.condition_numbers, table.normalizers):
+        s = np.linalg.svd(r, compute_uv=False)
+        w = np.linalg.eigvalsh(r.conj().T @ r)
+        for expected in (s[0] / s[-1], np.sqrt(w[-1] / w[0])):
+            assert abs(cond - expected) <= 1e-13 * expected
+
+
+def test_verify_condition_numbers_cover_signed_and_promoted_tables():
+    tables = [exemplar_table(path)[1] for path in EXEMPLARS]
+    assert any(table.signs is not None for table in tables)
+    assert any(table.promotions for table in tables)
+
+
+def test_verify_table_makes_no_eigh_calls(monkeypatch):
+    calls = []
+    original = spectral.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("gradedortho")]:
+        if getattr(module, "eigh", None) is original:
+            monkeypatch.setattr(module, "eigh", counting_eigh)
+    source, table = exemplar_table(EXEMPLARS[0])
+    assert calls, "the counter does not see the level loop's eigh calls"
+    calls.clear()
+    go.verify_table(source, table)
+    assert calls == []
 
 
 # --- structural symmetries ----------------------------------------------------
