@@ -61,7 +61,8 @@ def _require(obj, field, kind, path):
     if not isinstance(obj, dict) or field not in obj:
         raise SchemaError(f"missing required field '{path}{field}'", field=path + field)
     value = obj[field]
-    if kind is not None and not isinstance(value, kind):
+    # A JSON true/false is a bool, which Python counts as an int.
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         raise SchemaError(
             f"field '{path}{field}' has the wrong type", field=path + field
         )
@@ -209,7 +210,7 @@ def _build_source(mode, block):
         return build_explicit(index, gram)
     if mode == "fourier":
         max_harmonic = _require(block, "max_harmonic", int, "fourier.")
-        if isinstance(max_harmonic, bool) or max_harmonic < 0:
+        if max_harmonic < 0:
             raise SchemaError(
                 "field 'fourier.max_harmonic' must be a non-negative integer",
                 field="fourier.max_harmonic",
@@ -355,7 +356,11 @@ def result_payload(problem, table, report, method):
 def write_result(path, payload):
     # Compact text in one json.dumps call: that is the only form the C
     # encoder serves (json.dump and any indent take the pure-Python one).
-    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    # The payload is a fresh acyclic tree (result_payload builds it from
+    # new tolist() lists), so the encoder's cycle markers are skipped.
+    text = json.dumps(
+        payload, ensure_ascii=False, separators=(",", ":"), check_circular=False
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")

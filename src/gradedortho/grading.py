@@ -1,7 +1,5 @@
 """Graded index sets: ordered levels of labelled basis elements."""
 
-import numpy as np
-
 
 class GradedIndex:
     """Partition of a finite vector set into ordered, non-empty levels.
@@ -58,10 +56,3 @@ class GradedIndex:
     def level_slice(self, pos):
         """Flat slice occupied by the level at list position ``pos``."""
         return slice(self.offsets[pos], self.offsets[pos] + self.sizes[pos])
-
-    def row_level_ids(self):
-        """Level id of every flat position, as an int array."""
-        out = np.empty(self.total, dtype=np.int64)
-        for pos, lid in enumerate(self.level_ids):
-            out[self.level_slice(pos)] = lid
-        return out

@@ -446,6 +446,26 @@ def orthonormality_residual(gram, blocks, signs=None):
     return max_abs(product - target)
 
 
+def structural_zeros_ok(index, blocks):
+    """True when no block has a nonzero entry on the rows of a higher level.
+
+    The blocks' columns follow the flat input order of ``index`` side by
+    side, so the rows to check follow from each block's column range
+    alone: every row at or after the end of the input level holding the
+    block's last column must be exactly zero.  A promoted output level
+    thus ends where the last input level it merged ends.  Blocks must
+    have ``index.total`` rows and as many columns in all.
+    """
+    level_ends = np.add(index.offsets, index.sizes)
+    last = -1
+    for block in blocks:
+        last += block.shape[1]
+        row_end = level_ends[np.searchsorted(level_ends, last, side="right")]
+        if np.any(block[row_end:] != 0.0):
+            return False
+    return True
+
+
 def verify_table(source, table, tolerance=DEFAULT_VERIFY_TOL):
     """Re-check a finished table against its source from first principles.
 
@@ -456,14 +476,7 @@ def verify_table(source, table, tolerance=DEFAULT_VERIFY_TOL):
     """
     max_residual = orthonormality_residual(source.matrix, table.blocks, table.signs)
 
-    row_ids = source.index.row_level_ids()
-    structural_ok = True
-    for lid, block in zip(table.output_level_ids(), table.blocks):
-        above = block[row_ids > lid, :]
-        if above.size and np.any(above != 0.0):
-            structural_ok = False
-            break
-
+    structural_ok = structural_zeros_ok(source.index, table.blocks)
     conditions = tuple(
         zip(table.output_level_ids(), _condition_numbers(table.normalizers))
     )

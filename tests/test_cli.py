@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from gradedortho.cli import EXIT_MATH, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, main
-from gradedortho.fileio import parse_problem, parse_result
+from gradedortho.fileio import parse_problem, parse_result, result_payload, write_result
+from gradedortho.ortho import orthonormalize_graded, verify_table
+from gradedortho.pseudo import pseudo_orthonormalize_graded
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 EXEMPLARS = sorted(PROBLEM_DIR.glob("*.json"))
@@ -62,7 +64,24 @@ def test_round_trip_every_exemplar(problem, tmp_path, capsys):
     assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
     assert main(["verify", str(problem), str(out)]) == EXIT_OK
     text = capsys.readouterr().out
-    assert "verification: PASS" in text
+    assert "structural grading zeros: ok\nverification: PASS" in text
+
+
+@pytest.mark.parametrize("problem", EXEMPLARS, ids=lambda p: p.stem)
+def test_write_result_text_equals_checked_encoding(problem, tmp_path):
+    # the encoder skips its cycle checks; the text must be what the
+    # default, checking encoder gives
+    parsed = parse_problem(problem)
+    if parsed.metric == "pseudo":
+        table = pseudo_orthonormalize_graded(parsed.source, parsed.degeneracy_tol)
+    else:
+        table = orthonormalize_graded(parsed.source, parsed.degeneracy_tol)
+    report = verify_table(parsed.source, table, parsed.verify_tol)
+    payload = result_payload(parsed, table, report, "graded")
+    out = tmp_path / "result.json"
+    write_result(out, payload)
+    expected = json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("problem", EXEMPLARS, ids=lambda p: p.stem)
@@ -155,6 +174,63 @@ def test_verify_flags_corrupted_coefficients(tmp_path, pair_problem, capsys):
     text = capsys.readouterr().out
     residual = float(text.split("recomputed orthonormality residual:")[1].split()[0])
     assert residual >= 0.01
+
+
+@pytest.mark.parametrize("output", ["missing-dir", "directory"])
+def test_unwritable_output_exits_2_with_one_line(pair_problem, tmp_path, output):
+    target = {"missing-dir": tmp_path / "no" / "such" / "r.json", "directory": tmp_path}
+    proc = run_python(
+        "-m", "gradedortho.cli", "run", str(pair_problem), "--output", str(target[output])
+    )
+    assert proc.returncode == EXIT_SCHEMA
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: cannot write result file: ")
+    assert proc.stdout == ""
+
+
+def broken_structural_zero(tmp_path, method, level_id=None):
+    """A monomial result with one nonzero entry on a higher level's row."""
+    problem = PROBLEM_DIR / "monomial_euclidean.json"
+    out = tmp_path / f"{method}.result.json"
+    assert main(["run", str(problem), "--output", str(out), "--method", method]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    # row 6 holds x^6, on level 6: far above level 0's constant
+    payload["levels"][0]["coefficients"][6][0] = [1e-12, 0.0]
+    if level_id is not None:
+        payload["levels"][0]["level"] = level_id
+    write_json(out, payload)
+    return problem, out
+
+
+@pytest.mark.parametrize("method", ["graded", "gram-schmidt"])
+def test_verify_flags_broken_structural_zero(tmp_path, capsys, method):
+    problem, out = broken_structural_zero(tmp_path, method)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_VERIFY
+    text = capsys.readouterr().out
+    residual = float(text.split("recomputed orthonormality residual:")[1].split()[0])
+    assert residual <= 1e-9
+    assert "structural grading zeros: violated\nverification: FAIL" in text
+
+
+def test_verify_ignores_level_ids_written_in_the_result(tmp_path, capsys):
+    # claiming the broken level is the top one must not hide the entry
+    problem, out = broken_structural_zero(tmp_path, "graded", level_id=6)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_VERIFY
+    assert "structural grading zeros: violated" in capsys.readouterr().out
+
+
+def test_verify_only_reports_structural_zeros_of_gram_results(tmp_path, capsys):
+    # Loewdin's method mixes all levels, so its zeros are not expected
+    problem = PROBLEM_DIR / "monomial_euclidean.json"
+    out = tmp_path / "gram.result.json"
+    assert main(["run", str(problem), "--output", str(out), "--method", "gram"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "structural grading zeros: violated\nverification: PASS" in text
 
 
 def test_verify_rejects_shape_mismatch(tmp_path, pair_problem):
@@ -271,6 +347,17 @@ def test_required_field_deletion_rejected(tmp_path, capsys, name, field):
     assert leaf in err
 
 
+@pytest.mark.parametrize("field", ["dimension", "max_degree"])
+def test_bool_integer_field_rejected(tmp_path, capsys, field):
+    # JSON true is a Python bool, which isinstance counts as an int
+    payload = monomial(1, 2, [[0.0, 1.0]])
+    payload["monomial"][field] = True
+    path = tmp_path / "bool.json"
+    write_json(path, payload)
+    assert main(["run", str(path)]) == EXIT_SCHEMA
+    assert f"'monomial.{field}' has the wrong type" in capsys.readouterr().err
+
+
 def test_two_mode_blocks_rejected(tmp_path, capsys):
     payload = json.loads((PROBLEM_DIR / "explicit_euclidean.json").read_text())
     payload["fourier"] = {"max_harmonic": 1, "weight": {"kind": "uniform"}}
@@ -343,8 +430,10 @@ def test_main_leaves_gc_state_alone(pair_problem, tmp_path, enabled):
     was = gc.isenabled()
     try:
         switch[enabled]()
+        frozen = gc.get_freeze_count()
         assert main(["run", str(pair_problem), "--output", str(tmp_path / "r.json")]) == EXIT_OK
         assert gc.isenabled() == enabled
+        assert gc.get_freeze_count() == frozen
     finally:
         switch[was]()
 
@@ -352,12 +441,12 @@ def test_main_leaves_gc_state_alone(pair_problem, tmp_path, enabled):
 def test_entry_disables_gc():
     code = (
         "import gc, gradedortho.cli as cli\n"
-        "cli.main = lambda: print('gc enabled:', gc.isenabled()) or 0\n"
+        "cli.main = lambda: print(gc.isenabled(), gc.get_freeze_count() > 0) or 0\n"
         "cli.entry()\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "gc enabled: False\n"
+    assert proc.stdout == "False True\n"
 
 
 def test_subprocess_run_writes_in_process_bytes(tmp_path):
@@ -432,6 +521,8 @@ MALFORMED_RESULTS = {
     "metric": (("metric",), "pseud", "metric"),
     "labels-count": (("levels", 2, "labels"), ["h"], "levels[2].labels"),
     "max-residual": (("report", "max_residual"), "small", "report.max_residual"),
+    "max-residual-bool": (("report", "max_residual"), False, "report.max_residual"),
+    "level-bool": (("levels", 1, "level"), True, "levels[1].level"),
 }
 
 

@@ -14,7 +14,6 @@ def test_index_offsets_and_slices():
     assert idx.sizes == (2, 1, 3)
     assert idx.offsets == (0, 2, 3)
     assert idx.level_slice(2) == slice(3, 6)
-    assert list(idx.row_level_ids()) == [0, 0, 1, 2, 2, 2]
 
 
 def test_index_rejects_empty_and_duplicate_levels():

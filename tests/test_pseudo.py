@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gradedortho as go
+from gradedortho.ortho import structural_zeros_ok
 
 from conftest import random_indefinite_source, random_spd, relative_error
 
@@ -121,6 +122,10 @@ def test_promotion_keeps_filtration_zeros():
     assert signed_residual(src, table) < 1e-12
     report = go.verify_table(src, table, 1e-12)
     assert report.passed and report.structural_ok
+    # the merged columns end with level 1, so row 2 alone must be zero
+    broken = [merged.copy(), table.blocks[1]]
+    broken[0][2, 0] = 1e-12
+    assert not structural_zeros_ok(idx, broken)
 
 
 def test_partial_of_signed_table_keeps_signs_and_output_levels():
