@@ -128,6 +128,36 @@ def cmd_run(args):
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+def _output_levels_mismatch(index, result):
+    """The first result level entry that the problem's grading contradicts, or None.
+
+    Output levels are runs of whole input levels (one, or several merged
+    by isotropic promotion) taken in flat input order, so each entry's
+    column range must end on an input-level boundary (and so start on
+    one), its labels are the flat input labels of those columns, and its
+    id is that of the input level holding its last column (the promotion
+    target).  The columns must add up to ``index.total``.
+    """
+    end_ids = {
+        offset + size: lid
+        for offset, size, lid in zip(index.offsets, index.sizes, index.level_ids)
+    }
+    flat_labels = [label for level in index.levels for label in level]
+    start = 0
+    for pos, (lid, labels, block) in enumerate(
+        zip(result.level_ids, result.level_labels, result.blocks)
+    ):
+        stop = start + block.shape[1]
+        if stop not in end_ids:
+            return f"levels[{pos}] columns {start}..{stop - 1} split an input level"
+        if labels != flat_labels[start:stop]:
+            return f"levels[{pos}].labels are not the input labels of columns {start}..{stop - 1}"
+        if lid != end_ids[stop]:
+            return f"levels[{pos}].level is {lid}, expected {end_ids[stop]}"
+        start = stop
+    return None
+
+
 def cmd_verify(args):
     try:
         problem = parse_problem(args.problem)
@@ -151,16 +181,22 @@ def cmd_verify(args):
         residual = orthonormality_residual(problem.source.matrix, result.blocks, result.signs)
     except ShapeMismatch as err:
         return _fail(EXIT_SCHEMA, str(err))
+    mismatch = _output_levels_mismatch(problem.source.index, result)
     structural_ok = structural_zeros_ok(problem.source.index, result.blocks)
     embedded = result.report.get("max_residual")
     print(f"recomputed orthonormality residual: {residual:.6e}")
     if embedded is not None:
         print(f"residual recorded in result file:   {float(embedded):.6e}")
     print(f"tolerance: {result.verify_tol:.1e}")
+    print(f"output levels: {'ok' if mismatch is None else f'mismatch ({mismatch})'}")
     print(f"structural grading zeros: {'ok' if structural_ok else 'violated'}")
     # The Gram (Loewdin) method does not keep the grading: its line is
     # only reported.
-    if residual <= result.verify_tol and (structural_ok or result.method == "gram"):
+    if (
+        residual <= result.verify_tol
+        and mismatch is None
+        and (structural_ok or result.method == "gram")
+    ):
         print("verification: PASS")
         return EXIT_OK
     print("verification: FAIL")

@@ -7,6 +7,14 @@ strings.  Result files are one line of compact JSON, embed a SHA-256
 digest of the problem file they were computed from so ``verify`` can
 refuse mismatched pairs, and contain no timestamps, which keeps reruns
 byte-identical.
+
+A coefficient row whose entries are all exactly +0.0 (the structural
+zeros above a level, in ``graded`` and ``gram-schmidt`` results) is
+written as plain integer ``0`` entries, every other row as ``[re, im]``
+pairs.  Results carry no copy of the input grading: it follows from
+the problem file the digest names.  The reader takes numbers and pairs
+alike, so files with every row as pairs, or with an ``input_levels``
+key, as earlier versions wrote them, parse to the same arrays.
 """
 
 import hashlib
@@ -162,8 +170,17 @@ def parse_matrix(obj, path, rows=None, cols=None):
 
 
 def matrix_to_json(matrix):
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
+    """Rows of ``[re, im]`` pairs; a row of only +0.0 entries as integer 0s.
+
+    The zero test is on the bits, so a row holding a -0.0 part keeps its
+    pairs and its sign.  Every zero row is a list of its own, so editing
+    one entry of the output changes no other row.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
+    zero = ~matrix.view(np.uint64).any(axis=1)
+    pairs = iter(np.stack((matrix.real[~zero], matrix.imag[~zero]), axis=-1).tolist())
+    width = matrix.shape[1]
+    return [[0] * width if z else next(pairs) for z in zero.tolist()]
 
 
 def _parse_weight(obj, path):
@@ -332,10 +349,6 @@ def result_payload(problem, table, report, method):
             "degeneracy_tol": problem.degeneracy_tol,
             "verify_tol": problem.verify_tol,
         },
-        "input_levels": [
-            {"level": int(lid), "labels": list(labels)}
-            for lid, labels in zip(problem.source.index.level_ids, problem.source.index.levels)
-        ],
         "levels": levels,
     }
     if table.promotions:
@@ -381,8 +394,8 @@ def parse_result(path):
     """Load a result file back into arrays for re-verification.
 
     Reads the keys every result file has had; files that also carry the
-    ``normalizer`` and ``mixing`` blocks of earlier versions parse the
-    same, since those keys are ignored.
+    ``input_levels``, ``normalizer`` and ``mixing`` keys of earlier
+    versions parse the same, since those keys are ignored.
     """
     payload, _ = _load_json(path)
     digest_obj = _require(payload, "input_digest", dict, "")

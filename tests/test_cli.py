@@ -574,3 +574,78 @@ def test_reruns_byte_identical_per_blas_thread_count(tmp_path, threads):
         assert proc.returncode == EXIT_OK, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# case: edits of a monomial_euclidean result (seven singleton levels)
+OUTPUT_LEVEL_EDITS = {
+    "ids-and-label": (
+        {("levels", 0, "level"): 6, ("levels", 1, "level"): -3, ("levels", 0, "labels"): ["zzz"]},
+        "levels[0]",
+    ),
+    "id": ({("levels", 3, "level"): 4}, "levels[3].level is 4, expected 3"),
+    "label": ({("levels", 2, "labels"): ["x"]}, "levels[2].labels"),
+    "swapped": (
+        {("levels", 1, "labels"): ["x^2"], ("levels", 2, "labels"): ["x"]},
+        "levels[1].labels",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_LEVEL_EDITS))
+def test_verify_checks_output_levels(tmp_path, capsys, case):
+    edits, message = OUTPUT_LEVEL_EDITS[case]
+    problem = PROBLEM_DIR / "monomial_euclidean.json"
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    for (*parents, leaf), value in edits.items():
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_VERIFY
+    text = capsys.readouterr().out
+    line = text.split("output levels: ")[1].splitlines()[0]
+    assert line.startswith("mismatch (") and message in line
+    assert "\nstructural grading zeros: ok\nverification: FAIL" in text
+
+
+def test_verify_rejects_output_level_splitting_an_input_level(tmp_path, capsys):
+    # fourier_euclidean levels have 1, 2, 2, ... columns; move one
+    # column of level 1 into level 2
+    problem = PROBLEM_DIR / "fourier_euclidean.json"
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    one, two = payload["levels"][1], payload["levels"][2]
+    assert (len(one["labels"]), len(two["labels"])) == (2, 2)
+    two["labels"].insert(0, one["labels"].pop())
+    for row_one, row_two in zip(one["coefficients"], two["coefficients"]):
+        row_two.insert(0, row_one.pop())
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_VERIFY
+    assert "output levels: mismatch (levels[1] columns 1..1 split an input level)" in (
+        capsys.readouterr().out
+    )
+
+
+def test_verify_accepts_promoted_output_levels(tmp_path, capsys):
+    # 'a' on level 0 is promoted into level 1: one output level with
+    # both labels and the id of the level it joined
+    problem = PROBLEM_DIR / "explicit_pseudo.json"
+    out = tmp_path / "promo.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert [(lv["level"], lv["labels"]) for lv in payload["levels"]] == [(1, ["a", "b"])]
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_OK
+    assert "output levels: ok\nstructural grading zeros: ok\nverification: PASS" in (
+        capsys.readouterr().out
+    )
+    payload["levels"][0]["level"] = 0
+    write_json(out, payload)
+    assert main(["verify", str(problem), str(out)]) == EXIT_VERIFY
+    assert "levels[0].level is 0, expected 1" in capsys.readouterr().out

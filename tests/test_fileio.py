@@ -170,3 +170,91 @@ def test_indented_result_with_normalizer_and_mixing_still_verifies(name, capsys)
     assert all("normalizer" in level for level in payload["levels"])
     assert main(["verify", str(PROBLEM_DIR / f"{name}.json"), str(old)]) == EXIT_OK
     assert "verification: PASS" in capsys.readouterr().out
+
+
+def is_zero_row(row):
+    return all(type(e) is int and e == 0 for e in row)
+
+
+@pytest.mark.parametrize("method", ["graded", "gram-schmidt", "gram"])
+def test_zero_rows_are_exactly_the_rows_above_each_level(tmp_path, method):
+    problem = PROBLEM_DIR / "monomial_euclidean.json"
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out), "--method", method]) == EXIT_OK
+    index = parse_problem(problem).source.index
+    level_ends = np.add(index.offsets, index.sizes).tolist()
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    stop = 0
+    for level in payload["levels"]:
+        rows = level["coefficients"]
+        stop += len(level["labels"])
+        row_end = min(end for end in level_ends if end >= stop)
+        zero_rows = [i for i, row in enumerate(rows) if is_zero_row(row)]
+        assert zero_rows == ([] if method == "gram" else list(range(row_end, index.total)))
+        for i, row in enumerate(rows):
+            if i not in zero_rows:
+                assert all(type(e) is list and len(e) == 2 for e in row)
+
+
+def test_written_rows_are_distinct_lists():
+    block = np.zeros((5, 3), dtype=np.complex128)
+    block[1, 2] = 0.5j
+    rows = matrix_to_json(block)
+    assert [is_zero_row(row) for row in rows] == [True, False, True, True, True]
+    assert len({id(row) for row in rows}) == len(rows)
+    rows[0][1] = [1.0, 0.0]
+    assert rows[2] == [0, 0, 0]
+    problem = parse_problem(PROBLEM_DIR / "monomial_euclidean.json")
+    table = orthonormalize_graded(problem.source, problem.degeneracy_tol)
+    report = verify_table(problem.source, table, problem.verify_tol)
+    payload = result_payload(problem, table, report, "graded")
+    assert "input_levels" not in payload
+    # seven singleton levels: level k has 6 - k zero rows
+    for k, level in enumerate(payload["levels"]):
+        rows = level["coefficients"]
+        assert sum(map(is_zero_row, rows)) == 6 - k
+        assert len({id(row) for row in rows}) == len(rows)
+
+
+def test_negative_zero_rows_keep_pairs_and_sign_bits(tmp_path):
+    block = np.zeros((4, 2), dtype=np.complex128)
+    block[1] = complex(-0.0, 0.0)
+    block[2, 1] = complex(0.0, -0.0)
+    rows = matrix_to_json(block)
+    assert rows[0] == [0, 0] and rows[3] == [0, 0]
+    assert rows[1] == [[-0.0, 0.0], [-0.0, 0.0]]
+    assert rows[2] == [[0.0, 0.0], [0.0, -0.0]]
+    assert np.signbit([rows[1][0][0], rows[1][1][0], rows[2][1][1]]).all()
+    out = tmp_path / "result.json"
+    level = {"level": 0, "labels": ["u", "v"], "coefficients": rows}
+    write_result(out, result_skeleton([level]))
+    [got] = parse_result(out).blocks
+    assert same_bits(got, block)
+
+
+def pairs_layout(path, blocks):
+    """The result at ``path`` re-encoded with every coefficient row as pairs."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for level, block in zip(payload["levels"], blocks):
+        level["coefficients"] = np.stack((block.real, block.imag), axis=-1).tolist()
+    return payload
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEM_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_zero_rows_and_pairs_read_and_verify_the_same(tmp_path, capsys, problem):
+    zeros = tmp_path / "zeros.json"
+    pairs = tmp_path / "pairs.json"
+    assert main(["run", str(problem), "--output", str(zeros)]) == EXIT_OK
+    blocks = parse_result(zeros).blocks
+    write_result(pairs, pairs_layout(zeros, blocks))
+    assert len(pairs.read_bytes()) >= len(zeros.read_bytes())
+    for got, want in zip(parse_result(pairs).blocks, blocks, strict=True):
+        assert same_bits(got, want)
+    verdicts = []
+    for path in (zeros, pairs):
+        capsys.readouterr()
+        code = main(["verify", str(problem), str(path)])
+        verdicts.append((code, capsys.readouterr().out))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == EXIT_OK
+    assert "output levels: ok\nstructural grading zeros: ok\nverification: PASS" in verdicts[0][1]
