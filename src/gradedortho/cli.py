@@ -14,8 +14,6 @@ import argparse
 import gc
 import sys
 
-import numpy as np
-
 from .errors import (
     DegenerateMetric,
     GradedOrthoError,
@@ -64,21 +62,8 @@ def _math_exit(err):
     return _fail(EXIT_MATH, f"{type(err).__name__}{where}: {err}")
 
 
-def _tolerance_override_error(args):
-    """Error message for an override no ``tolerances`` block could hold, else None."""
-    for name in ("degeneracy_tol", "verify_tol"):
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        flag = "--" + name.replace("_", "-")
-        if not np.isfinite(value):
-            return f"{flag} must be finite"
-        if value <= 0:
-            return f"{flag}: tolerances must be positive"
-    return None
-
-
-def _run_method(problem, method, degeneracy_tol):
+def _run_method(problem, method):
+    degeneracy_tol = problem.degeneracy_tol
     if method == "graded":
         if problem.metric == "pseudo":
             return pseudo_orthonormalize_graded(problem.source, degeneracy_tol)
@@ -89,17 +74,10 @@ def _run_method(problem, method, degeneracy_tol):
 
 
 def cmd_run(args):
-    message = _tolerance_override_error(args)
-    if message is not None:
-        return _fail(EXIT_SCHEMA, message)
     try:
         problem = parse_problem(args.input)
     except (SchemaError, GradedOrthoError, OSError) as err:
         return _fail(EXIT_SCHEMA, str(err))
-    if args.degeneracy_tol is not None:
-        problem.degeneracy_tol = args.degeneracy_tol
-    if args.verify_tol is not None:
-        problem.verify_tol = args.verify_tol
     if problem.metric == "pseudo" and args.method != "graded":
         return _fail(
             EXIT_SCHEMA,
@@ -107,9 +85,13 @@ def cmd_run(args):
             f"pseudo pipeline only supports 'graded'",
         )
     try:
-        table = _run_method(problem, args.method, problem.degeneracy_tol)
+        table = _run_method(problem, args.method)
     except (LinearlyDependentInput, DegenerateMetric, TerminalIsotropicVector) as err:
         return _math_exit(err)
+    except ValueError as err:
+        # Input values the run cannot go on with, such as a promotion
+        # that would merge two levels sharing a label.
+        return _fail(EXIT_SCHEMA, f"invalid '{problem.mode}' problem: {err}")
     report = verify_table(problem.source, table, problem.verify_tol)
     output = args.output
     if output is None:
@@ -187,13 +169,13 @@ def cmd_verify(args):
     print(f"recomputed orthonormality residual: {residual:.6e}")
     if embedded is not None:
         print(f"residual recorded in result file:   {float(embedded):.6e}")
-    print(f"tolerance: {result.verify_tol:.1e}")
+    print(f"tolerance: {problem.verify_tol:.1e}")
     print(f"output levels: {'ok' if mismatch is None else f'mismatch ({mismatch})'}")
     print(f"structural grading zeros: {'ok' if structural_ok else 'violated'}")
     # The Gram (Loewdin) method does not keep the grading: its line is
     # only reported.
     if (
-        residual <= result.verify_tol
+        residual <= problem.verify_tol
         and mismatch is None
         and (structural_ok or result.method == "gram")
     ):
@@ -204,22 +186,16 @@ def cmd_verify(args):
 
 
 def cmd_compare(args):
-    message = _tolerance_override_error(args)
-    if message is not None:
-        return _fail(EXIT_SCHEMA, message)
     try:
         problem = parse_problem(args.input)
     except (SchemaError, GradedOrthoError, OSError) as err:
         return _fail(EXIT_SCHEMA, str(err))
     if problem.metric != "euclidean":
         return _fail(EXIT_SCHEMA, "compare requires a euclidean problem")
-    degeneracy_tol = (
-        args.degeneracy_tol if args.degeneracy_tol is not None else problem.degeneracy_tol
-    )
     tables = {}
     for method in METHODS:
         try:
-            tables[method] = _run_method(problem, method, degeneracy_tol)
+            tables[method] = _run_method(problem, method)
         except (LinearlyDependentInput, DegenerateMetric) as err:
             return _math_exit(err)
     matrices = {m: t.matrix() for m, t in tables.items()}
@@ -255,8 +231,6 @@ def build_parser():
     run.add_argument("input", help="problem JSON file")
     run.add_argument("--output", help="result file path (default: <input>.result.json)")
     run.add_argument("--method", choices=METHODS, default="graded")
-    run.add_argument("--degeneracy-tol", type=float, default=None)
-    run.add_argument("--verify-tol", type=float, default=None)
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="re-check a result against its problem")
@@ -266,7 +240,6 @@ def build_parser():
 
     compare = sub.add_parser("compare", help="run all methods and compare")
     compare.add_argument("input", help="problem JSON file")
-    compare.add_argument("--degeneracy-tol", type=float, default=None)
     compare.set_defaults(func=cmd_compare)
     return parser
 

@@ -11,10 +11,12 @@ byte-identical.
 A coefficient row whose entries are all exactly +0.0 (the structural
 zeros above a level, in ``graded`` and ``gram-schmidt`` results) is
 written as plain integer ``0`` entries, every other row as ``[re, im]``
-pairs.  Results carry no copy of the input grading: it follows from
-the problem file the digest names.  The reader takes numbers and pairs
-alike, so files with every row as pairs, or with an ``input_levels``
-key, as earlier versions wrote them, parse to the same arrays.
+pairs.  Results carry no copy of the input grading or of the
+tolerances: both follow from the problem file the digest names, so
+``verify`` judges a result with its problem's ``verify_tol``.  The
+reader takes numbers and pairs alike, so files with every row as pairs,
+or with the ``input_levels``, ``tolerances`` or ``report.verify_tol``
+keys, as earlier versions wrote them, parse to the same arrays.
 """
 
 import hashlib
@@ -42,7 +44,7 @@ METRICS = ("euclidean", "pseudo")
 METHODS = ("graded", "gram-schmidt", "gram")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     mode: str
     metric: str
@@ -57,7 +59,6 @@ class ResultData:
     metric: str
     method: str
     digest_hex: str
-    verify_tol: float
     level_ids: list
     level_labels: list
     blocks: list
@@ -345,10 +346,6 @@ def result_payload(problem, table, report, method):
         "mode": problem.mode,
         "metric": problem.metric,
         "method": method,
-        "tolerances": {
-            "degeneracy_tol": problem.degeneracy_tol,
-            "verify_tol": problem.verify_tol,
-        },
         "levels": levels,
     }
     if table.promotions:
@@ -360,7 +357,6 @@ def result_payload(problem, table, report, method):
         "max_residual": report.max_residual,
         "structural_ok": report.structural_ok,
         "condition_numbers": [[int(lid), cond] for lid, cond in report.condition_numbers],
-        "verify_tol": report.tolerance,
         "pass": report.passed,
     }
     return payload
@@ -394,8 +390,8 @@ def parse_result(path):
     """Load a result file back into arrays for re-verification.
 
     Reads the keys every result file has had; files that also carry the
-    ``input_levels``, ``normalizer`` and ``mixing`` keys of earlier
-    versions parse the same, since those keys are ignored.
+    ``input_levels``, ``tolerances``, ``normalizer`` and ``mixing`` keys
+    of earlier versions parse the same, since those keys are ignored.
     """
     payload, _ = _load_json(path)
     digest_obj = _require(payload, "input_digest", dict, "")
@@ -406,8 +402,6 @@ def parse_result(path):
     method = _require(payload, "method", str, "")
     if method not in METHODS:
         raise SchemaError(f"field 'method' must be one of {METHODS}", field="method")
-    tols = _require(payload, "tolerances", dict, "")
-    verify_tol = _number(_require(tols, "verify_tol", None, "tolerances."), "tolerances.verify_tol")
     levels_obj = _require(payload, "levels", list, "")
     if not levels_obj:
         raise SchemaError("result has no levels", field="levels")
@@ -441,7 +435,6 @@ def parse_result(path):
         metric=metric,
         method=method,
         digest_hex=digest_hex,
-        verify_tol=verify_tol,
         level_ids=level_ids,
         level_labels=level_labels,
         blocks=blocks,

@@ -156,20 +156,22 @@ def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None):
 
     A non-positive-definite block means the input vectors were
     (numerically) linearly dependent, or the metric was not Euclidean at
-    all; both are reported with the offending level attached.
+    all; both are reported with the offending level attached.  A
+    ``level`` of None names the block as the full Gram matrix.
     """
     try:
         return inv_sqrt(b, degeneracy_tol)
     except NotPositiveDefinite as err:
+        what = "full Gram matrix" if level is None else f"level {level}: projected Gram block"
         band = degeneracy_tol * max(abs(err.max_eigenvalue), 1.0)
         if err.min_eigenvalue < -band:
             raise DegenerateMetric(
-                f"level {level}: projected Gram block has eigenvalue "
+                f"{what} has eigenvalue "
                 f"{err.min_eigenvalue:.6e}; the metric is not positive definite",
                 level=level,
             ) from err
         raise LinearlyDependentInput(
-            f"level {level}: projected Gram block is numerically singular "
+            f"{what} is numerically singular "
             f"(smallest eigenvalue {err.min_eigenvalue:.6e}); the input "
             f"vectors are not linearly independent",
             level=level,
@@ -315,6 +317,13 @@ def _promote(pending, pos, promotions):
             label=label,
         )
     target = pending[pos + 1]
+    if label in target["labels"]:
+        # Checked here, where the promotion is decided, so the error names
+        # both input levels rather than the merged output level.
+        raise ValueError(
+            f"promoting isotropic '{label}' from level {level['id']} into level "
+            f"{target['id']} would repeat the label '{label}' in one output level"
+        )
     target["labels"] = level["labels"] + target["labels"]
     target["lo"] = level["lo"]
     promotions.append((level["id"], label, target["id"]))
@@ -365,12 +374,19 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
         col = c[:, i]
         gcol = gram @ col
         norm_sq = float((col.conj() @ gcol).real)
-        raw_norm = float(gram[i, i].real)
-        if norm_sq <= degeneracy_tol * max(raw_norm, 1.0):
-            level = int(np.searchsorted(np.asarray(index.offsets), i, side="right") - 1)
+        band = degeneracy_tol * max(float(gram[i, i].real), 1.0)
+        if norm_sq <= band:
+            pos = int(np.searchsorted(np.asarray(index.offsets), i, side="right") - 1)
+            level = index.level_ids[pos]
+            if norm_sq < -band:
+                raise DegenerateMetric(
+                    f"vector {i} has squared norm {norm_sq:.6e} during "
+                    f"Gram-Schmidt; the metric is not positive definite",
+                    level=level,
+                )
             raise LinearlyDependentInput(
                 f"vector {i} became numerically null during Gram-Schmidt",
-                level=index.level_ids[level],
+                level=level,
                 min_eigenvalue=norm_sq,
             )
         scale = np.sqrt(norm_sq)
@@ -385,17 +401,10 @@ def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
 
     Ignores the grading entirely: the whole coefficient table is the
     inverse square root of the full Gram matrix, so on multi-level
-    problems the structural grading zeros do not hold.
+    problems the structural grading zeros do not hold.  A Gram matrix
+    that is not positive definite fails as in :func:`level_normalizer`.
     """
-    try:
-        c = inv_sqrt(source.matrix, degeneracy_tol)
-    except NotPositiveDefinite as err:
-        raise LinearlyDependentInput(
-            f"full Gram matrix is numerically singular "
-            f"(smallest eigenvalue {err.min_eigenvalue:.6e})",
-            level=None,
-            min_eigenvalue=err.min_eigenvalue,
-        ) from err
+    c = level_normalizer(source.matrix, degeneracy_tol)
     return _table_from_columns(source.index, c)
 
 

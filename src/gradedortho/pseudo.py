@@ -25,7 +25,8 @@ def pseudo_orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     singleton level whose vector is isotropic is merged into the next
     level (logged in ``promotions``, with the merged levels in
     ``output_index``); if no next level exists the run fails with
-    TerminalIsotropicVector.  On a positive definite source every step
+    TerminalIsotropicVector, and if the next level holds the same label
+    with ValueError.  On a positive definite source every step
     reduces exactly to the Euclidean path and all signs come out +1.
     """
     return _orthonormalize_levels(source, degeneracy_tol, signed=True)

@@ -1,9 +1,11 @@
 """CLI subcommands: round trips, exit codes, determinism, schema rejection."""
 
+import argparse
 import copy
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradedortho.cli import EXIT_MATH, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, main
+from gradedortho.cli import EXIT_MATH, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, build_parser, main
 from gradedortho.fileio import parse_problem, parse_result, result_payload, write_result
 from gradedortho.ortho import orthonormalize_graded, verify_table
 from gradedortho.pseudo import pseudo_orthonormalize_graded
@@ -500,15 +502,104 @@ def test_non_hermitian_gram_rejected(tmp_path, capsys):
     assert "not Hermitian" in capsys.readouterr().err
 
 
-def test_tolerance_overrides_recorded(pair_problem, tmp_path):
-    out = tmp_path / "tol.json"
-    code = main([
-        "run", str(pair_problem), "--output", str(out),
-        "--degeneracy-tol", "1e-9", "--verify-tol", "1e-8",
-    ])
-    assert code == EXIT_OK
-    payload = json.loads(out.read_text())
-    assert payload["tolerances"] == {"degeneracy_tol": 1e-9, "verify_tol": 1e-8}
+@pytest.mark.parametrize(
+    "shift,verify_tol,code", [(0.0, 1e-30, EXIT_OK), (5.0, 1e6, EXIT_VERIFY)]
+)
+def test_verify_judges_with_the_problem_tolerance(tmp_path, capsys, shift, verify_tol, code):
+    # a tolerance written in the result, as earlier versions did, is
+    # ignored whether it is tighter or looser than the problem's
+    problem = PROBLEM_DIR / "explicit_euclidean.json"
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert "tolerances" not in payload and "verify_tol" not in payload["report"]
+    payload["levels"][0]["coefficients"][0][0][0] += shift
+    payload["tolerances"] = {"degeneracy_tol": 1e-10, "verify_tol": verify_tol}
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == code
+    assert "tolerance: 1.0e-09\n" in capsys.readouterr().out
+
+
+def test_verify_prints_the_problem_tolerance(tmp_path, capsys):
+    problem = PROBLEM_DIR / "explicit_pseudo.json"
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_OK
+    assert "tolerance: 1.0e-12\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("run", "--degeneracy-tol"), ("run", "--verify-tol"), ("compare", "--degeneracy-tol")],
+)
+def test_tolerance_flags_are_gone(pair_problem, tmp_path, command, flag):
+    # tolerances come from the problem file alone
+    proc = run_python("-m", "gradedortho.cli", command, str(pair_problem), flag, "1e-8")
+    assert proc.returncode == EXIT_SCHEMA
+    assert "unrecognized arguments" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not pair_problem.with_name("pair.result.json").exists()
+
+
+def test_promotion_into_a_level_with_the_same_label_exits_2(tmp_path):
+    # 'x' on level 0 is isotropic and joins level 1, which holds an 'x' too
+    path = tmp_path / "clash.json"
+    write_json(
+        path,
+        {
+            "mode": "explicit",
+            "metric": "pseudo",
+            "explicit": {
+                "levels": [["x"], ["x", "y"]],
+                "gram": [[0, 1, 0], [1, 1, 0], [0, 0, -1]],
+            },
+        },
+    )
+    proc = run_python("-m", "gradedortho.cli", "run", str(path))
+    assert proc.returncode == EXIT_SCHEMA
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: invalid 'explicit' problem: ")
+    assert "'x'" in line and "level 0" in line and "level 1" in line
+    assert not (tmp_path / "clash.result.json").exists()
+
+
+@pytest.mark.parametrize("method", ["graded", "gram-schmidt", "gram"])
+def test_indefinite_gram_is_a_degenerate_metric(tmp_path, capsys, method):
+    # eigenvalues 3 and -1: not positive definite, and not singular either
+    path = tmp_path / "indefinite.json"
+    write_json(
+        path,
+        {
+            "mode": "explicit",
+            "metric": "euclidean",
+            "explicit": {"levels": [["a"], ["b"]], "gram": [[1.0, 2.0], [2.0, 1.0]]},
+        },
+    )
+    assert main(["run", str(path), "--method", method]) == EXIT_MATH
+    err = capsys.readouterr().err
+    assert "DegenerateMetric" in err and "not positive definite" in err
+
+
+def test_cli_options_match_readme():
+    readme = (PROBLEM_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    [subparsers] = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(subparsers.choices) == {"run", "verify", "compare"}
+    options = {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert options == documented
 
 
 # case: (path to the replaced value, new value, field the error must name)
@@ -542,21 +633,6 @@ def test_verify_rejects_malformed_result(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(["verify", str(problem), str(out)]) == EXIT_SCHEMA
     assert f"'{field}'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-@pytest.mark.parametrize(
-    "command,flag",
-    [("run", "--degeneracy-tol"), ("run", "--verify-tol"), ("compare", "--degeneracy-tol")],
-)
-def test_tolerance_overrides_rejected(pair_problem, tmp_path, capsys, command, flag, value):
-    out = tmp_path / "tol.json"
-    argv = [command, str(pair_problem), f"{flag}={value}"]
-    if command == "run":
-        argv += ["--output", str(out)]
-    assert main(argv) == EXIT_SCHEMA
-    assert flag in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
