@@ -43,15 +43,11 @@ from .gram import (
 from .ortho import (
     CoefficientTable,
     VerificationReport,
-    cross_overlap,
     gram_method_reference,
     gram_schmidt_reference,
     is_lone_isotropic,
     level_normalizer,
-    mixing_block,
     orthonormalize_graded,
-    residual_gram,
-    residual_gram_direct,
     verify_table,
 )
 from .pseudo import (
@@ -97,7 +93,6 @@ __all__ = [
     "VerificationReport",
     "WeightFunction",
     "build_explicit",
-    "cross_overlap",
     "eigh",
     "fourier_gram",
     "gram_method_reference",
@@ -107,14 +102,11 @@ __all__ = [
     "inv_sqrt",
     "is_lone_isotropic",
     "level_normalizer",
-    "mixing_block",
     "monomial_gram",
     "monomial_index",
     "orthonormalize_graded",
     "pseudo_normalizer",
     "pseudo_orthonormalize_graded",
-    "residual_gram",
-    "residual_gram_direct",
     "signature_split",
     "verify_table",
 ]

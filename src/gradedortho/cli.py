@@ -5,6 +5,13 @@ file), ``verify`` (re-check a result file against its problem from
 first principles) and ``compare`` (run all three methods and report
 pairwise differences).
 
+``run`` and ``verify`` reach their verdict on the coefficients through
+the one rule of :func:`gradedortho.ortho.verify_table`, never through
+the method a result file names.  ``verify`` adds only what a file can
+get wrong on its own: it rebuilds the table's output levels from the
+problem's grading and fails an entry whose columns, labels or level id
+no run would write.
+
 Exit codes: 0 success, 2 parse/schema/usage error, 3 mathematical
 failure (linear dependence, degenerate metric, terminal isotropic
 vector), 4 verification failure.
@@ -29,12 +36,12 @@ from .fileio import (
     result_payload,
     write_result,
 )
+from .grading import GradedIndex
 from .ortho import (
+    CoefficientTable,
     gram_method_reference,
     gram_schmidt_reference,
-    orthonormality_residual,
     orthonormalize_graded,
-    structural_zeros_ok,
     verify_table,
 )
 from .pseudo import pseudo_orthonormalize_graded
@@ -110,34 +117,53 @@ def cmd_run(args):
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _output_levels_mismatch(index, result):
-    """The first result level entry that the problem's grading contradicts, or None.
+def _output_levels(index, result):
+    """The problem's output levels for the result's entries, and the first
+    entry the problem's grading contradicts (None when there is none).
 
-    Output levels are runs of whole input levels (one, or several merged
-    by isotropic promotion) taken in flat input order, so each entry's
-    column range must end on an input-level boundary (and so start on
-    one), its labels are the flat input labels of those columns, and its
-    id is that of the input level holding its last column (the promotion
-    target).  The columns must add up to ``index.total``.
+    Output levels are taken from the problem in flat input order, each
+    entry's column range standing for one input level or, in a pseudo
+    result, for a singleton input level merged into the level right
+    after it (the only merge isotropic promotion makes).  An entry's
+    labels must be the flat input labels of its columns and its id that
+    of the input level holding its last column (the promotion target).
+    The first value is a GradedIndex, or None when some column range
+    stands for no output level; the columns must add up to
+    ``index.total``.
     """
-    end_ids = {
-        offset + size: lid
-        for offset, size, lid in zip(index.offsets, index.sizes, index.level_ids)
-    }
+    ids = index.level_ids
+    firsts = {offset: k for k, offset in enumerate(index.offsets)}
+    lasts = {offset + size: k for k, (offset, size) in enumerate(zip(index.offsets, index.sizes))}
     flat_labels = [label for level in index.levels for label in level]
+    labels_out, ids_out = [], []
+    mismatch = None
     start = 0
     for pos, (lid, labels, block) in enumerate(
         zip(result.level_ids, result.level_labels, result.blocks)
     ):
         stop = start + block.shape[1]
-        if stop not in end_ids:
-            return f"levels[{pos}] columns {start}..{stop - 1} split an input level"
-        if labels != flat_labels[start:stop]:
-            return f"levels[{pos}].labels are not the input labels of columns {start}..{stop - 1}"
-        if lid != end_ids[stop]:
-            return f"levels[{pos}].level is {lid}, expected {end_ids[stop]}"
+        where = f"levels[{pos}] columns {start}..{stop - 1}"
+        first, last = firsts[start], lasts.get(stop)
+        if last is None:
+            return None, mismatch or f"{where} split an input level"
+        promoted = result.metric == "pseudo" and index.sizes[first] == 1
+        if last > first + promoted:
+            return None, mismatch or (
+                f"{where} merge input levels {ids[first]}..{ids[last]}, which no run does"
+            )
+        if last > first and index.levels[first][0] in index.levels[last]:
+            return None, mismatch or (
+                f"{where} merge two input levels holding '{index.levels[first][0]}'"
+            )
+        expected = flat_labels[start:stop]
+        if mismatch is None and labels != expected:
+            mismatch = f"levels[{pos}].labels are not the input labels of columns {start}..{stop - 1}"
+        if mismatch is None and lid != ids[last]:
+            mismatch = f"levels[{pos}].level is {lid}, expected {ids[last]}"
+        labels_out.append(expected)
+        ids_out.append(ids[last])
         start = stop
-    return None
+    return GradedIndex(labels_out, level_ids=ids_out), mismatch
 
 
 def cmd_verify(args):
@@ -152,33 +178,33 @@ def cmd_verify(args):
             "result file was computed from a different problem file "
             f"(digest {result.digest_hex[:12]}... vs {problem.digest_hex[:12]}...)",
         )
-    total = problem.source.index.total
+    index = problem.source.index
     columns = sum(block.shape[1] for block in result.blocks)
-    if columns != total:
+    if columns != index.total:
         return _fail(
             EXIT_SCHEMA,
-            f"result provides {columns} output vectors for {total} inputs",
+            f"result provides {columns} output vectors for {index.total} inputs",
         )
+    output_index, mismatch = _output_levels(index, result)
+    if output_index is None:
+        # No output levels of the problem fit the columns: the condition
+        # numbers are labelled by entry position instead.
+        output_index = GradedIndex([range(block.shape[1]) for block in result.blocks])
+    table = CoefficientTable(index, result.blocks, result.signs, output_index)
     try:
-        residual = orthonormality_residual(problem.source.matrix, result.blocks, result.signs)
+        report = verify_table(problem.source, table, problem.verify_tol)
     except ShapeMismatch as err:
         return _fail(EXIT_SCHEMA, str(err))
-    mismatch = _output_levels_mismatch(problem.source.index, result)
-    structural_ok = structural_zeros_ok(problem.source.index, result.blocks)
     embedded = result.report.get("max_residual")
-    print(f"recomputed orthonormality residual: {residual:.6e}")
+    print(f"recomputed orthonormality residual: {report.max_residual:.6e}")
     if embedded is not None:
         print(f"residual recorded in result file:   {float(embedded):.6e}")
     print(f"tolerance: {problem.verify_tol:.1e}")
+    for line in report.condition_lines():
+        print(line)
     print(f"output levels: {'ok' if mismatch is None else f'mismatch ({mismatch})'}")
-    print(f"structural grading zeros: {'ok' if structural_ok else 'violated'}")
-    # The Gram (Loewdin) method does not keep the grading: its line is
-    # only reported.
-    if (
-        residual <= problem.verify_tol
-        and mismatch is None
-        and (structural_ok or result.method == "gram")
-    ):
+    print(f"structural grading zeros: {'ok' if report.structural_ok else 'violated'}")
+    if report.passed and mismatch is None:
         print("verification: PASS")
         return EXIT_OK
     print("verification: FAIL")

@@ -22,7 +22,8 @@ keys, as earlier versions wrote them, parse to the same arrays.
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter, not_
 
 import numpy as np
 
@@ -129,7 +130,10 @@ def _bulk_matrix(obj, rows, cols):
 
     Accepts exactly what :func:`_walk_matrix` accepts, with bit-identical
     values (the (re, im) float pairs are viewed as complex, so -0.0
-    survives); anything else is left to the walk, which raises.
+    survives); anything else is left to the walk, which raises.  Rows of
+    plain numbers (the zero rows a result writes) fill their real parts
+    in one write; the other rows are read as pairs, entry by entry only
+    where a row mixes numbers into pairs.
     """
     if type(obj) is not list or not obj or set(map(type, obj)) != {list}:
         return None
@@ -138,28 +142,37 @@ def _bulk_matrix(obj, rows, cols):
         return None
     if rows not in (None, len(obj)) or cols not in (None, width):
         return None
-    flat = list(chain.from_iterable(obj))
-    kinds = set(map(type, flat))
-    if kinds <= _NUMBER_TYPES:
-        parts, pairs = flat, False
-    elif list in kinds and kinds <= _NUMBER_TYPES | {list}:
-        if kinds != {list}:
-            flat = [e if type(e) is list else [e, 0.0] for e in flat]
-        if set(map(len, flat)) != {2}:
-            return None
-        parts, pairs = list(chain.from_iterable(flat)), True
-        if not set(map(type, parts)) <= _NUMBER_TYPES:
-            return None
-    else:
+    paired = list(map(list.__instancecheck__, map(itemgetter(0), obj)))
+    plain = list(chain.from_iterable(compress(obj, map(not_, paired))))
+    if not set(map(type, plain)) <= _NUMBER_TYPES:
+        # A row led by a number holds a pair (or junk): read every row as pairs.
+        paired, plain = [True] * len(obj), []
+    pairs = list(chain.from_iterable(compress(obj, paired)))
+    kinds = set(map(type, pairs))
+    if not kinds <= _NUMBER_TYPES | {list}:
+        return None
+    if kinds != {list}:
+        pairs = [e if type(e) is list else [e, 0.0] for e in pairs]
+    if pairs and set(map(len, pairs)) != {2}:
+        return None
+    parts = list(chain.from_iterable(pairs))
+    if not set(map(type, parts)) <= _NUMBER_TYPES:
         return None
     try:
-        values = np.array(parts, dtype=np.float64)
+        parts = np.array(parts, dtype=np.float64).reshape(-1, width, 2)
+        plain = np.array(plain, dtype=np.float64).reshape(-1, width)
     except OverflowError:
         return None
-    if not np.isfinite(values).all():
+    if not (np.isfinite(parts).all() and np.isfinite(plain).all()):
         return None
-    matrix = values.view(np.complex128) if pairs else values.astype(np.complex128)
-    return matrix.reshape(len(obj), width)
+    if plain.size:
+        values = np.zeros((len(obj), width, 2))
+        paired = np.array(paired)
+        values[paired] = parts
+        values[~paired, :, 0] = plain
+    else:
+        values = parts
+    return values.view(np.complex128).reshape(len(obj), width)
 
 
 def parse_matrix(obj, path, rows=None, cols=None):
@@ -402,6 +415,9 @@ def parse_result(path):
     method = _require(payload, "method", str, "")
     if method not in METHODS:
         raise SchemaError(f"field 'method' must be one of {METHODS}", field="method")
+    if metric == "pseudo" and method != "graded":
+        # As in `run`: only the graded loop handles an indefinite metric.
+        raise SchemaError("field 'method' must be 'graded' in a pseudo result", field="method")
     levels_obj = _require(payload, "levels", list, "")
     if not levels_obj:
         raise SchemaError("result has no levels", field="levels")

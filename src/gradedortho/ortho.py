@@ -12,6 +12,7 @@ of its own and lower levels.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,10 +43,11 @@ class CoefficientTable:
     vectors over the full flat input basis; rows belonging to higher
     levels are exactly zero for the graded and Gram-Schmidt methods.
     Everything else about a level follows from its block: the normalizer
-    acting on level k's own raw vectors is its own rows (``normalizers``),
-    and the mixing of the finished lower levels is fixed by the lower
-    blocks (``mixing_block`` of their ``cross_overlap``, each row scaled
-    by its vector's sign on a signed table).
+    r acting on level k's own raw vectors is its own rows
+    (``normalizers``), and the block is E_k r + sum over j < k of
+    blocks[j] (-S_j blocks[j]† G E_k r), where E_k picks level k's raw
+    vectors and S_j holds the signs of level j's vectors (all +1 on a
+    Euclidean table).
 
     ``signs`` is None for a Euclidean table; for a signed one
     ``signs[k]`` holds the pseudo-norm (+1 or -1) of each column of
@@ -69,10 +71,13 @@ class CoefficientTable:
 
     @property
     def normalizers(self):
-        """Each level's square block on its own raw vectors (views of ``blocks``)."""
-        return [
-            block[self.output_index.level_slice(k)] for k, block in enumerate(self.blocks)
-        ]
+        """Each level's square block on its own raw vectors (views of ``blocks``).
+
+        The columns of the blocks follow the flat input order side by
+        side, so level k's own rows are its running column range.
+        """
+        ends = accumulate(block.shape[1] for block in self.blocks)
+        return [block[end - block.shape[1] : end] for block, end in zip(self.blocks, ends)]
 
     def output_level_ids(self):
         return tuple(self.output_index.level_ids[: self.completed])
@@ -116,39 +121,15 @@ class VerificationReport:
             f"(tolerance {self.tolerance:.1e})",
             f"structural grading zeros: {'ok' if self.structural_ok else 'violated'}",
         ]
-        for lid, cond in self.condition_numbers:
-            out.append(f"level {lid}: normalizer condition number {cond:.6e}")
+        out += self.condition_lines()
         out.append("verification: " + ("PASS" if self.passed else "FAIL"))
         return out
 
-
-def cross_overlap(source, table, k, j):
-    """Overlaps between finished level-j vectors and raw level-k vectors.
-
-    Entry (beta, gamma) is the inner product of finished vector beta of
-    level j with raw basis vector gamma of level k, computed entirely
-    from the Gram matrix and the coefficient table.
-    """
-    if j >= k:
-        raise LevelNotReady(f"level {j} is not below level {k}")
-    if j >= table.completed:
-        raise LevelNotReady(
-            f"level {j} is not finished yet (frontier is {table.completed})"
-        )
-    cols = source.index.level_slice(k)
-    return table.blocks[j].conj().T @ source.matrix[:, cols]
-
-
-def residual_gram(gamma_k, corrections):
-    """Level Gram block minus the finished-level projection corrections."""
-    b = np.array(gamma_k, dtype=np.complex128)
-    for delta in corrections:
-        if delta.shape != b.shape:
-            raise ShapeMismatch(
-                f"correction shape {delta.shape} does not match block {b.shape}"
-            )
-        b = b - delta
-    return hermitize(b)[0]
+    def condition_lines(self):
+        return [
+            f"level {lid}: normalizer condition number {cond:.6e}"
+            for lid, cond in self.condition_numbers
+        ]
 
 
 def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None):
@@ -177,16 +158,6 @@ def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None):
             level=level,
             min_eigenvalue=err.min_eigenvalue,
         ) from err
-
-
-def mixing_block(overlap, normalizer):
-    """Lower-level mixing coefficients induced by an overlap block."""
-    if overlap.shape[1] != normalizer.shape[0]:
-        raise ShapeMismatch(
-            f"overlap shape {overlap.shape} does not conform with "
-            f"normalizer shape {normalizer.shape}"
-        )
-    return -overlap @ normalizer
 
 
 def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -329,30 +300,6 @@ def _promote(pending, pos, promotions):
     promotions.append((level["id"], label, target["id"]))
 
 
-def residual_gram_direct(source, table, k):
-    """Brute-force Gram matrix of the projected level-k vectors.
-
-    Forms each projected vector explicitly in coefficient space (raw
-    vector minus its expansion over all finished vectors) and contracts
-    the full Gram matrix; serves as the independent oracle for
-    :func:`residual_gram`.
-    """
-    if k > table.completed:
-        raise LevelNotReady(
-            f"levels below {k} are not all finished (frontier {table.completed})"
-        )
-    gram = source.matrix
-    index = source.index
-    cols = index.level_slice(k)
-    h = np.zeros((index.total, index.sizes[k]), dtype=np.complex128)
-    h[cols, :] = np.eye(index.sizes[k])
-    for j in range(k):
-        finished = table.blocks[j]
-        coeffs = finished.conj().T @ (gram[:, cols])
-        h = h - finished @ coeffs
-    return hermitize(h.conj().T @ gram @ h)[0]
-
-
 def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     """Classical (modified) Gram-Schmidt in coefficient space.
 
@@ -433,29 +380,7 @@ def _condition_numbers(matrices):
     return conditions
 
 
-def orthonormality_residual(gram, blocks, signs=None):
-    """Largest entry of C† G C - diag(signs), C the blocks side by side.
-
-    The residual both :func:`verify_table` and ``gradedortho verify``
-    report; ``signs`` holds one ±1 array per block, None meaning all +1.
-    """
-    total = gram.shape[0]
-    for pos, block in enumerate(blocks):
-        if block.shape[0] != total:
-            raise ShapeMismatch(
-                f"level entry {pos} has {block.shape[0]} coefficient rows, "
-                f"expected {total}"
-            )
-    c = np.hstack(blocks)
-    product = c.conj().T @ gram @ c
-    if signs is None:
-        target = np.eye(c.shape[1], dtype=np.complex128)
-    else:
-        target = np.diag(np.concatenate(signs).astype(np.complex128))
-    return max_abs(product - target)
-
-
-def structural_zeros_ok(index, blocks):
+def _structural_zeros_ok(index, blocks):
     """True when no block has a nonzero entry on the rows of a higher level.
 
     The blocks' columns follow the flat input order of ``index`` side by
@@ -475,25 +400,62 @@ def structural_zeros_ok(index, blocks):
     return True
 
 
-def verify_table(source, table, tolerance=DEFAULT_VERIFY_TOL):
-    """Re-check a finished table against its source from first principles.
+def _is_loewdin(c):
+    """True when C is exactly Hermitian and positive definite.
 
-    Recomputes the full matrix of pairwise inner products through the
-    Gram matrix, compares it with the identity (or diag(signs) for
-    signed tables), checks the structural grading zeros, and reports
-    per-level condition numbers σmax/σmin of the normalizer blocks.
+    The only such C with C† G C = I is G^(-1/2), the Gram (Loewdin)
+    table, which mixes all levels by design.  No graded or Gram-Schmidt
+    table of more than one level is Hermitian, and a Hermitian C that is
+    not positive definite (a reflection, say) is no Loewdin table.
     """
-    max_residual = orthonormality_residual(source.matrix, table.blocks, table.signs)
+    if not np.array_equal(c, c.conj().T):
+        return False
+    try:
+        np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    structural_ok = structural_zeros_ok(source.index, table.blocks)
+
+def verify_table(source, table, tolerance=DEFAULT_VERIFY_TOL):
+    """Judge a table against its source from its coefficients alone.
+
+    Recomputes the full matrix of pairwise inner products C† G C through
+    the Gram matrix, compares it with the identity (or diag(signs) for
+    signed tables), checks the structural grading zeros, and reports
+    per-level condition numbers σmax/σmin of the normalizer blocks,
+    labelled by the table's output level ids.
+
+    The table passes when its residual is at most ``tolerance`` and its
+    structural zeros hold.  The zeros are waived only for a Euclidean
+    table whose stacked C is exactly Hermitian and positive definite:
+    that C is the Gram method's G^(-1/2), whatever produced it.  Every
+    block must have ``index.total`` rows (ShapeMismatch otherwise).
+    """
+    total = source.index.total
+    for pos, block in enumerate(table.blocks):
+        if block.shape[0] != total:
+            raise ShapeMismatch(
+                f"level entry {pos} has {block.shape[0]} coefficient rows, "
+                f"expected {total}"
+            )
+    c = np.hstack(table.blocks)
+    if table.signs is None:
+        target = np.eye(c.shape[1], dtype=np.complex128)
+    else:
+        target = np.diag(np.concatenate(table.signs).astype(np.complex128))
+    max_residual = max_abs(c.conj().T @ source.matrix @ c - target)
+    structural_ok = _structural_zeros_ok(source.index, table.blocks)
     conditions = tuple(
         zip(table.output_level_ids(), _condition_numbers(table.normalizers))
     )
-    passed = bool(max_residual <= tolerance)
+    passed = max_residual <= tolerance and (
+        structural_ok or (table.signs is None and _is_loewdin(c))
+    )
     return VerificationReport(
         max_residual=max_residual,
         condition_numbers=conditions,
         structural_ok=structural_ok,
         tolerance=float(tolerance),
-        passed=passed,
+        passed=bool(passed),
     )

@@ -19,6 +19,7 @@ from conftest import (
     random_indefinite_source,
     random_spd,
 )
+from oracles import cross_overlap, residual_gram, residual_gram_direct
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -57,11 +58,11 @@ def test_c02_projected_gram_oracle(suite_corpus):
         table = go.orthonormalize_graded(src)
         for k in range(len(src.index)):
             partial = table.partial(k)
-            overlaps = [go.cross_overlap(src, partial, k, j) for j in range(k)]
+            overlaps = [cross_overlap(src, partial, k, j) for j in range(k)]
             deltas = [go.hermitize(d.conj().T @ d)[0] for d in overlaps]
             sl = src.index.level_slice(k)
-            block = go.residual_gram(src.matrix[sl, sl], deltas)
-            oracle = go.residual_gram_direct(src, partial, k)
+            block = residual_gram(src.matrix[sl, sl], deltas)
+            oracle = residual_gram_direct(src, partial, k)
             worst = max(worst, float(np.max(np.abs(block - oracle))))
     ok = worst <= 1e-10
     report(

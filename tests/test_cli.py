@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 from gradedortho.cli import EXIT_MATH, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, build_parser, main
-from gradedortho.fileio import parse_problem, parse_result, result_payload, write_result
+from gradedortho.fileio import (
+    METHODS,
+    matrix_to_json,
+    parse_matrix,
+    parse_problem,
+    parse_result,
+    result_payload,
+    write_result,
+)
 from gradedortho.ortho import orthonormalize_graded, verify_table
 from gradedortho.pseudo import pseudo_orthonormalize_graded
 
@@ -725,3 +733,158 @@ def test_verify_accepts_promoted_output_levels(tmp_path, capsys):
     write_json(out, payload)
     assert main(["verify", str(problem), str(out)]) == EXIT_VERIFY
     assert "levels[0].level is 0, expected 1" in capsys.readouterr().out
+
+
+def test_verify_fails_a_graded_result_relabelled_gram(tmp_path, capsys):
+    # the zeros are waived for the coefficients of the Gram method, not
+    # for a file that names it
+    problem, out = broken_structural_zero(tmp_path, "graded")
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    payload["method"] = "gram"
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_VERIFY
+    assert "structural grading zeros: violated\nverification: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["gram", "gram-schmidt"])
+def test_verify_rejects_a_relabelled_pseudo_result(tmp_path, capsys, method):
+    # run makes pseudo results with the graded method only
+    problem = PROBLEM_DIR / "explicit_pseudo.json"
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    payload["method"] = method
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: field 'method' must be 'graded' in a pseudo result"
+    ]
+
+
+def merge_entries(payload, first, count, mix=None):
+    """Replace ``count`` level entries from ``first`` on by one entry holding
+    their columns (times ``mix``, if given), as a promotion would."""
+    entries = payload["levels"][first : first + count]
+    merged = {
+        "level": entries[-1]["level"],
+        "labels": [label for entry in entries for label in entry["labels"]],
+        "coefficients": [
+            [x for row in rows for x in row]
+            for rows in zip(*(entry["coefficients"] for entry in entries))
+        ],
+    }
+    if "signs" in entries[0]:
+        merged["signs"] = [s for entry in entries for s in entry["signs"]]
+    if mix is not None:
+        block = parse_matrix(merged["coefficients"], "merged") @ mix
+        merged["coefficients"] = matrix_to_json(block)
+    payload["levels"][first : first + count] = [merged]
+
+
+def test_verify_rejects_merged_euclidean_levels(tmp_path, capsys):
+    # orthonormal, zeros intact, labels and id as a promotion would give
+    # them: but a euclidean run never merges levels, and the first merged
+    # vector mixes in the raw vectors of level 2
+    problem = PROBLEM_DIR / "fourier_euclidean.json"
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    mix, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(4, 4)))
+    merge_entries(payload, 1, 2, mix)
+    assert payload["levels"][1]["labels"] == ["+", "-", "+", "-"]
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_VERIFY
+    text = capsys.readouterr().out
+    residual = float(text.split("recomputed orthonormality residual:")[1].split()[0])
+    assert residual <= 1e-12
+    assert (
+        "output levels: mismatch (levels[1] columns 1..4 merge input levels 1..2, "
+        "which no run does)\nstructural grading zeros: ok\nverification: FAIL"
+    ) in text
+
+
+LABEL_CLASH = {
+    "mode": "explicit",
+    "metric": "pseudo",
+    "explicit": {"levels": [["a"], ["a", "b"]], "gram": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]},
+}
+
+
+# case: (problem, first entry merged, entries merged, the mismatch)
+PSEUDO_MERGES = {
+    "non-singleton": ("fourier_pseudo.json", 1, 2, "columns 1..4 merge input levels 1..2"),
+    "three-levels": ("fourier_pseudo.json", 0, 3, "columns 0..4 merge input levels 0..2"),
+    "label-clash": (None, 0, 2, "columns 0..2 merge two input levels holding 'a'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PSEUDO_MERGES))
+def test_verify_rejects_merges_promotion_cannot_make(tmp_path, capsys, case):
+    name, first, count, message = PSEUDO_MERGES[case]
+    problem = tmp_path / "problem.json"
+    if name is None:
+        write_json(problem, LABEL_CLASH)
+    else:
+        problem.write_bytes((PROBLEM_DIR / name).read_bytes())
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    merge_entries(payload, first, count)
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert f"output levels: mismatch (levels[{first}] {message}" in captured.out
+    assert "verification: FAIL" in captured.out
+    assert captured.err == ""
+
+
+def test_verify_accepts_a_singleton_merged_into_the_next_level(tmp_path, capsys):
+    # the one merge a promotion makes; verify does not re-decide whether
+    # the singleton was isotropic
+    problem = PROBLEM_DIR / "fourier_pseudo.json"
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    merge_entries(payload, 0, 2)
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_OK
+    assert "output levels: ok\nstructural grading zeros: ok\nverification: PASS" in (
+        capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize("name", ["fourier_pseudo.json", "monomial_euclidean.json"])
+def test_verify_prints_the_condition_numbers_after_the_tolerance(tmp_path, capsys, name):
+    problem = PROBLEM_DIR / name
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    conditions = [
+        line for line in capsys.readouterr().out.splitlines()
+        if "normalizer condition number" in line
+    ]
+    assert conditions
+    assert main(["verify", str(problem), str(out)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("tolerance: "))
+    assert lines[at + 1 : at + 1 + len(conditions)] == conditions
+    assert lines[at + 1 + len(conditions)] == "output levels: ok"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_and_verify_give_one_verdict(tmp_path, capsys, method):
+    # run judges the table in memory, verify the blocks read back
+    problem = PROBLEM_DIR / "monomial_euclidean.json"
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out), "--method", method]) == EXIT_OK
+    ran = capsys.readouterr().out
+    assert main(["verify", str(problem), str(out)]) == EXIT_OK
+    verified = capsys.readouterr().out
+    for line in ("structural grading zeros: ", "verification: "):
+        assert ran.split(line)[1].split("\n")[0] == verified.split(line)[1].split("\n")[0]

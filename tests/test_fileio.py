@@ -129,6 +129,22 @@ def test_bulk_parse_accepts_mixed_numbers_and_pairs():
 
 
 @pytest.mark.parametrize(
+    "obj",
+    [
+        # zero rows, pair rows, a pair-led row holding numbers, a number row with -0.0
+        [[0, 0, 0], [[1.5, -0.0], [2, 3], [-0.0, 0.0]], [[4.0, 5.0], -0.0, 7], [-0.0, 2, 5e-324]],
+        # a number-led row holding a pair
+        [[0, 0], [0, [1.0, -2.0]], [[-0.0, 0.0], 0]],
+    ],
+    ids=["pair-led", "number-led"],
+)
+def test_bulk_parse_reads_rows_that_mix_numbers_and_pairs(obj):
+    got = _bulk_matrix(obj, len(obj), None)
+    assert got is not None
+    assert same_bits(got, _walk_matrix(obj, "m", None, None))
+
+
+@pytest.mark.parametrize(
     "text,rows,cols,message",
     [
         ("[[1.0, true]]", None, None, "entry at 'm[0][1]' must be a number or an [re, im] pair"),

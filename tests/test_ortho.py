@@ -11,6 +11,7 @@ from gradedortho import spectral
 from gradedortho.fileio import parse_problem
 
 from conftest import random_graded_source, random_spd, relative_error
+from oracles import cross_overlap, mixing_block, residual_gram, residual_gram_direct
 
 PAIR_GRAM = np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex)
 EXEMPLARS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
@@ -33,14 +34,14 @@ def test_cross_overlap_vanishes_for_identity_gram():
     table = go.orthonormalize_graded(src)
     for k in range(1, 3):
         for j in range(k):
-            d = go.cross_overlap(src, table.partial(k), k, j)
+            d = cross_overlap(src, table.partial(k), k, j)
             assert np.max(np.abs(d)) == 0.0
 
 
 def test_cross_overlap_pair_case():
     src = pair_source()
     table = go.orthonormalize_graded(src).partial(1)
-    d = go.cross_overlap(src, table, 1, 0)
+    d = cross_overlap(src, table, 1, 0)
     # f0 = e1 and the plane vectors are e1=(1,0), e2=(1,1): overlap is 1
     assert d.shape == (1, 1)
     assert abs(d[0, 0] - 1.0) < 1e-14
@@ -49,7 +50,7 @@ def test_cross_overlap_pair_case():
 def test_cross_overlap_fourier_uniform_vanishes():
     src = go.fourier_gram(1, go.WeightFunction.uniform())
     table = go.orthonormalize_graded(src).partial(1)
-    d = go.cross_overlap(src, table, 1, 0)
+    d = cross_overlap(src, table, 1, 0)
     assert np.max(np.abs(d)) < 1e-15
 
 
@@ -57,10 +58,10 @@ def test_cross_overlap_level_not_ready():
     src = pair_source()
     empty = go.CoefficientTable(src.index, [])
     with pytest.raises(go.LevelNotReady):
-        go.cross_overlap(src, empty, 1, 0)
+        cross_overlap(src, empty, 1, 0)
     table = go.orthonormalize_graded(src)
     with pytest.raises(go.LevelNotReady):
-        go.cross_overlap(src, table, 1, 1)
+        cross_overlap(src, table, 1, 1)
 
 
 def test_partial_rejects_levels_out_of_range():
@@ -79,12 +80,12 @@ def test_every_public_name_resolves():
 # --- residual_gram / level_normalizer / mixing_block -------------------------
 
 def test_residual_gram_no_corrections():
-    b = go.residual_gram(np.eye(2), [])
+    b = residual_gram(np.eye(2), [])
     assert np.array_equal(b, np.eye(2))
 
 
 def test_residual_gram_scalar():
-    b = go.residual_gram(np.array([[2.0]]), [np.array([[1.0]])])
+    b = residual_gram(np.array([[2.0]]), [np.array([[1.0]])])
     assert b[0, 0] == 1.0
 
 
@@ -92,15 +93,15 @@ def test_residual_gram_matches_projection_norm():
     # h = e2 - (e2, f0) f0 has squared norm 1 for the pair fixture
     src = pair_source()
     table = go.orthonormalize_graded(src).partial(1)
-    d = go.cross_overlap(src, table, 1, 0)
+    d = cross_overlap(src, table, 1, 0)
     delta = go.hermitize(d.conj().T @ d)[0]
-    b = go.residual_gram(PAIR_GRAM[1:, 1:], [delta])
+    b = residual_gram(PAIR_GRAM[1:, 1:], [delta])
     assert abs(b[0, 0] - 1.0) < 1e-14
 
 
 def test_residual_gram_shape_mismatch():
     with pytest.raises(go.ShapeMismatch):
-        go.residual_gram(np.eye(2), [np.eye(3)])
+        residual_gram(np.eye(2), [np.eye(3)])
 
 
 def test_level_normalizer_cases():
@@ -121,10 +122,10 @@ def test_level_normalizer_reports_level_on_failure():
 
 
 def test_mixing_block_cases():
-    assert np.max(np.abs(go.mixing_block(np.zeros((2, 2)), np.eye(2)))) == 0.0
-    assert go.mixing_block(np.array([[1.0]]), np.array([[1.0]]))[0, 0] == -1.0
+    assert np.max(np.abs(mixing_block(np.zeros((2, 2)), np.eye(2)))) == 0.0
+    assert mixing_block(np.array([[1.0]]), np.array([[1.0]]))[0, 0] == -1.0
     with pytest.raises(go.ShapeMismatch):
-        go.mixing_block(np.ones((1, 2)), np.ones((3, 3)))
+        mixing_block(np.ones((1, 2)), np.ones((3, 3)))
 
 
 def test_pair_fixture_full_chain():
@@ -209,8 +210,8 @@ def test_gram_schmidt_blocks_match_block_recursion():
             assembled = np.zeros_like(table.blocks[k])
             assembled[src.index.level_slice(k), :] = q
             for j in range(k):
-                d = go.cross_overlap(src, partial, k, j)
-                assembled += table.blocks[j] @ go.mixing_block(d, q)
+                d = cross_overlap(src, partial, k, j)
+                assembled += table.blocks[j] @ mixing_block(d, q)
             assert relative_error(table.blocks[k], assembled) <= 1e-12
 
 
@@ -286,19 +287,19 @@ def test_methods_genuinely_differ_on_multielement_levels():
 def test_residual_gram_direct_base_cases():
     src = pair_source()
     empty = go.CoefficientTable(src.index, [])
-    assert np.array_equal(go.residual_gram_direct(src, empty, 0), PAIR_GRAM[:1, :1])
+    assert np.array_equal(residual_gram_direct(src, empty, 0), PAIR_GRAM[:1, :1])
     table = go.orthonormalize_graded(src)
-    h = go.residual_gram_direct(src, table.partial(1), 1)
+    h = residual_gram_direct(src, table.partial(1), 1)
     assert abs(h[0, 0] - 1.0) < 1e-14
     with pytest.raises(go.LevelNotReady):
-        go.residual_gram_direct(src, table.partial(1), 2)
+        residual_gram_direct(src, table.partial(1), 2)
 
 
 def test_residual_gram_direct_identity_gram():
     src = identity_source()
     table = go.orthonormalize_graded(src)
     for k in range(3):
-        h = go.residual_gram_direct(src, table.partial(k), k)
+        h = residual_gram_direct(src, table.partial(k), k)
         sl = src.index.level_slice(k)
         assert np.max(np.abs(h - src.matrix[sl, sl])) < 1e-15
 
@@ -310,11 +311,11 @@ def test_projection_oracle_matches_block_recursion():
         table = go.orthonormalize_graded(src)
         for k in range(len(src.index)):
             partial = table.partial(k)
-            overlaps = [go.cross_overlap(src, partial, k, j) for j in range(k)]
+            overlaps = [cross_overlap(src, partial, k, j) for j in range(k)]
             deltas = [go.hermitize(d.conj().T @ d)[0] for d in overlaps]
             sl = src.index.level_slice(k)
-            b = go.residual_gram(src.matrix[sl, sl], deltas)
-            h = go.residual_gram_direct(src, partial, k)
+            b = residual_gram(src.matrix[sl, sl], deltas)
+            h = residual_gram_direct(src, partial, k)
             assert np.max(np.abs(b - h)) <= 1e-10
             # the batched loop's blocks equal the per-pair K^2 recursion
             # built from the public helpers
@@ -322,7 +323,7 @@ def test_projection_oracle_matches_block_recursion():
             assembled = np.zeros_like(table.blocks[k])
             assembled[sl, :] = q
             for j, d in enumerate(overlaps):
-                assembled += table.blocks[j] @ go.mixing_block(d, q)
+                assembled += table.blocks[j] @ mixing_block(d, q)
             assert relative_error(table.blocks[k], assembled) <= 1e-12
 
 
@@ -398,6 +399,50 @@ def test_verify_table_makes_no_eigh_calls(monkeypatch):
     calls.clear()
     go.verify_table(source, table)
     assert calls == []
+
+
+MONOMIAL_EUCLIDEAN = EXEMPLARS[0].parent / "monomial_euclidean.json"
+
+
+def test_verify_fails_a_graded_table_with_a_broken_structural_zero():
+    source = parse_problem(MONOMIAL_EUCLIDEAN).source
+    table = go.orthonormalize_graded(source)
+    table.blocks[0][6, 0] = 1e-12  # row 6 holds x^6, far above level 0
+    report = go.verify_table(source, table)
+    assert report.max_residual <= report.tolerance
+    assert report.structural_ok is False
+    assert report.passed is False
+
+
+def test_verify_waives_the_zeros_of_the_gram_method():
+    source = parse_problem(MONOMIAL_EUCLIDEAN).source
+    assert len(source.index) > 1
+    report = go.verify_table(source, go.gram_method_reference(source))
+    assert report.structural_ok is False
+    assert report.passed is True
+
+
+BOOST = np.array([[np.cosh(0.5), np.sinh(0.5)], [np.sinh(0.5), np.cosh(0.5)]])
+
+
+@pytest.mark.parametrize(
+    "c,signs",
+    [
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), None),  # a reflection: not positive definite
+        (BOOST, [np.array([1]), np.array([-1])]),  # positive definite, but signed
+    ],
+    ids=["reflection", "boost"],
+)
+def test_verify_waives_no_zeros_of_other_hermitian_tables(c, signs):
+    # both tables are exactly Hermitian, meet C† G C = diag(signs) and
+    # mix the two levels; neither is the Gram method's G^(-1/2)
+    src = go.build_explicit(go.GradedIndex([["a"], ["b"]]), np.diag([1.0, -1.0 if signs else 1.0]))
+    table = go.CoefficientTable(src.index, [c[:, :1], c[:, 1:]], signs)
+    report = go.verify_table(src, table)
+    assert np.array_equal(c, c.conj().T)
+    assert report.max_residual <= 1e-15
+    assert report.structural_ok is False
+    assert report.passed is False
 
 
 # --- structural symmetries ----------------------------------------------------
