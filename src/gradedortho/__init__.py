@@ -22,7 +22,6 @@ from .errors import (
     NoConvergence,
     NonPositiveWeight,
     NonSquare,
-    NotACounterexample,
     NotHermitian,
     NotPositiveDefinite,
     QuadratureOrderTooLow,
@@ -50,11 +49,7 @@ from .ortho import (
     orthonormalize_graded,
     verify_table,
 )
-from .pseudo import (
-    FailureTrace,
-    gram_schmidt_isotropic_obstruction,
-    pseudo_orthonormalize_graded,
-)
+from .pseudo import pseudo_orthonormalize_graded
 from .spectral import (
     DEFAULT_DEGENERACY_TOL,
     EigenDecomposition,
@@ -72,7 +67,6 @@ __all__ = [
     "DegenerateMetric",
     "DimensionMismatch",
     "EigenDecomposition",
-    "FailureTrace",
     "GradedIndex",
     "GradedOrthoError",
     "GramSource",
@@ -83,7 +77,6 @@ __all__ = [
     "NoConvergence",
     "NonPositiveWeight",
     "NonSquare",
-    "NotACounterexample",
     "NotHermitian",
     "NotPositiveDefinite",
     "QuadratureOrderTooLow",
@@ -96,7 +89,6 @@ __all__ = [
     "eigh",
     "fourier_gram",
     "gram_method_reference",
-    "gram_schmidt_isotropic_obstruction",
     "gram_schmidt_reference",
     "hermitize",
     "inv_sqrt",

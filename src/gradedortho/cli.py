@@ -21,12 +21,13 @@ import argparse
 import gc
 import sys
 
+import numpy as np
+
 from .errors import (
     DegenerateMetric,
     GradedOrthoError,
     LinearlyDependentInput,
     SchemaError,
-    ShapeMismatch,
     TerminalIsotropicVector,
 )
 from .fileio import (
@@ -41,6 +42,7 @@ from .ortho import (
     CoefficientTable,
     gram_method_reference,
     gram_schmidt_reference,
+    is_lone_isotropic,
     orthonormalize_graded,
     verify_table,
 )
@@ -117,20 +119,22 @@ def cmd_run(args):
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _output_levels(index, result):
+def _output_levels(problem, result):
     """The problem's output levels for the result's entries, and the first
     entry the problem's grading contradicts (None when there is none).
 
     Output levels are taken from the problem in flat input order, each
     entry's column range standing for one input level or, in a pseudo
     result, for a singleton input level merged into the level right
-    after it (the only merge isotropic promotion makes).  An entry's
-    labels must be the flat input labels of its columns and its id that
-    of the input level holding its last column (the promotion target).
-    The first value is a GradedIndex, or None when some column range
-    stands for no output level; the columns must add up to
-    ``index.total``.
+    after it (the only merge isotropic promotion makes, and only where
+    :func:`_promotes` says ``run`` would make it).  An entry's labels
+    must be the flat input labels of its columns and its id that of the
+    input level holding its last column (the promotion target).  The
+    first value is a GradedIndex, or None when some column range stands
+    for no output level; the columns must add up to ``index.total`` and
+    every block must have ``index.total`` rows.
     """
+    index = problem.source.index
     ids = index.level_ids
     firsts = {offset: k for k, offset in enumerate(index.offsets)}
     lasts = {offset + size: k for k, (offset, size) in enumerate(zip(index.offsets, index.sizes))}
@@ -155,6 +159,11 @@ def _output_levels(index, result):
             return None, mismatch or (
                 f"{where} merge two input levels holding '{index.levels[first][0]}'"
             )
+        if mismatch is None and last > first and not _promotes(problem, result, pos, start):
+            mismatch = (
+                f"{where} merge input level {ids[first]} into {ids[last]}, but its "
+                f"vector is not isotropic"
+            )
         expected = flat_labels[start:stop]
         if mismatch is None and labels != expected:
             mismatch = f"levels[{pos}].labels are not the input labels of columns {start}..{stop - 1}"
@@ -164,6 +173,26 @@ def _output_levels(index, result):
         ids_out.append(ids[last])
         start = stop
     return GradedIndex(labels_out, level_ids=ids_out), mismatch
+
+
+def _promotes(problem, result, pos, row):
+    """True when ``run`` promotes the singleton input vector at flat
+    ``row``, the result's first ``pos`` entries being the finished levels.
+
+    As in the level loop: the raw 1x1 block is isotropic, or the block
+    projected against the finished columns is, relative to the raw
+    block's scale.
+    """
+    gram = problem.source.matrix
+    tol = problem.degeneracy_tol
+    gamma = gram[row : row + 1, row : row + 1]
+    if is_lone_isotropic(gamma, tol):
+        return True
+    if not pos:
+        return False
+    d = np.hstack(result.blocks[:pos])[:row].conj().T @ gram[:row, row]
+    b = gamma[0, 0] - d.conj() @ (np.concatenate(result.signs[:pos]) * d)
+    return is_lone_isotropic([[b.real]], tol, scale=max(abs(gamma[0, 0]), 1.0))
 
 
 def cmd_verify(args):
@@ -185,16 +214,20 @@ def cmd_verify(args):
             EXIT_SCHEMA,
             f"result provides {columns} output vectors for {index.total} inputs",
         )
-    output_index, mismatch = _output_levels(index, result)
+    for pos, block in enumerate(result.blocks):
+        if block.shape[0] != index.total:
+            return _fail(
+                EXIT_SCHEMA,
+                f"level entry {pos} has {block.shape[0]} coefficient rows, "
+                f"expected {index.total}",
+            )
+    output_index, mismatch = _output_levels(problem, result)
     if output_index is None:
         # No output levels of the problem fit the columns: the condition
         # numbers are labelled by entry position instead.
         output_index = GradedIndex([range(block.shape[1]) for block in result.blocks])
     table = CoefficientTable(index, result.blocks, result.signs, output_index)
-    try:
-        report = verify_table(problem.source, table, problem.verify_tol)
-    except ShapeMismatch as err:
-        return _fail(EXIT_SCHEMA, str(err))
+    report = verify_table(problem.source, table, problem.verify_tol)
     embedded = result.report.get("max_residual")
     print(f"recomputed orthonormality residual: {report.max_residual:.6e}")
     if embedded is not None:

@@ -71,10 +71,6 @@ class TerminalIsotropicVector(GradedOrthoError):
         self.label = label
 
 
-class NotACounterexample(GradedOrthoError):
-    pass
-
-
 class SchemaError(GradedOrthoError):
     """Problem or result file does not match the documented JSON schema."""
 

@@ -21,9 +21,9 @@ keys, as earlier versions wrote them, parse to the same arrays.
 
 import hashlib
 import json
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import itemgetter, not_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,9 @@ METRICS = ("euclidean", "pseudo")
 METHODS = ("graded", "gram-schmidt", "gram")
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
+    """A parsed problem file: its Gram source, tolerances and digest."""
+
     mode: str
     metric: str
     source: object
@@ -55,8 +56,9 @@ class Problem:
     digest_hex: str
 
 
-@dataclass
-class ResultData:
+class ResultData(NamedTuple):
+    """The arrays of a parsed result file, for re-verification."""
+
     metric: str
     method: str
     digest_hex: str
@@ -192,7 +194,9 @@ def matrix_to_json(matrix):
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
     zero = ~matrix.view(np.uint64).any(axis=1)
-    pairs = iter(np.stack((matrix.real[~zero], matrix.imag[~zero]), axis=-1).tolist())
+    rows = matrix[~zero]
+    # a complex128 entry is its (re, im) float64 pair in memory
+    pairs = iter(rows.view(np.float64).reshape(rows.shape + (2,)).tolist())
     width = matrix.shape[1]
     return [[0] * width if z else next(pairs) for z in zero.tolist()]
 

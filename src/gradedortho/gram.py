@@ -8,7 +8,6 @@ freeze it; the orthogonalizers never integrate anything themselves.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,21 +29,23 @@ TWO_PI = 2.0 * math.pi
 HERMITIZE_REJECT_FACTOR = 1e-12
 
 
-@dataclass(frozen=True)
 class WeightFunction:
     """Positive weight, either uniform or sampled on a fixed grid.
 
     Fourier sources sample on the uniform periodic grid over [0, 2pi);
     monomial sources sample per tensor quadrature node (last axis
-    fastest).
+    fastest).  Build one with :meth:`uniform` or :meth:`samples`.
     """
 
-    kind: str
-    values: np.ndarray | None = None
+    def __init__(self, kind, values=None):
+        if kind not in ("uniform", "samples"):
+            raise ValueError(f"unknown weight kind {kind!r}")
+        self.kind = kind
+        self.values = values
 
     @classmethod
     def uniform(cls):
-        return cls(kind="uniform")
+        return cls("uniform")
 
     @classmethod
     def samples(cls, values):
@@ -55,46 +56,42 @@ class WeightFunction:
             raise NonPositiveWeight("weight samples must all be finite and positive")
         values = values.copy()
         values.setflags(write=False)
-        return cls(kind="samples", values=values)
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "samples"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+        return cls("samples", values)
 
 
-@dataclass(frozen=True)
 class MonomialBasisSpec:
-    """Monomials of total degree <= max_degree on a box, graded by degree."""
+    """Monomials of total degree <= max_degree on a box, graded by degree.
 
-    dimension: int
-    max_degree: int
-    box: tuple = ()
-    weight: WeightFunction = field(default_factory=WeightFunction.uniform)
-    quadrature_order: int | None = None
+    ``box`` holds one finite ``(lo, hi)`` interval with lo < hi per axis;
+    ``quadrature_order`` defaults to max_degree + 1, the lowest order
+    at which the uniform weight's Gram entries are exact.
+    """
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(self, dimension, max_degree, box=(), weight=None, quadrature_order=None):
+        if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if self.max_degree < 0:
+        if max_degree < 0:
             raise ValueError("max_degree must be non-negative")
-        box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-        if len(box) != self.dimension:
+        box = tuple((float(lo), float(hi)) for lo, hi in box)
+        if len(box) != dimension:
             raise DimensionMismatch(
-                f"box has {len(box)} intervals for dimension {self.dimension}"
+                f"box has {len(box)} intervals for dimension {dimension}"
             )
         for lo, hi in box:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"invalid box interval [{lo}, {hi}]")
-        object.__setattr__(self, "box", box)
-        order = self.quadrature_order
-        if order is None:
-            order = self.max_degree + 1
-            object.__setattr__(self, "quadrature_order", order)
-        if order < self.max_degree + 1:
+        if quadrature_order is None:
+            quadrature_order = max_degree + 1
+        if quadrature_order < max_degree + 1:
             raise QuadratureOrderTooLow(
-                f"quadrature order {order} is below max_degree + 1 = "
-                f"{self.max_degree + 1}; Gram entries would not be exact"
+                f"quadrature order {quadrature_order} is below max_degree + 1 = "
+                f"{max_degree + 1}; Gram entries would not be exact"
             )
+        self.dimension = dimension
+        self.max_degree = max_degree
+        self.box = box
+        self.weight = WeightFunction.uniform() if weight is None else weight
+        self.quadrature_order = quadrature_order
 
 
 class GramSource:
@@ -153,14 +150,15 @@ def fourier_gram(max_harmonic, weight):
 
     Entries are integrals of exp(i(m - m')x) rho(x), evaluated with the
     periodic rectangle rule on the sample grid (exact for band-limited
-    weights once the grid has at least 4*max_harmonic + 1 points).  The
-    matrix is exactly Toeplitz in the harmonic difference and exactly
-    Hermitian by construction.
+    weights once the grid has at least 4*max_harmonic + 1 points), all
+    moments at once by one real FFT of the samples.  The matrix is
+    exactly Toeplitz in the harmonic difference and exactly Hermitian by
+    construction.
     """
     index = fourier_index(max_harmonic)
     n_coeff = 2 * max_harmonic + 1
-    moments = np.zeros(n_coeff, dtype=np.complex128)
     if weight.kind == "uniform":
+        moments = np.zeros(n_coeff, dtype=np.complex128)
         moments[0] = TWO_PI
     else:
         samples = weight.values
@@ -170,11 +168,12 @@ def fourier_gram(max_harmonic, weight):
                 f"{n_grid} grid points cannot resolve harmonics up to "
                 f"{max_harmonic}; need at least {4 * max_harmonic + 1}"
             )
-        x = TWO_PI * np.arange(n_grid) / n_grid
-        # GramSource rejects moments that left the float range.
+        # moments[s] = (2pi/n) sum_j w_j exp(i s x_j), x_j = 2pi j/n: the
+        # conjugated DFT, whose first 2M + 1 bins the grid size
+        # guarantees.  rfft's bin 0 is exactly real, so G is exactly
+        # Hermitian.  GramSource rejects moments that left the float range.
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(n_coeff):
-                moments[s] = (TWO_PI / n_grid) * np.sum(np.exp(1j * s * x) * samples)
+            moments = (TWO_PI / n_grid) * np.conj(np.fft.rfft(samples)[:n_coeff])
     harmonics = _fourier_harmonics(max_harmonic)
     # moment of every difference s = -2M..2M at position s + 2M
     by_difference = np.concatenate([np.conj(moments[:0:-1]), moments])

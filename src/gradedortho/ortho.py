@@ -11,8 +11,8 @@ across and within levels while each output vector stays inside the span
 of its own and lower levels.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import (
 from .grading import GradedIndex
 from .spectral import (
     DEFAULT_DEGENERACY_TOL,
-    hermitize,
     inv_sqrt,
     max_abs,
     pseudo_normalizer,
@@ -105,8 +104,7 @@ class CoefficientTable:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Orthonormality residual and per-level diagnostics for a table."""
 
     max_residual: float
@@ -210,9 +208,10 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
 
     Each level is projected against all finished levels with the signs
     S of the finished vectors (all +1 for the Euclidean metric, where
-    multiplying by S changes no value) and normalized symmetrically.  Only two
-    steps depend on ``signed``: which normalizer runs, and whether a
-    lone isotropic vector is promoted into the following level.
+    S is skipped because multiplying by it changes no value) and
+    normalized symmetrically.  Only two steps depend on ``signed``:
+    which normalizer runs, and whether a lone isotropic vector is
+    promoted into the following level.
     """
     gram = source.matrix
     index = source.index
@@ -242,12 +241,16 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
         if signed and is_lone_isotropic(gamma, degeneracy_tol):
             _promote(pending, pos, promotions)
             continue
-        d = c[:lo, :lo].conj().T @ gram[:lo, cols]
-        sd = finished_signs[:lo, None] * d
-        b = hermitize(gamma - d.conj().T @ sd)[0]
+        # D = C[:lo, :lo]† G[:lo, cols], formed from the k x lo panel so
+        # that the finished block is never conjugated as a whole.
+        d = (gram[:lo, cols].conj().T @ c[:lo, :lo]).conj().T
+        sd = finished_signs[:lo, None] * d if signed else d
+        # The normalizers symmetrize b (inside eigh); a 1x1 block's
+        # symmetric part is its real part.
+        b = gamma - d.conj().T @ sd
         if not signed:
             r = level_normalizer(b, degeneracy_tol, level=level["id"])
-        elif is_lone_isotropic(b, degeneracy_tol, scale=max(max_abs(gamma), 1.0)):
+        elif is_lone_isotropic(b.real, degeneracy_tol, scale=max(max_abs(gamma), 1.0)):
             # Unreachable when the nondegeneracy hypothesis holds, but a
             # projected singleton that collapses gets the same treatment.
             _promote(pending, pos, promotions)

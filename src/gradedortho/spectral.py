@@ -10,7 +10,7 @@ eigenvectors.  Inside a degenerate eigenspace the basis is LAPACK's:
 returns for a mixed signature do.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .errors import (
 DEFAULT_DEGENERACY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Eigenvalues in descending order; unit eigenvectors as columns."""
 
     values: np.ndarray
@@ -53,10 +52,17 @@ def hermitize(a):
     not Hermitian to begin with.
     """
     a = _as_complex_square(a, "hermitize")
-    h = 0.5 * (a + a.conj().T)
-    h.flat[:: h.shape[0] + 1] = h.diagonal().real
+    h = _hermitian_part(a)
     adjustment = float(np.max(np.abs(h - a))) if a.size else 0.0
     return h, adjustment
+
+
+def _hermitian_part(a):
+    # Idempotent: on an exactly Hermitian matrix every entry comes back
+    # bit for bit, so symmetrizing twice costs time but changes nothing.
+    h = 0.5 * (a + a.conj().T)
+    h.flat[:: h.shape[0] + 1] = h.diagonal().real
+    return h
 
 
 def max_abs(a):
@@ -90,15 +96,16 @@ def eigh(a, tol=1e-11):
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    h, _ = hermitize(a)
+    h = _hermitian_part(_as_complex_square(a, "eigh"))
     n = h.shape[0]
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as err:
         raise NoConvergence(f"eigendecomposition failed: {err}") from err
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    _fix_phases(vectors)
+    values = values[::-1]
+    vectors = vectors[:, ::-1]
+    if n:
+        vectors = vectors * _phase_fixes(vectors)
     values.setflags(write=False)
     vectors.setflags(write=False)
     decomposition = EigenDecomposition(values=values, vectors=vectors)
@@ -115,19 +122,19 @@ def _reconstruct(dec):
     return (dec.vectors * dec.values) @ dec.vectors.conj().T
 
 
-def _fix_phases(vectors):
-    for i in range(vectors.shape[1]):
-        col = vectors[:, i]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        mag = abs(pivot)
-        if mag > 0.0:
-            col *= pivot.conjugate() / mag
+def _phase_fixes(vectors):
+    """Per column of a matrix with at least one row, the unit factor that
+    makes its largest-magnitude entry (the first one, on a tie) real
+    positive; 1 for a zero column."""
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    mags = np.abs(pivots)
+    fixes = np.ones_like(pivots)
+    np.divide(pivots.conj(), mags, out=fixes, where=mags > 0.0)
+    return fixes
 
 
 def _from_eigenbasis(dec, diag_values):
-    m = (dec.vectors * diag_values) @ dec.vectors.conj().T
-    return hermitize(m)[0]
+    return _hermitian_part((dec.vectors * diag_values) @ dec.vectors.conj().T)
 
 
 def inv_sqrt(a, degeneracy_tol=DEFAULT_DEGENERACY_TOL):

@@ -1,13 +1,25 @@
-"""Per-pair reference computations the tests check the level loop against.
+"""Reference computations the tests check the package against.
 
-The loop forms every level in one pass over the finished coefficient
-matrix; these helpers recompute the same quantities one lower level at
-a time, straight from the Gram matrix and the finished blocks.
+The level loop forms every level in one pass over the finished
+coefficient matrix; the per-pair helpers recompute the same quantities
+one lower level at a time, straight from the Gram matrix and the
+finished blocks.  :func:`gram_schmidt_isotropic_obstruction` shows why
+the signed loop promotes a lone isotropic vector instead of projecting
+against it.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from gradedortho import LevelNotReady, ShapeMismatch, hermitize
+from gradedortho import (
+    DEFAULT_DEGENERACY_TOL,
+    GradedOrthoError,
+    LevelNotReady,
+    ShapeMismatch,
+    hermitize,
+)
+from gradedortho.spectral import max_abs
 
 
 def cross_overlap(source, table, k, j):
@@ -71,3 +83,57 @@ def residual_gram_direct(source, table, k):
         coeffs = finished.conj().T @ (gram[:, cols])
         h = h - finished @ coeffs
     return hermitize(h.conj().T @ gram @ h)[0]
+
+
+class NotACounterexample(GradedOrthoError):
+    """The Gram matrix given to the obstruction demonstration shows no obstruction."""
+
+
+@dataclass(frozen=True)
+class FailureTrace:
+    """Record of the unsolvable projection equation against an isotropic vector.
+
+    Orthogonalizing the second vector against the first asks for alpha
+    with coefficient * alpha = right_side; an isotropic first vector
+    makes the coefficient zero while the right side stays nonzero.
+    """
+
+    coefficient: complex
+    right_side: complex
+    solvable: bool
+    detail: str
+
+
+def gram_schmidt_isotropic_obstruction(gram, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
+    """Demonstrate why sequential projection dies on an isotropic leader.
+
+    Expects a 2x2 indefinite Gram matrix whose first vector is isotropic
+    and not orthogonal to the second; returns the trace of the
+    unsolvable equation.  Anything else raises NotACounterexample.
+    """
+    gram, _ = hermitize(gram)
+    if gram.shape != (2, 2):
+        raise NotACounterexample(
+            f"the demonstration needs a 2x2 Gram matrix, got {gram.shape}"
+        )
+    scale = max(max_abs(gram), 1.0)
+    band = degeneracy_tol * scale
+    if abs(gram[0, 0]) > band:
+        raise NotACounterexample(
+            f"first vector is not isotropic: squared pseudo-norm {gram[0, 0]:.6e}"
+        )
+    if abs(gram[0, 1]) <= band:
+        raise NotACounterexample(
+            "the vectors are initially orthogonal, so no projection is needed"
+        )
+    coefficient = complex(gram[0, 0])
+    right_side = complex(-gram[1, 0])
+    return FailureTrace(
+        coefficient=coefficient,
+        right_side=right_side,
+        solvable=False,
+        detail=(
+            f"projection coefficient alpha must satisfy "
+            f"{coefficient} * alpha = {right_side}, which has no solution"
+        ),
+    )

@@ -19,7 +19,13 @@ from conftest import (
     random_indefinite_source,
     random_spd,
 )
-from oracles import cross_overlap, residual_gram, residual_gram_direct
+from oracles import (
+    NotACounterexample,
+    cross_overlap,
+    gram_schmidt_isotropic_obstruction,
+    residual_gram,
+    residual_gram_direct,
+)
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -204,16 +210,16 @@ def test_c08_isotropic_promotion():
 
 
 def test_c09_pseudo_gram_schmidt_counterexample():
-    trace = go.gram_schmidt_isotropic_obstruction(
+    trace = gram_schmidt_isotropic_obstruction(
         np.array([[0.0, 1.0], [1.0, 2.0]], dtype=complex)
     )
     unsolvable = (not trace.solvable) and trace.coefficient == 0.0 and trace.right_side == -1.0
     exception_case = False
     try:
-        go.gram_schmidt_isotropic_obstruction(
+        gram_schmidt_isotropic_obstruction(
             np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
         )
-    except go.NotACounterexample:
+    except NotACounterexample:
         exception_case = True
     ok = unsolvable and exception_case
     report(

@@ -820,6 +820,11 @@ PSEUDO_MERGES = {
     "non-singleton": ("fourier_pseudo.json", 1, 2, "columns 1..4 merge input levels 1..2"),
     "three-levels": ("fourier_pseudo.json", 0, 3, "columns 0..4 merge input levels 0..2"),
     "label-clash": (None, 0, 2, "columns 0..2 merge two input levels holding 'a'"),
+    # the one merge a promotion makes, but level 0's vector is not isotropic
+    "non-isotropic-singleton": (
+        "fourier_pseudo.json", 0, 2,
+        "columns 0..2 merge input level 0 into 1, but its vector is not isotropic",
+    ),
 }
 
 
@@ -844,16 +849,33 @@ def test_verify_rejects_merges_promotion_cannot_make(tmp_path, capsys, case):
     assert captured.err == ""
 
 
-def test_verify_accepts_a_singleton_merged_into_the_next_level(tmp_path, capsys):
-    # the one merge a promotion makes; verify does not re-decide whether
-    # the singleton was isotropic
+def test_verify_rejects_a_block_with_missing_rows(tmp_path, capsys):
     problem = PROBLEM_DIR / "fourier_pseudo.json"
     out = tmp_path / "result.json"
     assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
     payload = json.loads(out.read_text(encoding="utf-8"))
-    merge_entries(payload, 0, 2)
+    del payload["levels"][0]["coefficients"][-1]
     write_json(out, payload)
     capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: level entry 0 has 4 coefficient rows, expected 5"]
+
+
+def test_verify_accepts_a_promotion_decided_on_the_projected_block(tmp_path, capsys):
+    # 'b' is not isotropic, but b - a is: run promotes it into level 2,
+    # and verify re-decides that from the problem and the finished level
+    problem = tmp_path / "problem.json"
+    gram = [[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, -1]]
+    write_json(problem, {
+        "mode": "explicit",
+        "metric": "pseudo",
+        "explicit": {"levels": [["a"], ["b"], ["c", "d"]], "gram": gram},
+    })
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    assert "promoted 'b' from level 1 to level 2" in capsys.readouterr().out
     assert main(["verify", str(problem), str(out)]) == EXIT_OK
     assert "output levels: ok\nstructural grading zeros: ok\nverification: PASS" in (
         capsys.readouterr().out

@@ -113,6 +113,20 @@ def test_fourier_gram_is_exactly_toeplitz_and_hermitian():
             seen[key] = g[i, j]
 
 
+@pytest.mark.parametrize("max_harmonic, n_grid", [(0, 1), (0, 6), (1, 5), (4, 17), (7, 29), (7, 64)])
+def test_fourier_gram_is_the_rectangle_rule(max_harmonic, n_grid):
+    # the minimal grid 4M + 1 and M = 0 included; a sampled weight gives
+    # an exactly Hermitian G
+    values = np.random.default_rng(n_grid).uniform(0.2, 3.0, n_grid)
+    g = go.fourier_gram(max_harmonic, go.WeightFunction.samples(values)).matrix
+    assert np.array_equal(g, g.conj().T)
+    x = 2.0 * np.pi * np.arange(n_grid) / n_grid
+    harmonics = np.array([0] + [h for k in range(1, max_harmonic + 1) for h in (k, -k)])
+    phases = np.exp(1j * (harmonics[:, None, None] - harmonics[None, :, None]) * x)
+    direct = (2.0 * np.pi / n_grid) * (phases * values).sum(axis=-1)
+    assert np.max(np.abs(g - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
 def test_fourier_real_weight_conjugate_pairing():
     weight, _ = sampled_weight(64, lambda x: 2.0 + np.cos(x))
     g = go.fourier_gram(3, weight).matrix

@@ -404,6 +404,15 @@ def test_verify_table_makes_no_eigh_calls(monkeypatch):
 MONOMIAL_EUCLIDEAN = EXEMPLARS[0].parent / "monomial_euclidean.json"
 
 
+def test_records_reject_attribute_assignment():
+    problem = parse_problem(MONOMIAL_EUCLIDEAN)
+    report = go.verify_table(problem.source, go.orthonormalize_graded(problem.source))
+    decomposition = go.eigh(np.eye(2))
+    for record, name in ((problem, "verify_tol"), (report, "passed"), (decomposition, "values")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 def test_verify_fails_a_graded_table_with_a_broken_structural_zero():
     source = parse_problem(MONOMIAL_EUCLIDEAN).source
     table = go.orthonormalize_graded(source)

@@ -102,6 +102,25 @@ def test_eigh_reconstruction_invariant(n):
     assert np.all(np.diff(dec.values) <= 0)
 
 
+def test_eigh_phases_match_the_column_by_column_rule():
+    # reference: one column at a time, scaled by the conjugate phase of
+    # its largest-magnitude entry
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 5, 17):
+        a = random_spd(rng, n, cond=1e3)
+        expected = np.linalg.eigh(go.hermitize(a)[0])[1][:, ::-1].copy()
+        for col in expected.T:
+            pivot = col[np.argmax(np.abs(col))]
+            col *= pivot.conjugate() / abs(pivot)
+        assert np.max(np.abs(go.eigh(a).vectors - expected)) <= 4 * np.finfo(float).eps
+
+
+def test_eigh_of_an_empty_matrix():
+    dec = go.eigh(np.zeros((0, 0)))
+    assert dec.values.shape == (0,)
+    assert dec.vectors.shape == (0, 0)
+
+
 def test_eigh_matches_lapack_eigenvalues():
     rng = np.random.default_rng(5)
     a = random_spd(rng, 12, cond=1e4)
