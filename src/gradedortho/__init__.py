@@ -23,7 +23,6 @@ from .errors import (
     NonPositiveWeight,
     NonSquare,
     NotHermitian,
-    NotPositiveDefinite,
     QuadratureOrderTooLow,
     SchemaError,
     ShapeMismatch,
@@ -55,9 +54,6 @@ from .spectral import (
     EigenDecomposition,
     eigh,
     hermitize,
-    inv_sqrt,
-    pseudo_normalizer,
-    signature_split,
 )
 
 __all__ = [
@@ -78,7 +74,6 @@ __all__ = [
     "NonPositiveWeight",
     "NonSquare",
     "NotHermitian",
-    "NotPositiveDefinite",
     "QuadratureOrderTooLow",
     "SchemaError",
     "ShapeMismatch",
@@ -91,14 +86,11 @@ __all__ = [
     "gram_method_reference",
     "gram_schmidt_reference",
     "hermitize",
-    "inv_sqrt",
     "is_lone_isotropic",
     "level_normalizer",
     "monomial_gram",
     "monomial_index",
     "orthonormalize_graded",
-    "pseudo_normalizer",
     "pseudo_orthonormalize_graded",
-    "signature_split",
     "verify_table",
 ]

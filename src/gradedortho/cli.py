@@ -14,7 +14,7 @@ no run would write.
 
 Exit codes: 0 success, 2 parse/schema/usage error, 3 mathematical
 failure (linear dependence, degenerate metric, terminal isotropic
-vector), 4 verification failure.
+vector, an eigendecomposition that fails), 4 verification failure.
 """
 
 import argparse
@@ -27,6 +27,7 @@ from .errors import (
     DegenerateMetric,
     GradedOrthoError,
     LinearlyDependentInput,
+    NoConvergence,
     SchemaError,
     TerminalIsotropicVector,
 )
@@ -40,9 +41,9 @@ from .fileio import (
 from .grading import GradedIndex
 from .ortho import (
     CoefficientTable,
+    _isotropic_singleton,
     gram_method_reference,
     gram_schmidt_reference,
-    is_lone_isotropic,
     orthonormalize_graded,
     verify_table,
 )
@@ -58,6 +59,9 @@ EXIT_VERIFY = 4
 # levels reduce to Gram-Schmidt, one level reduces to the Gram method).
 SINGLETON_MATCH_TOL = 1e-10
 SINGLE_LEVEL_MATCH_TOL = 1e-12
+
+# The failures of a method on a well-formed problem (exit 3).
+MATH_ERRORS = (LinearlyDependentInput, DegenerateMetric, TerminalIsotropicVector, NoConvergence)
 
 
 def _fail(code, message):
@@ -95,7 +99,7 @@ def cmd_run(args):
         )
     try:
         table = _run_method(problem, args.method)
-    except (LinearlyDependentInput, DegenerateMetric, TerminalIsotropicVector) as err:
+    except MATH_ERRORS as err:
         return _math_exit(err)
     except ValueError as err:
         # Input values the run cannot go on with, such as a promotion
@@ -179,20 +183,16 @@ def _promotes(problem, result, pos, row):
     """True when ``run`` promotes the singleton input vector at flat
     ``row``, the result's first ``pos`` entries being the finished levels.
 
-    As in the level loop: the raw 1x1 block is isotropic, or the block
-    projected against the finished columns is, relative to the raw
-    block's scale.
+    The level loop's rule, applied to the raw 1x1 block and to that
+    block projected against the result's finished columns.
     """
     gram = problem.source.matrix
-    tol = problem.degeneracy_tol
     gamma = gram[row : row + 1, row : row + 1]
-    if is_lone_isotropic(gamma, tol):
-        return True
-    if not pos:
-        return False
-    d = np.hstack(result.blocks[:pos])[:row].conj().T @ gram[:row, row]
-    b = gamma[0, 0] - d.conj() @ (np.concatenate(result.signs[:pos]) * d)
-    return is_lone_isotropic([[b.real]], tol, scale=max(abs(gamma[0, 0]), 1.0))
+    b = gamma
+    if pos:
+        d = np.hstack(result.blocks[:pos])[:row].conj().T @ gram[:row, row]
+        b = gamma - d.conj() @ (np.concatenate(result.signs[:pos]) * d)
+    return _isotropic_singleton(gamma, b, problem.degeneracy_tol)
 
 
 def cmd_verify(args):
@@ -255,7 +255,7 @@ def cmd_compare(args):
     for method in METHODS:
         try:
             tables[method] = _run_method(problem, method)
-        except (LinearlyDependentInput, DegenerateMetric) as err:
+        except MATH_ERRORS as err:
             return _math_exit(err)
     matrices = {m: t.matrix() for m, t in tables.items()}
     pairs = [("graded", "gram-schmidt"), ("graded", "gram"), ("gram-schmidt", "gram")]

@@ -13,14 +13,6 @@ class NoConvergence(GradedOrthoError):
     """Raised when an eigendecomposition fails or misses its residual bound."""
 
 
-class NotPositiveDefinite(GradedOrthoError):
-    def __init__(self, message, min_eigenvalue=None, max_eigenvalue=None, threshold=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-        self.max_eigenvalue = max_eigenvalue
-        self.threshold = threshold
-
-
 class DegenerateMetric(GradedOrthoError):
     def __init__(self, message, level=None):
         super().__init__(message)

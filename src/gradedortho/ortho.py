@@ -20,17 +20,11 @@ from .errors import (
     DegenerateMetric,
     LevelNotReady,
     LinearlyDependentInput,
-    NotPositiveDefinite,
     ShapeMismatch,
     TerminalIsotropicVector,
 )
 from .grading import GradedIndex
-from .spectral import (
-    DEFAULT_DEGENERACY_TOL,
-    inv_sqrt,
-    max_abs,
-    pseudo_normalizer,
-)
+from .spectral import DEFAULT_DEGENERACY_TOL, _from_eigenbasis, eigh, max_abs
 
 DEFAULT_VERIFY_TOL = 1e-9
 
@@ -130,32 +124,47 @@ class VerificationReport(NamedTuple):
         ]
 
 
-def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None):
-    """Inverse square root of a projected level Gram block.
+def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signed=False):
+    """(r, signs) with r† b r = diag(signs), +1 first, from one ``eigh`` of b.
 
-    A non-positive-definite block means the input vectors were
-    (numerically) linearly dependent, or the metric was not Euclidean at
-    all; both are reported with the offending level attached.  A
-    ``level`` of None names the block as the full Gram matrix.
+    A definite block gets the Hermitian V |Λ|^(-1/2) V†; a mixed one the
+    eigenvectors scaled by |λ|^(-1/2), each sign block by descending |λ|.
+    Euclidean (``signed`` false): λmin <= tol·λmax is DegenerateMetric
+    when λmin < -tol·max(|λmax|, 1), else LinearlyDependentInput.
+    Signed: any |λ| <= tol·max|λ| is DegenerateMetric.  Errors carry
+    ``level``; None names the block as the full Gram matrix.
     """
-    try:
-        return inv_sqrt(b, degeneracy_tol)
-    except NotPositiveDefinite as err:
-        what = "full Gram matrix" if level is None else f"level {level}: projected Gram block"
-        band = degeneracy_tol * max(abs(err.max_eigenvalue), 1.0)
-        if err.min_eigenvalue < -band:
+    dec = eigh(b)
+    values = dec.values
+    n = len(values)
+    what = "full Gram matrix" if level is None else f"level {level}: projected Gram block"
+    if signed:
+        if np.any(np.abs(values) <= degeneracy_tol * max_abs(values)):
             raise DegenerateMetric(
-                f"{what} has eigenvalue "
-                f"{err.min_eigenvalue:.6e}; the metric is not positive definite",
+                f"{what} is degenerate; the metric violates the nondegeneracy hypothesis",
                 level=level,
-            ) from err
+            )
+    elif n and (values[0] <= 0.0 or values[-1] <= degeneracy_tol * values[0]):
+        w_min = float(values[-1])
+        if w_min < -degeneracy_tol * max(abs(float(values[0])), 1.0):
+            raise DegenerateMetric(
+                f"{what} has eigenvalue {w_min:.6e}; the metric is not positive definite",
+                level=level,
+            )
         raise LinearlyDependentInput(
-            f"{what} is numerically singular "
-            f"(smallest eigenvalue {err.min_eigenvalue:.6e}); the input "
-            f"vectors are not linearly independent",
+            f"{what} is numerically singular (smallest eigenvalue {w_min:.6e}); "
+            f"the input vectors are not linearly independent",
             level=level,
-            min_eigenvalue=err.min_eigenvalue,
-        ) from err
+            min_eigenvalue=w_min,
+        )
+    p = int(np.count_nonzero(values > 0.0))
+    signs = np.concatenate([np.ones(p, dtype=np.int64), -np.ones(n - p, dtype=np.int64)])
+    if p in (0, n):
+        return _from_eigenbasis(dec, 1.0 / np.sqrt(np.abs(values))), signs
+    # values is descending, so positives already lead; flip the negative
+    # block to get descending |eigenvalue| there as well.
+    order = np.concatenate([np.arange(p), np.arange(n - 1, p - 1, -1)])
+    return dec.vectors[:, order] * (1.0 / np.sqrt(np.abs(values[order]))), signs
 
 
 def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -203,15 +212,29 @@ def is_lone_isotropic(block, degeneracy_tol=DEFAULT_DEGENERACY_TOL, scale=None):
     return bool(abs(block[0, 0]) <= degeneracy_tol * scale)
 
 
+def _isotropic_singleton(gamma, b, degeneracy_tol):
+    """True when a signed run promotes a singleton level.
+
+    ``gamma`` is the level's raw 1x1 Gram block and ``b`` that block
+    projected against the finished columns: the vector is isotropic when
+    either is within ``degeneracy_tol`` of zero, the projected one
+    relative to the raw block's scale (with a floor of one).  Its
+    symmetric part, the real part, is what is tested.
+    """
+    return is_lone_isotropic(gamma, degeneracy_tol) or is_lone_isotropic(
+        b.real, degeneracy_tol, scale=max(max_abs(gamma), 1.0)
+    )
+
+
 def _orthonormalize_levels(source, degeneracy_tol, signed):
     """The graded level loop of both metrics.
 
     Each level is projected against all finished levels with the signs
     S of the finished vectors (all +1 for the Euclidean metric, where
     S is skipped because multiplying by it changes no value) and
-    normalized symmetrically.  Only two steps depend on ``signed``:
-    which normalizer runs, and whether a lone isotropic vector is
-    promoted into the following level.
+    normalized symmetrically by :func:`level_normalizer`.  Only the
+    signed metric promotes a lone isotropic vector into the following
+    level and keeps the signs of its output vectors.
     """
     gram = source.matrix
     index = source.index
@@ -238,32 +261,17 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
         lo = level["lo"]
         cols = slice(lo, level["hi"])
         gamma = gram[cols, cols]
-        if signed and is_lone_isotropic(gamma, degeneracy_tol):
-            _promote(pending, pos, promotions)
-            continue
         # D = C[:lo, :lo]† G[:lo, cols], formed from the k x lo panel so
         # that the finished block is never conjugated as a whole.
         d = (gram[:lo, cols].conj().T @ c[:lo, :lo]).conj().T
         sd = finished_signs[:lo, None] * d if signed else d
-        # The normalizers symmetrize b (inside eigh); a 1x1 block's
-        # symmetric part is its real part.
+        # The normalizer symmetrizes b (inside eigh).
         b = gamma - d.conj().T @ sd
-        if not signed:
-            r = level_normalizer(b, degeneracy_tol, level=level["id"])
-        elif is_lone_isotropic(b.real, degeneracy_tol, scale=max(max_abs(gamma), 1.0)):
-            # Unreachable when the nondegeneracy hypothesis holds, but a
-            # projected singleton that collapses gets the same treatment.
+        if signed and _isotropic_singleton(gamma, b, degeneracy_tol):
             _promote(pending, pos, promotions)
             continue
-        else:
-            try:
-                r, signs = pseudo_normalizer(b, degeneracy_tol)
-            except DegenerateMetric as err:
-                raise DegenerateMetric(
-                    f"level {level['id']}: projected Gram block is degenerate; "
-                    f"the metric violates the nondegeneracy hypothesis",
-                    level=level["id"],
-                ) from err
+        r, signs = level_normalizer(b, degeneracy_tol, level["id"], signed)
+        if signed:
             finished_signs[cols] = signs
             level_signs.append(signs)
         p = -sd @ r
@@ -354,7 +362,7 @@ def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     problems the structural grading zeros do not hold.  A Gram matrix
     that is not positive definite fails as in :func:`level_normalizer`.
     """
-    c = level_normalizer(source.matrix, degeneracy_tol)
+    c, _ = level_normalizer(source.matrix, degeneracy_tol)
     return _table_from_columns(source.index, c)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gradedortho
 from gradedortho.cli import EXIT_MATH, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, build_parser, main
 from gradedortho.fileio import (
     METHODS,
@@ -434,6 +435,60 @@ def test_subnormal_gram_entry_runs_and_verifies(tmp_path, capsys):
     assert text.rstrip().endswith("verification: PASS")
 
 
+# Gram matrices with entries near the float range: (a + a†)/2 would
+# overflow, halving each term first does not.
+HUGE_GRAMS = {
+    "euclidean": [[1e308, 0.0], [0.0, 1e308]],
+    "pseudo": [[1e308, 0.0], [0.0, -1e308]],
+}
+
+
+def explicit_problem(path, gram, metric="euclidean"):
+    write_json(
+        path,
+        {"mode": "explicit", "metric": metric, "explicit": {"levels": [["a", "b"]], "gram": gram}},
+    )
+    return path
+
+
+@pytest.mark.parametrize("metric", sorted(HUGE_GRAMS))
+def test_gram_near_the_float_range_runs_and_verifies(tmp_path, metric):
+    path = explicit_problem(tmp_path / "huge.json", HUGE_GRAMS[metric], metric)
+    out = str(tmp_path / "huge.result.json")
+    proc = run_python("-m", "gradedortho.cli", "run", str(path), "--output", out)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert "max orthonormality residual: 0.000000e+00" in proc.stdout
+    proc = run_python("-m", "gradedortho.cli", "verify", str(path), out)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+
+def test_eigenvalue_overflow_exits_3_naming_no_convergence(tmp_path):
+    # finite and Hermitian, but its eigenvalue 2.7e308 overflows inside
+    # LAPACK, so the reconstruction residual is NaN
+    gram = [[1.7e308, 1e308], [1e308, 1.7e308]]
+    path = explicit_problem(tmp_path / "overflow.json", gram)
+    proc = run_python("-m", "gradedortho.cli", "run", str(path))
+    assert proc.returncode == EXIT_MATH
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: NoConvergence: ")
+    assert not (tmp_path / "overflow.result.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_failed_eigendecomposition_exits_3(monkeypatch, tmp_path, capsys, command):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    argv = [command, str(PROBLEM_DIR / "explicit_euclidean.json")]
+    if command == "run":
+        argv += ["--output", str(tmp_path / "r.json")]
+    assert main(argv) == EXIT_MATH
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: NoConvergence: eigendecomposition failed: Eigenvalues did not converge"
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_leaves_gc_state_alone(pair_problem, tmp_path, enabled):
     switch = {True: gc.enable, False: gc.disable}
@@ -608,6 +663,20 @@ def test_cli_options_match_readme():
         if option.startswith("--") and option != "--help"
     }
     assert options == documented
+
+
+def test_library_names_match_readme():
+    readme = (PROBLEM_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n")[1].split("\n## ")[0]
+    documented = set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    documented |= set(re.findall(r"\bgo\.(\w+)", readme))
+    index = gradedortho.GradedIndex([["a"]])
+    table = orthonormalize_graded(gradedortho.build_explicit(index, np.eye(1)))
+    unknown = {
+        name for name in documented
+        if name not in gradedortho.__all__ and not hasattr(table, name)
+    }
+    assert not unknown
 
 
 # case: (path to the replaced value, new value, field the error must name)

@@ -105,9 +105,10 @@ def test_residual_gram_shape_mismatch():
 
 
 def test_level_normalizer_cases():
-    assert np.allclose(go.level_normalizer(np.eye(2)), np.eye(2), atol=1e-14)
-    assert np.allclose(go.level_normalizer(np.array([[4.0]])), [[0.5]], atol=1e-15)
-    q = go.level_normalizer(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert np.allclose(go.level_normalizer(np.eye(2))[0], np.eye(2), atol=1e-14)
+    assert np.allclose(go.level_normalizer(np.array([[4.0]]))[0], [[0.5]], atol=1e-15)
+    q, signs = go.level_normalizer(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert list(signs) == [1, 1]
     expected = np.array([[1.115355, -0.298858], [-0.298858, 1.115355]])
     assert np.max(np.abs(q - expected)) < 1e-6
 
@@ -119,6 +120,8 @@ def test_level_normalizer_reports_level_on_failure():
     with pytest.raises(go.DegenerateMetric) as info:
         go.level_normalizer(np.diag([1.0, -2.0]), level=1)
     assert info.value.level == 1
+    with pytest.raises(go.DegenerateMetric, match="level 2: projected Gram block is degenerate"):
+        go.level_normalizer(np.diag([1.0, 0.0]), level=2, signed=True)
 
 
 def test_mixing_block_cases():
@@ -240,7 +243,7 @@ def test_gram_method_reference_examples():
     g = np.array([[1.0, 0.5], [0.5, 1.0]])
     src2 = go.build_explicit(idx, g)
     table = go.gram_method_reference(src2)
-    assert np.array_equal(table.matrix(), go.inv_sqrt(g))
+    assert np.array_equal(table.matrix(), go.level_normalizer(g)[0])
 
 
 def test_single_level_degenerates_to_gram_method():
@@ -252,7 +255,8 @@ def test_single_level_degenerates_to_gram_method():
         graded = go.orthonormalize_graded(src)
         reference = go.gram_method_reference(src)
         assert np.max(np.abs(graded.matrix() - reference.matrix())) < 1e-12
-        assert np.max(np.abs(graded.normalizers[0] - go.inv_sqrt(src.matrix))) < 1e-12
+        normalizer, _ = go.level_normalizer(src.matrix)
+        assert np.max(np.abs(graded.normalizers[0] - normalizer)) < 1e-12
 
 
 def test_gram_method_ignores_grading():

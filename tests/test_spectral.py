@@ -139,20 +139,22 @@ def test_eigh_degenerate_spectrum_still_unitary():
     assert np.max(np.abs(recon - a)) < 1e-13
 
 
-# --- inv_sqrt --------------------------------------------------------------
+# --- level_normalizer: inverse square root of a definite block --------------
 
 def test_inv_sqrt_identity():
-    assert np.allclose(go.inv_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
+    r, signs = go.level_normalizer(np.eye(3))
+    assert np.allclose(r, np.eye(3), atol=1e-14)
+    assert list(signs) == [1, 1, 1]
 
 
 def test_inv_sqrt_diagonal():
-    q = go.inv_sqrt(np.diag([4.0, 9.0]).astype(complex))
+    q, _ = go.level_normalizer(np.diag([4.0, 9.0]).astype(complex))
     assert np.allclose(q, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
 
 
 def test_inv_sqrt_frozen_2x2():
     a = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-    q = go.inv_sqrt(a)
+    q, _ = go.level_normalizer(a)
     # hand eigendecomposition: eigenvalues 1.5 and 0.5
     expected = np.array([[1.115355, -0.298858], [-0.298858, 1.115355]])
     assert np.max(np.abs(q - expected)) < 1e-6
@@ -160,17 +162,17 @@ def test_inv_sqrt_frozen_2x2():
 
 
 def test_inv_sqrt_rejects_singular_and_indefinite():
-    with pytest.raises(go.NotPositiveDefinite):
-        go.inv_sqrt(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(go.NotPositiveDefinite):
-        go.inv_sqrt(np.diag([1.0, -1.0]))
+    with pytest.raises(go.LinearlyDependentInput):
+        go.level_normalizer(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(go.DegenerateMetric):
+        go.level_normalizer(np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("n,cond", [(4, 10.0), (16, 1e3), (40, 1e6), (64, 1e6)])
 def test_inv_sqrt_defining_relation_random_spd(n, cond):
     rng = np.random.default_rng(int(n + cond))
     a = random_spd(rng, n, cond=cond)
-    q = go.inv_sqrt(a)
+    q, _ = go.level_normalizer(a)
     assert np.max(np.abs(q @ a @ q - np.eye(n))) <= 1e-10
     # result is itself Hermitian positive definite
     assert np.array_equal(q, q.conj().T)
@@ -183,64 +185,69 @@ def test_inv_sqrt_permutation_equivariance():
     a = random_spd(rng, n, cond=50.0)
     perm = rng.permutation(n)
     pi = np.eye(n)[:, perm]
-    lhs = go.inv_sqrt(go.hermitize(pi.T @ a @ pi)[0])
-    rhs = pi.T @ go.inv_sqrt(a) @ pi
+    lhs, _ = go.level_normalizer(go.hermitize(pi.T @ a @ pi)[0])
+    rhs = pi.T @ go.level_normalizer(a)[0] @ pi
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-# --- signature_split -------------------------------------------------------
+# --- level_normalizer: signature of a signed block --------------------------
+
+def signature(signs):
+    return int(np.sum(signs > 0)), int(np.sum(signs < 0))
+
 
 def test_signature_split_minkowski_diag():
-    p, q, _ = go.signature_split(np.diag([1.0, -1.0]).astype(complex))
-    assert (p, q) == (1, 1)
+    _, signs = go.level_normalizer(np.diag([1.0, -1.0]).astype(complex), signed=True)
+    assert signature(signs) == (1, 1)
 
 
 def test_signature_split_offdiagonal():
-    p, q, dec = go.signature_split(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    assert (p, q) == (1, 1)
-    assert np.allclose(dec.values, [1.0, -1.0])
+    a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    _, signs = go.level_normalizer(a, signed=True)
+    assert signature(signs) == (1, 1)
+    assert np.allclose(go.eigh(a).values, [1.0, -1.0])
 
 
 def test_signature_split_positive_diag():
-    p, q, _ = go.signature_split(np.diag([2.0, 3.0, 5.0]).astype(complex))
-    assert (p, q) == (3, 0)
+    _, signs = go.level_normalizer(np.diag([2.0, 3.0, 5.0]).astype(complex), signed=True)
+    assert signature(signs) == (3, 0)
 
 
 def test_signature_split_rejects_degenerate():
     with pytest.raises(go.DegenerateMetric):
-        go.signature_split(np.diag([1.0, 0.0]).astype(complex))
+        go.level_normalizer(np.diag([1.0, 0.0]).astype(complex), signed=True)
 
 
 def test_signature_matches_lapack_count():
     rng = np.random.default_rng(31)
     w = np.array([4.0, 2.5, 1.0, -0.5, -3.0])
     a = hermitian_from_spectrum(rng, w)
-    p, q, _ = go.signature_split(a)
+    p, q = signature(go.level_normalizer(a, signed=True)[1])
     reference = np.linalg.eigvalsh(a)
     assert p == int(np.sum(reference > 0)) and q == int(np.sum(reference < 0))
 
 
-# --- pseudo_normalizer -----------------------------------------------------
+# --- level_normalizer: congruence to diag(+1.., -1..) -----------------------
 
 def test_pseudo_normalizer_minkowski_identity():
-    r, signs = go.pseudo_normalizer(np.diag([1.0, -1.0]).astype(complex))
+    r, signs = go.level_normalizer(np.diag([1.0, -1.0]).astype(complex), signed=True)
     assert np.allclose(r, np.eye(2), atol=1e-14)
     assert list(signs) == [1, -1]
 
 
 def test_pseudo_normalizer_euclidean_reduces_to_inv_sqrt():
     a = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-    r, signs = go.pseudo_normalizer(a)
+    r, signs = go.level_normalizer(a, signed=True)
     assert list(signs) == [1, 1]
-    assert np.array_equal(r, go.inv_sqrt(a))
-    r2, signs2 = go.pseudo_normalizer(np.eye(2))
+    assert np.array_equal(r, go.level_normalizer(a, signed=False)[0])
+    r2, signs2 = go.level_normalizer(np.eye(2), signed=True)
     assert np.allclose(r2, np.eye(2), atol=1e-14)
     assert list(signs2) == [1, 1]
 
 
 def test_pseudo_normalizer_offdiagonal_case():
     a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    r, signs = go.pseudo_normalizer(a)
+    r, signs = go.level_normalizer(a, signed=True)
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(r[:, 0], [s, s], atol=1e-14)
     assert np.allclose(r[:, 1], [s, -s], atol=1e-14)
@@ -254,7 +261,7 @@ def test_pseudo_normalizer_defining_relation_random():
         w = rng.uniform(0.1, 10.0, size=6) * rng.choice([-1.0, 1.0], size=6)
         w[0], w[-1] = abs(w[0]), -abs(w[-1])
         a = hermitian_from_spectrum(rng, w)
-        r, signs = go.pseudo_normalizer(a)
+        r, signs = go.level_normalizer(a, signed=True)
         target = np.diag(signs.astype(complex))
         assert np.max(np.abs(r.conj().T @ a @ r - target)) < 1e-12
         assert list(signs) == sorted(signs, reverse=True)
@@ -262,7 +269,7 @@ def test_pseudo_normalizer_defining_relation_random():
 
 def test_pseudo_normalizer_all_negative():
     a = np.diag([-2.0, -0.5]).astype(complex)
-    r, signs = go.pseudo_normalizer(a)
+    r, signs = go.level_normalizer(a, signed=True)
     assert list(signs) == [-1, -1]
     assert np.max(np.abs(r.conj().T @ a @ r + np.eye(2))) < 1e-14
 
@@ -273,4 +280,4 @@ def test_deterministic_outputs():
     d1, d2 = go.eigh(a), go.eigh(a)
     assert np.array_equal(d1.values, d2.values)
     assert np.array_equal(d1.vectors, d2.vectors)
-    assert np.array_equal(go.inv_sqrt(a), go.inv_sqrt(a))
+    assert np.array_equal(go.level_normalizer(a)[0], go.level_normalizer(a)[0])
