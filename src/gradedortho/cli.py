@@ -7,10 +7,10 @@ pairwise differences).
 
 ``run`` and ``verify`` reach their verdict on the coefficients through
 the one rule of :func:`gradedortho.ortho.verify_table`, never through
-the method a result file names.  ``verify`` adds only what a file can
-get wrong on its own: it rebuilds the table's output levels from the
-problem's grading and fails an entry whose columns, labels or level id
-no run would write.
+the method a result file names; that rule also derives the output
+levels from the problem's grading and judges every merge.  ``verify``
+adds only what a file can get wrong on its own: its digest, its shapes,
+and level ids or labels other than the derived ones.
 
 Exit codes: 0 success, 2 parse/schema/usage error, 3 mathematical
 failure (linear dependence, degenerate metric, terminal isotropic
@@ -20,8 +20,6 @@ vector, an eigendecomposition that fails), 4 verification failure.
 import argparse
 import gc
 import sys
-
-import numpy as np
 
 from .errors import (
     DegenerateMetric,
@@ -38,10 +36,8 @@ from .fileio import (
     result_payload,
     write_result,
 )
-from .grading import GradedIndex
 from .ortho import (
     CoefficientTable,
-    _isotropic_singleton,
     gram_method_reference,
     gram_schmidt_reference,
     orthonormalize_graded,
@@ -105,7 +101,7 @@ def cmd_run(args):
         # Input values the run cannot go on with, such as a promotion
         # that would merge two levels sharing a label.
         return _fail(EXIT_SCHEMA, f"invalid '{problem.mode}' problem: {err}")
-    report = verify_table(problem.source, table, problem.verify_tol)
+    report = verify_table(problem.source, table, problem.verify_tol, problem.degeneracy_tol)
     output = args.output
     if output is None:
         stem = args.input[:-5] if args.input.endswith(".json") else args.input
@@ -123,76 +119,23 @@ def cmd_run(args):
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _output_levels(problem, result):
-    """The problem's output levels for the result's entries, and the first
-    entry the problem's grading contradicts (None when there is none).
+def _levels_mismatch(result, report):
+    """The first level entry whose labels or id are not those of the output
+    level the report derived for it, else the report's own mismatch.
 
-    Output levels are taken from the problem in flat input order, each
-    entry's column range standing for one input level or, in a pseudo
-    result, for a singleton input level merged into the level right
-    after it (the only merge isotropic promotion makes, and only where
-    :func:`_promotes` says ``run`` would make it).  An entry's labels
-    must be the flat input labels of its columns and its id that of the
-    input level holding its last column (the promotion target).  The
-    first value is a GradedIndex, or None when some column range stands
-    for no output level; the columns must add up to ``index.total`` and
-    every block must have ``index.total`` rows.
+    An entry's labels must be the flat input labels of its columns and
+    its id that of the input level holding its last column.
     """
-    index = problem.source.index
-    ids = index.level_ids
-    firsts = {offset: k for k, offset in enumerate(index.offsets)}
-    lasts = {offset + size: k for k, (offset, size) in enumerate(zip(index.offsets, index.sizes))}
-    flat_labels = [label for level in index.levels for label in level]
-    labels_out, ids_out = [], []
-    mismatch = None
     start = 0
-    for pos, (lid, labels, block) in enumerate(
-        zip(result.level_ids, result.level_labels, result.blocks)
-    ):
-        stop = start + block.shape[1]
-        where = f"levels[{pos}] columns {start}..{stop - 1}"
-        first, last = firsts[start], lasts.get(stop)
-        if last is None:
-            return None, mismatch or f"{where} split an input level"
-        promoted = result.metric == "pseudo" and index.sizes[first] == 1
-        if last > first + promoted:
-            return None, mismatch or (
-                f"{where} merge input levels {ids[first]}..{ids[last]}, which no run does"
-            )
-        if last > first and index.levels[first][0] in index.levels[last]:
-            return None, mismatch or (
-                f"{where} merge two input levels holding '{index.levels[first][0]}'"
-            )
-        if mismatch is None and last > first and not _promotes(problem, result, pos, start):
-            mismatch = (
-                f"{where} merge input level {ids[first]} into {ids[last]}, but its "
-                f"vector is not isotropic"
-            )
-        expected = flat_labels[start:stop]
-        if mismatch is None and labels != expected:
-            mismatch = f"levels[{pos}].labels are not the input labels of columns {start}..{stop - 1}"
-        if mismatch is None and lid != ids[last]:
-            mismatch = f"levels[{pos}].level is {lid}, expected {ids[last]}"
-        labels_out.append(expected)
-        ids_out.append(ids[last])
+    derived = zip(result.level_ids, result.level_labels, report.output_levels)
+    for pos, (lid, labels, (expected_id, expected)) in enumerate(derived):
+        stop = start + len(expected)
+        if tuple(labels) != expected:
+            return f"levels[{pos}].labels are not the input labels of columns {start}..{stop - 1}"
+        if lid != expected_id:
+            return f"levels[{pos}].level is {lid}, expected {expected_id}"
         start = stop
-    return GradedIndex(labels_out, level_ids=ids_out), mismatch
-
-
-def _promotes(problem, result, pos, row):
-    """True when ``run`` promotes the singleton input vector at flat
-    ``row``, the result's first ``pos`` entries being the finished levels.
-
-    The level loop's rule, applied to the raw 1x1 block and to that
-    block projected against the result's finished columns.
-    """
-    gram = problem.source.matrix
-    gamma = gram[row : row + 1, row : row + 1]
-    b = gamma
-    if pos:
-        d = np.hstack(result.blocks[:pos])[:row].conj().T @ gram[:row, row]
-        b = gamma - d.conj() @ (np.concatenate(result.signs[:pos]) * d)
-    return _isotropic_singleton(gamma, b, problem.degeneracy_tol)
+    return report.levels_mismatch
 
 
 def cmd_verify(args):
@@ -221,13 +164,9 @@ def cmd_verify(args):
                 f"level entry {pos} has {block.shape[0]} coefficient rows, "
                 f"expected {index.total}",
             )
-    output_index, mismatch = _output_levels(problem, result)
-    if output_index is None:
-        # No output levels of the problem fit the columns: the condition
-        # numbers are labelled by entry position instead.
-        output_index = GradedIndex([range(block.shape[1]) for block in result.blocks])
-    table = CoefficientTable(index, result.blocks, result.signs, output_index)
-    report = verify_table(problem.source, table, problem.verify_tol)
+    table = CoefficientTable(index, result.blocks, result.signs)
+    report = verify_table(problem.source, table, problem.verify_tol, problem.degeneracy_tol)
+    mismatch = _levels_mismatch(result, report)
     embedded = result.report.get("max_residual")
     print(f"recomputed orthonormality residual: {report.max_residual:.6e}")
     if embedded is not None:

@@ -50,10 +50,9 @@ class ShapeMismatch(GradedOrthoError):
 class LinearlyDependentInput(GradedOrthoError):
     """Raised when a level's projected Gram block is numerically singular."""
 
-    def __init__(self, message, level=None, min_eigenvalue=None):
+    def __init__(self, message, level=None):
         super().__init__(message)
         self.level = level
-        self.min_eigenvalue = min_eigenvalue
 
 
 class TerminalIsotropicVector(GradedOrthoError):
@@ -65,7 +64,3 @@ class TerminalIsotropicVector(GradedOrthoError):
 
 class SchemaError(GradedOrthoError):
     """Problem or result file does not match the documented JSON schema."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field

@@ -71,25 +71,23 @@ class ResultData(NamedTuple):
 
 def _require(obj, field, kind, path):
     if not isinstance(obj, dict) or field not in obj:
-        raise SchemaError(f"missing required field '{path}{field}'", field=path + field)
+        raise SchemaError(f"missing required field '{path}{field}'")
     value = obj[field]
     # A JSON true/false is a bool, which Python counts as an int.
     if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-        raise SchemaError(
-            f"field '{path}{field}' has the wrong type", field=path + field
-        )
+        raise SchemaError(f"field '{path}{field}' has the wrong type")
     return value
 
 
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"field '{where}' must be a number", field=where)
+        raise SchemaError(f"field '{where}' must be a number")
     try:
         value = float(value)
     except OverflowError:
         value = float("inf")
     if not np.isfinite(value):
-        raise SchemaError(f"field '{where}' must be finite", field=where)
+        raise SchemaError(f"field '{where}' must be finite")
     return value
 
 
@@ -98,28 +96,26 @@ def _entry_to_complex(entry, where):
         return complex(_number(entry, where), 0.0)
     if isinstance(entry, list) and len(entry) == 2:
         return complex(_number(entry[0], where), _number(entry[1], where))
-    raise SchemaError(
-        f"entry at '{where}' must be a number or an [re, im] pair", field=where
-    )
+    raise SchemaError(f"entry at '{where}' must be a number or an [re, im] pair")
 
 
 def _walk_matrix(obj, path, rows, cols):
     """Entry-by-entry parse; its errors name the first offending entry."""
     if not isinstance(obj, list) or not obj:
-        raise SchemaError(f"field '{path}' must be a non-empty matrix", field=path)
+        raise SchemaError(f"field '{path}' must be a non-empty matrix")
     if rows is not None and len(obj) != rows:
-        raise SchemaError(f"field '{path}' must have {rows} rows", field=path)
+        raise SchemaError(f"field '{path}' must have {rows} rows")
     width = None
     data = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or not row:
-            raise SchemaError(f"row '{path}[{i}]' must be a non-empty array", field=path)
+            raise SchemaError(f"row '{path}[{i}]' must be a non-empty array")
         if width is None:
             width = len(row)
             if cols is not None and width != cols:
-                raise SchemaError(f"field '{path}' must have {cols} columns", field=path)
+                raise SchemaError(f"field '{path}' must have {cols} columns")
         elif len(row) != width:
-            raise SchemaError(f"row '{path}[{i}]' has inconsistent length", field=path)
+            raise SchemaError(f"row '{path}[{i}]' has inconsistent length")
         data.append([_entry_to_complex(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)])
     return np.asarray(data, dtype=np.complex128)
 
@@ -209,25 +205,19 @@ def _parse_weight(obj, path):
         values = _require(obj, "values", list, path)
         numbers = [_number(v, f"{path}values[{i}]") for i, v in enumerate(values)]
         return WeightFunction.samples(numbers)
-    raise SchemaError(
-        f"field '{path}kind' must be 'uniform' or 'samples'", field=path + "kind"
-    )
+    raise SchemaError(f"field '{path}kind' must be 'uniform' or 'samples'")
 
 
 def _parse_levels(obj, path):
     if not isinstance(obj, list) or not obj:
-        raise SchemaError(f"field '{path}' must be a non-empty array", field=path)
+        raise SchemaError(f"field '{path}' must be a non-empty array")
     levels = []
     for i, level in enumerate(obj):
         if not isinstance(level, list) or not level:
-            raise SchemaError(
-                f"level '{path}[{i}]' must be a non-empty array of labels", field=path
-            )
+            raise SchemaError(f"level '{path}[{i}]' must be a non-empty array of labels")
         for label in level:
             if not isinstance(label, str):
-                raise SchemaError(
-                    f"labels in '{path}[{i}]' must be strings", field=path
-                )
+                raise SchemaError(f"labels in '{path}[{i}]' must be strings")
         levels.append(level)
     return levels
 
@@ -246,10 +236,7 @@ def _build_source(mode, block):
     if mode == "fourier":
         max_harmonic = _require(block, "max_harmonic", int, "fourier.")
         if max_harmonic < 0:
-            raise SchemaError(
-                "field 'fourier.max_harmonic' must be a non-negative integer",
-                field="fourier.max_harmonic",
-            )
+            raise SchemaError("field 'fourier.max_harmonic' must be a non-negative integer")
         weight = _parse_weight(_require(block, "weight", dict, "fourier."), "fourier.weight.")
         return fourier_gram(max_harmonic, weight)
     dimension = _require(block, "dimension", int, "monomial.")
@@ -258,9 +245,7 @@ def _build_source(mode, block):
     box = []
     for i, interval in enumerate(box_obj):
         if not isinstance(interval, list) or len(interval) != 2:
-            raise SchemaError(
-                f"interval 'monomial.box[{i}]' must be [lo, hi]", field="monomial.box"
-            )
+            raise SchemaError(f"interval 'monomial.box[{i}]' must be [lo, hi]")
         box.append(
             (
                 _number(interval[0], f"monomial.box[{i}][0]"),
@@ -272,10 +257,7 @@ def _build_source(mode, block):
         weight = _parse_weight(_require(block, "weight", dict, "monomial."), "monomial.weight.")
     order = block.get("quadrature_order")
     if order is not None and (isinstance(order, bool) or not isinstance(order, int)):
-        raise SchemaError(
-            "field 'monomial.quadrature_order' must be an integer",
-            field="monomial.quadrature_order",
-        )
+        raise SchemaError("field 'monomial.quadrature_order' must be an integer")
     spec = MonomialBasisSpec(
         dimension=dimension,
         max_degree=max_degree,
@@ -287,6 +269,7 @@ def _build_source(mode, block):
 
 
 def _load_json(path):
+    """The file's top-level JSON object, and the bytes it was read from."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -297,24 +280,25 @@ def _load_json(path):
         raise SchemaError(f"{path}: invalid JSON at line {line}, column {col}") from err
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
-    return payload, hashlib.sha256(raw).hexdigest()
+    return payload, raw
 
 
 def parse_problem(path):
     """Load and validate a problem file; builds the Gram source eagerly."""
-    payload, digest = _load_json(path)
+    payload, raw = _load_json(path)
+    digest = hashlib.sha256(raw).hexdigest()
+    del raw  # the text of a large Gram matrix need not outlive its hash
     mode = _require(payload, "mode", str, "")
     if mode not in MODES:
-        raise SchemaError(f"field 'mode' must be one of {MODES}", field="mode")
+        raise SchemaError(f"field 'mode' must be one of {MODES}")
     metric = _require(payload, "metric", str, "")
     if metric not in METRICS:
-        raise SchemaError(f"field 'metric' must be one of {METRICS}", field="metric")
+        raise SchemaError(f"field 'metric' must be one of {METRICS}")
     for other in MODES:
         if other != mode and other in payload:
             raise SchemaError(
                 f"exactly one mode block is allowed; found '{other}' next to "
-                f"mode '{mode}'",
-                field=other,
+                f"mode '{mode}'"
             )
     block = _require(payload, mode, dict, "")
     degeneracy_tol = DEFAULT_DEGENERACY_TOL
@@ -326,13 +310,13 @@ def parse_problem(path):
         if "verify_tol" in tols:
             verify_tol = _number(tols["verify_tol"], "tolerances.verify_tol")
         if degeneracy_tol <= 0 or verify_tol <= 0:
-            raise SchemaError("tolerances must be positive", field="tolerances")
+            raise SchemaError("tolerances must be positive")
     try:
         source = _build_source(mode, block)
     except ValueError as err:
         # Values of the right JSON type that no source can be built from
         # (a duplicate label, an empty box interval, an overflowing Gram).
-        raise SchemaError(f"invalid '{mode}' problem: {err}", field=mode) from err
+        raise SchemaError(f"invalid '{mode}' problem: {err}") from err
     return Problem(
         mode=mode,
         metric=metric,
@@ -395,11 +379,10 @@ def write_result(path, payload):
 def _parse_signs(obj, count, where):
     if len(obj) != count:
         raise SchemaError(
-            f"field '{where}' must have one sign per coefficient column ({count})",
-            field=where,
+            f"field '{where}' must have one sign per coefficient column ({count})"
         )
     if not all(type(s) is int and s in (1, -1) for s in obj):
-        raise SchemaError(f"field '{where}' must hold only the integers 1 and -1", field=where)
+        raise SchemaError(f"field '{where}' must hold only the integers 1 and -1")
     return np.asarray(obj, dtype=np.int64)
 
 
@@ -410,21 +393,21 @@ def parse_result(path):
     ``input_levels``, ``tolerances``, ``normalizer`` and ``mixing`` keys
     of earlier versions parse the same, since those keys are ignored.
     """
-    payload, _ = _load_json(path)
+    payload = _load_json(path)[0]  # the bytes are dropped: only a problem is hashed
     digest_obj = _require(payload, "input_digest", dict, "")
     digest_hex = _require(digest_obj, "hex", str, "input_digest.")
     metric = _require(payload, "metric", str, "")
     if metric not in METRICS:
-        raise SchemaError(f"field 'metric' must be one of {METRICS}", field="metric")
+        raise SchemaError(f"field 'metric' must be one of {METRICS}")
     method = _require(payload, "method", str, "")
     if method not in METHODS:
-        raise SchemaError(f"field 'method' must be one of {METHODS}", field="method")
+        raise SchemaError(f"field 'method' must be one of {METHODS}")
     if metric == "pseudo" and method != "graded":
         # As in `run`: only the graded loop handles an indefinite metric.
-        raise SchemaError("field 'method' must be 'graded' in a pseudo result", field="method")
+        raise SchemaError("field 'method' must be 'graded' in a pseudo result")
     levels_obj = _require(payload, "levels", list, "")
     if not levels_obj:
-        raise SchemaError("result has no levels", field="levels")
+        raise SchemaError("result has no levels")
     level_ids = []
     level_labels = []
     blocks = []
@@ -440,8 +423,7 @@ def parse_result(path):
         if len(labels) != count or not all(type(s) is str for s in labels):
             raise SchemaError(
                 f"field '{where}labels' must hold one label string per "
-                f"coefficient column ({count})",
-                field=where + "labels",
+                f"coefficient column ({count})"
             )
         level_ids.append(lid)
         level_labels.append(labels)

@@ -97,7 +97,7 @@ class MonomialBasisSpec:
 class GramSource:
     """A graded index plus the frozen Gram matrix it induces."""
 
-    def __init__(self, kind, index, matrix):
+    def __init__(self, index, matrix):
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.shape != (index.total, index.total):
             raise DimensionMismatch(
@@ -108,7 +108,6 @@ class GramSource:
             raise ValueError("Gram matrix has non-finite entries")
         matrix = matrix.copy()
         matrix.setflags(write=False)
-        self.kind = kind
         self.index = index
         self.matrix = matrix
 
@@ -127,7 +126,7 @@ def build_explicit(index, matrix):
             f"matrix is not Hermitian: symmetrization moved an entry by "
             f"{adjustment:.3e} (max magnitude {scale:.3e})"
         )
-    return GramSource("explicit", index, h)
+    return GramSource(index, h)
 
 
 def fourier_index(max_harmonic):
@@ -178,7 +177,7 @@ def fourier_gram(max_harmonic, weight):
     # moment of every difference s = -2M..2M at position s + 2M
     by_difference = np.concatenate([np.conj(moments[:0:-1]), moments])
     gram = by_difference[harmonics[:, None] - harmonics[None, :] + 2 * max_harmonic]
-    return GramSource("fourier", index, gram)
+    return GramSource(index, gram)
 
 
 def _variable_names(dimension):
@@ -268,4 +267,4 @@ def monomial_gram(spec):
         gram = (values * quad_weights) @ values.T
     if not np.isfinite(gram).all():
         raise ValueError("Gram matrix has non-finite entries")
-    return GramSource("monomial", index, hermitize(gram)[0])
+    return GramSource(index, hermitize(gram)[0])

@@ -11,6 +11,7 @@ across and within levels while each output vector stays inside the span
 of its own and lower levels.
 """
 
+import math
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -99,11 +100,18 @@ class CoefficientTable:
 
 
 class VerificationReport(NamedTuple):
-    """Orthonormality residual and per-level diagnostics for a table."""
+    """Orthonormality residual, grading verdict and per-level diagnostics.
+
+    ``output_levels`` holds the (level id, labels) the source's grading
+    gives each table block, up to the first block it gives none, which
+    ``levels_mismatch`` names (None when every block has one).
+    """
 
     max_residual: float
     condition_numbers: tuple
     structural_ok: bool
+    output_levels: tuple
+    levels_mismatch: str | None
     tolerance: float
     passed: bool
 
@@ -113,6 +121,8 @@ class VerificationReport(NamedTuple):
             f"(tolerance {self.tolerance:.1e})",
             f"structural grading zeros: {'ok' if self.structural_ok else 'violated'}",
         ]
+        if self.levels_mismatch is not None:
+            out.append(f"output levels: mismatch ({self.levels_mismatch})")
         out += self.condition_lines()
         out.append("verification: " + ("PASS" if self.passed else "FAIL"))
         return out
@@ -133,8 +143,15 @@ def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signe
     when λmin < -tol·max(|λmax|, 1), else LinearlyDependentInput.
     Signed: any |λ| <= tol·max|λ| is DegenerateMetric.  Errors carry
     ``level``; None names the block as the full Gram matrix.
+
+    ``eigh`` sees b times the exact power of four 4^-m, m >= 0, that
+    brings max|b| below 2, and r is scaled by 2^-m after, so a block
+    whose eigenvalues pass the float maximum normalizes too.  The
+    spectrum is classified in those units, where the floor 1 is 4^-m.
     """
-    dec = eigh(b)
+    m = max(math.frexp(max_abs(b))[1] // 2, 0)
+    scale = math.ldexp(1.0, -2 * m)
+    dec = eigh(b * scale)
     values = dec.values
     n = len(values)
     what = "full Gram matrix" if level is None else f"level {level}: projected Gram block"
@@ -146,25 +163,26 @@ def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signe
             )
     elif n and (values[0] <= 0.0 or values[-1] <= degeneracy_tol * values[0]):
         w_min = float(values[-1])
-        if w_min < -degeneracy_tol * max(abs(float(values[0])), 1.0):
+        if w_min < -degeneracy_tol * max(abs(float(values[0])), scale):
             raise DegenerateMetric(
-                f"{what} has eigenvalue {w_min:.6e}; the metric is not positive definite",
+                f"{what} has eigenvalue {w_min / scale:.6e}; the metric is not positive definite",
                 level=level,
             )
         raise LinearlyDependentInput(
-            f"{what} is numerically singular (smallest eigenvalue {w_min:.6e}); "
+            f"{what} is numerically singular (smallest eigenvalue {w_min / scale:.6e}); "
             f"the input vectors are not linearly independent",
             level=level,
-            min_eigenvalue=w_min,
         )
     p = int(np.count_nonzero(values > 0.0))
     signs = np.concatenate([np.ones(p, dtype=np.int64), -np.ones(n - p, dtype=np.int64)])
+    # 2^-m / sqrt(λ 4^-m) rounds as 1 / sqrt(λ) does: every step is exact
+    # up to one rounding, and scaling by a power of two keeps it.
     if p in (0, n):
-        return _from_eigenbasis(dec, 1.0 / np.sqrt(np.abs(values))), signs
+        return _from_eigenbasis(dec, math.ldexp(1.0, -m) / np.sqrt(np.abs(values))), signs
     # values is descending, so positives already lead; flip the negative
     # block to get descending |eigenvalue| there as well.
     order = np.concatenate([np.arange(p), np.arange(n - 1, p - 1, -1)])
-    return dec.vectors[:, order] * (1.0 / np.sqrt(np.abs(values[order]))), signs
+    return dec.vectors[:, order] * (math.ldexp(1.0, -m) / np.sqrt(np.abs(values[order]))), signs
 
 
 def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -238,77 +256,96 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
     """
     gram = source.matrix
     index = source.index
-    # Promotion only ever merges a level into the next one, so every
-    # pending level is a contiguous row range and the finished output
-    # vectors always occupy the leading columns [0, lo) of c.
-    pending = [
-        {
-            "id": index.level_ids[k],
-            "labels": list(index.levels[k]),
-            "lo": index.offsets[k],
-            "hi": index.offsets[k] + index.sizes[k],
-        }
-        for k in range(len(index))
-    ]
+    ids = index.level_ids
     c = np.zeros((index.total, index.total), dtype=np.complex128)
-    finished_signs = np.ones(index.total)
+    finished_signs = np.ones(index.total) if signed else None
     blocks = []
-    level_signs = []
-    promotions = []
-    done = []  # the pending levels that became output levels
-
-    for pos, level in enumerate(pending):
-        lo = level["lo"]
-        cols = slice(lo, level["hi"])
-        gamma = gram[cols, cols]
-        # D = C[:lo, :lo]† G[:lo, cols], formed from the k x lo panel so
-        # that the finished block is never conjugated as a whole.
-        d = (gram[:lo, cols].conj().T @ c[:lo, :lo]).conj().T
-        sd = finished_signs[:lo, None] * d if signed else d
-        # The normalizer symmetrizes b (inside eigh).
-        b = gamma - d.conj().T @ sd
-        if signed and _isotropic_singleton(gamma, b, degeneracy_tol):
-            _promote(pending, pos, promotions)
+    level_signs = [] if signed else None
+    merged = []  # the input levels promoted into the level after them
+    # Promotion only ever merges a singleton into the next level, so the
+    # level at hand is the row range [lo, hi) and the finished output
+    # vectors always occupy the leading columns [0, lo) of c.
+    lo = 0
+    for k, lid in enumerate(ids):
+        hi = index.offsets[k] + index.sizes[k]
+        b, sd = _projected_block(gram, c, finished_signs, lo, hi)
+        if signed and _isotropic_singleton(gram[lo:hi, lo:hi], b, degeneracy_tol):
+            _check_promotion(index, k)
+            merged.append(k)
             continue
-        r, signs = level_normalizer(b, degeneracy_tol, level["id"], signed)
+        r, signs = level_normalizer(b, degeneracy_tol, lid, signed)
         if signed:
-            finished_signs[cols] = signs
+            finished_signs[lo:hi] = signs
             level_signs.append(signs)
         p = -sd @ r
-        c[cols, cols] = r
-        c[:lo, cols] = c[:lo, :lo] @ p
-        blocks.append(c[:, cols].copy())
-        done.append(level)
+        c[lo:hi, lo:hi] = r
+        c[:lo, lo:hi] = c[:lo, :lo] @ p
+        blocks.append(c[:, lo:hi].copy())
+        lo = hi
 
-    output_index = GradedIndex(
-        [level["labels"] for level in done], level_ids=[level["id"] for level in done]
-    )
-    return CoefficientTable(
-        index, blocks, level_signs if signed else None, output_index, promotions
-    )
+    promotions = [(ids[k], index.levels[k][0], ids[k + 1]) for k in merged]
+    return CoefficientTable(index, blocks, level_signs, _output_index(index, merged), promotions)
 
 
-def _promote(pending, pos, promotions):
-    level = pending[pos]
-    label = level["labels"][0]
-    if pos + 1 >= len(pending):
+def _projected_block(gram, c, signs, lo, hi):
+    """(Γ - D†SD, SD) for the input rows [lo, hi) against the finished
+    columns c[:lo, :lo], with Γ their Gram block and D = C† G[:lo, lo:hi].
+
+    ``signs`` holds the finished vectors' signs; None stands for all +1,
+    whose product changes no value.  D is formed from the k x lo panel of
+    G, so the finished block is never conjugated as a whole; the result
+    is left for the normalizer to symmetrize (inside ``eigh``).  The level
+    loop and :func:`verify_table`'s re-decided promotions both call this,
+    so they decide from the same bits.
+    """
+    d = (gram[:lo, lo:hi].conj().T @ c[:lo, :lo]).conj().T
+    sd = d if signs is None else signs[:lo, None] * d
+    return gram[lo:hi, lo:hi] - d.conj().T @ sd, sd
+
+
+def _merge_fault(index, first, last, signed):
+    """Why input levels ``first``..``last`` can form no output level (None
+    when they can, given the vector of ``first`` is isotropic).
+
+    Only a signed run merges, and only a singleton into the level right
+    after it, which must not hold the same label.
+    """
+    ids = index.level_ids
+    if not signed or index.sizes[first] != 1 or last != first + 1:
+        return f"merge input levels {ids[first]}..{ids[last]}, which no run does"
+    label = index.levels[first][0]
+    if label in index.levels[last]:
+        return f"merge two input levels holding '{label}'"
+    return None
+
+
+def _check_promotion(index, k):
+    """Raise unless the isotropic singleton level ``k`` can join level k + 1."""
+    level, label = index.level_ids[k], index.levels[k][0]
+    if k + 1 == len(index):
         raise TerminalIsotropicVector(
-            f"level {level['id']}: lone isotropic vector '{label}' has no "
-            f"following level to join",
-            level=level["id"],
+            f"level {level}: lone isotropic vector '{label}' has no following level to join",
+            level=level,
             label=label,
         )
-    target = pending[pos + 1]
-    if label in target["labels"]:
+    if _merge_fault(index, k, k + 1, signed=True):
         # Checked here, where the promotion is decided, so the error names
         # both input levels rather than the merged output level.
         raise ValueError(
-            f"promoting isotropic '{label}' from level {level['id']} into level "
-            f"{target['id']} would repeat the label '{label}' in one output level"
+            f"promoting isotropic '{label}' from level {level} into level "
+            f"{index.level_ids[k + 1]} would repeat the label '{label}' in one output level"
         )
-    target["labels"] = level["labels"] + target["labels"]
-    target["lo"] = level["lo"]
-    promotions.append((level["id"], label, target["id"]))
+
+
+def _output_index(index, merged):
+    """The output levels once each input level in ``merged`` (a singleton)
+    joined the level after it, which gives the merged level its id."""
+    merged = set(merged)
+    kept = [k for k in range(len(index)) if k not in merged]
+    return GradedIndex(
+        [(index.levels[k - 1] if k - 1 in merged else ()) + index.levels[k] for k in kept],
+        level_ids=[index.level_ids[k] for k in kept],
+    )
 
 
 def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -343,9 +380,7 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
                     level=level,
                 )
             raise LinearlyDependentInput(
-                f"vector {i} became numerically null during Gram-Schmidt",
-                level=level,
-                min_eigenvalue=norm_sq,
+                f"vector {i} became numerically null during Gram-Schmidt", level=level
             )
         scale = np.sqrt(norm_sq)
         col /= scale
@@ -391,24 +426,34 @@ def _condition_numbers(matrices):
     return conditions
 
 
+def _column_levels(index, blocks):
+    """(start, stop, first, last) per block: its flat column range and the
+    input levels holding its first and its last column.
+
+    The blocks' columns follow the flat input order of ``index`` side by
+    side; the blocks must have at most ``index.total`` columns in all.
+    """
+    ends = np.add(index.offsets, index.sizes)
+    stops = list(accumulate(block.shape[1] for block in blocks))
+    starts = [0] + stops[:-1]
+    firsts = np.searchsorted(ends, starts, side="right").tolist()
+    lasts = np.searchsorted(ends, np.subtract(stops, 1), side="right").tolist()
+    return list(zip(starts, stops, firsts, lasts))
+
+
 def _structural_zeros_ok(index, blocks):
     """True when no block has a nonzero entry on the rows of a higher level.
 
-    The blocks' columns follow the flat input order of ``index`` side by
-    side, so the rows to check follow from each block's column range
-    alone: every row at or after the end of the input level holding the
-    block's last column must be exactly zero.  A promoted output level
-    thus ends where the last input level it merged ends.  Blocks must
-    have ``index.total`` rows and as many columns in all.
+    Every row at or after the end of the input level holding a block's
+    last column must be exactly zero, so a promoted output level ends
+    where the last input level it merged ends.  Blocks must have
+    ``index.total`` rows and at most as many columns in all.
     """
-    level_ends = np.add(index.offsets, index.sizes)
-    last = -1
-    for block in blocks:
-        last += block.shape[1]
-        row_end = level_ends[np.searchsorted(level_ends, last, side="right")]
-        if np.any(block[row_end:] != 0.0):
-            return False
-    return True
+    ends = np.add(index.offsets, index.sizes)
+    return not any(
+        np.any(block[ends[last] :] != 0.0)
+        for block, (*_, last) in zip(blocks, _column_levels(index, blocks))
+    )
 
 
 def _is_loewdin(c):
@@ -428,45 +473,81 @@ def _is_loewdin(c):
     return True
 
 
-def verify_table(source, table, tolerance=DEFAULT_VERIFY_TOL):
+def verify_table(
+    source, table, tolerance=DEFAULT_VERIFY_TOL, degeneracy_tol=DEFAULT_DEGENERACY_TOL
+):
     """Judge a table against its source from its coefficients alone.
 
     Recomputes the full matrix of pairwise inner products C† G C through
     the Gram matrix, compares it with the identity (or diag(signs) for
-    signed tables), checks the structural grading zeros, and reports
-    per-level condition numbers σmax/σmin of the normalizer blocks,
-    labelled by the table's output level ids.
+    signed tables), checks the structural grading zeros and the output
+    levels, and reports per-level condition numbers σmax/σmin of the
+    normalizer blocks, labelled by the input level holding each block's
+    last column.
+
+    Each block's column range must be one input level of the source or,
+    on a signed table, a singleton merged into the next level as the
+    loop promotes: without repeating a label, and only where its raw or
+    projected 1x1 block is isotropic under ``degeneracy_tol``.
 
     The table passes when its residual is at most ``tolerance`` and its
-    structural zeros hold.  The zeros are waived only for a Euclidean
-    table whose stacked C is exactly Hermitian and positive definite:
-    that C is the Gram method's G^(-1/2), whatever produced it.  Every
-    block must have ``index.total`` rows (ShapeMismatch otherwise).
+    output levels and structural zeros hold.  The zeros are waived only
+    for a Euclidean table whose stacked C is exactly Hermitian and
+    positive definite: that C is the Gram method's G^(-1/2), whatever
+    produced it.  Every block must have ``index.total`` rows
+    (ShapeMismatch otherwise), and all of them at most as many columns.
     """
-    total = source.index.total
+    index = source.index
+    gram = source.matrix
     for pos, block in enumerate(table.blocks):
-        if block.shape[0] != total:
+        if block.shape[0] != index.total:
             raise ShapeMismatch(
                 f"level entry {pos} has {block.shape[0]} coefficient rows, "
-                f"expected {total}"
+                f"expected {index.total}"
             )
     c = np.hstack(table.blocks)
-    if table.signs is None:
-        target = np.eye(c.shape[1], dtype=np.complex128)
-    else:
-        target = np.diag(np.concatenate(table.signs).astype(np.complex128))
-    max_residual = max_abs(c.conj().T @ source.matrix @ c - target)
-    structural_ok = _structural_zeros_ok(source.index, table.blocks)
+    signs = None if table.signs is None else np.concatenate(table.signs)
+    target = np.eye(c.shape[1]) if signs is None else np.diag(signs)
+    max_residual = max_abs(c.conj().T @ gram @ c - target)
+    structural_ok = _structural_zeros_ok(index, table.blocks)
+    spans = _column_levels(index, table.blocks)
+    ids = index.level_ids
+    merged = []
+    mismatch = None
+    derived = len(spans)  # the blocks that are output levels of the source
+    for pos, (start, stop, first, last) in enumerate(spans):
+        if stop != index.offsets[last] + index.sizes[last]:
+            mismatch = "split an input level"
+        elif last > first:
+            mismatch = _merge_fault(index, first, last, signs is not None)
+            if mismatch is None and not _isotropic_singleton(
+                gram[start : start + 1, start : start + 1],
+                _projected_block(gram, c, signs, start, start + 1)[0],
+                degeneracy_tol,
+            ):
+                mismatch = (
+                    f"merge input level {ids[first]} into {ids[last]}, but its "
+                    f"vector is not isotropic"
+                )
+        if mismatch is not None:
+            mismatch = f"levels[{pos}] columns {start}..{stop - 1} {mismatch}"
+            derived = pos
+            break
+        if last > first:
+            merged.append(first)
+    output = _output_index(index, merged)
     conditions = tuple(
-        zip(table.output_level_ids(), _condition_numbers(table.normalizers))
+        zip((ids[last] for *_, last in spans), _condition_numbers(table.normalizers))
     )
-    passed = max_residual <= tolerance and (
-        structural_ok or (table.signs is None and _is_loewdin(c))
+    passed = max_residual <= tolerance and mismatch is None and (
+        structural_ok or (signs is None and _is_loewdin(c))
     )
     return VerificationReport(
         max_residual=max_residual,
         condition_numbers=conditions,
         structural_ok=structural_ok,
+        output_levels=tuple(zip(output.level_ids, output.levels))[:derived],
+        levels_mismatch=mismatch,
         tolerance=float(tolerance),
         passed=bool(passed),
     )

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import NoConvergence, NonSquare
 
 DEFAULT_DEGENERACY_TOL = 1e-10
+# Acceptance bound of an eigendecomposition's reconstruction residual,
+# relative to dim * max|a_ij|.
+EIGH_RESIDUAL_TOL = 1e-11
 
 
 class EigenDecomposition(NamedTuple):
@@ -64,16 +67,13 @@ def max_abs(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def eigh(a, tol=1e-11):
+def eigh(a):
     """Full eigendecomposition of a Hermitian matrix (LAPACK via numpy).
 
     Parameters
     ----------
     a : array_like
         Hermitian matrix (symmetrized defensively).
-    tol : float
-        Acceptance bound for the reconstruction residual, relative to
-        dim * max|a_ij|.
 
     Returns
     -------
@@ -86,10 +86,8 @@ def eigh(a, tol=1e-11):
     ------
     NoConvergence
         When LAPACK fails to converge or the reconstruction residual
-        exceeds the tolerance.
+        exceeds ``EIGH_RESIDUAL_TOL``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     h = _hermitian_part(_as_complex_square(a, "eigh"))
     n = h.shape[0]
     try:
@@ -106,7 +104,7 @@ def eigh(a, tol=1e-11):
     # which must fail the bound rather than slip past a ``>`` test.
     with np.errstate(over="ignore", invalid="ignore"):
         residual = max_abs((vectors * values) @ vectors.conj().T - h)
-    if not residual <= tol * max(n, 1) * max(max_abs(h), np.finfo(float).tiny):
+    if not residual <= EIGH_RESIDUAL_TOL * max(n, 1) * max(max_abs(h), np.finfo(float).tiny):
         raise NoConvergence(
             f"eigendecomposition residual {residual:.3e} exceeds requested"
             f" tolerance"

@@ -462,16 +462,18 @@ def test_gram_near_the_float_range_runs_and_verifies(tmp_path, metric):
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
-def test_eigenvalue_overflow_exits_3_naming_no_convergence(tmp_path):
-    # finite and Hermitian, but its eigenvalue 2.7e308 overflows inside
-    # LAPACK, so the reconstruction residual is NaN
-    gram = [[1.7e308, 1e308], [1e308, 1.7e308]]
+@pytest.mark.parametrize("method", ["graded", "gram"])
+def test_eigenvalue_overflow_runs_and_verifies(tmp_path, method):
+    # finite and Hermitian, but its eigenvalue 1.9e308 is past the float
+    # maximum: the normalizer decomposes the block scaled by 4^-512
+    gram = [[1e308, 9e307], [9e307, 1e308]]
     path = explicit_problem(tmp_path / "overflow.json", gram)
-    proc = run_python("-m", "gradedortho.cli", "run", str(path))
-    assert proc.returncode == EXIT_MATH
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("error: NoConvergence: ")
-    assert not (tmp_path / "overflow.result.json").exists()
+    out = str(tmp_path / "overflow.result.json")
+    proc = run_python("-m", "gradedortho.cli", "run", str(path), "--output", out, "--method", method)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    proc = run_python("-m", "gradedortho.cli", "verify", str(path), out)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.rstrip().endswith("verification: PASS")
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -36,7 +36,6 @@ def test_build_explicit_identity():
     idx = go.GradedIndex([["a"], ["b"]])
     src = go.build_explicit(idx, np.eye(2))
     assert np.array_equal(src.matrix, np.eye(2))
-    assert src.kind == "explicit"
 
 
 def test_build_explicit_returns_given_hermitian():

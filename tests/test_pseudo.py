@@ -1,10 +1,16 @@
 """Pseudo-Euclidean orthonormalization, promotion, and the
 Gram-Schmidt obstruction demonstration."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import gradedortho as go
+from gradedortho import ortho
+from gradedortho.fileio import parse_problem
 from gradedortho.ortho import _structural_zeros_ok
 
 from conftest import random_indefinite_source, random_spd, relative_error
@@ -16,6 +22,7 @@ from oracles import (
 )
 
 PROMOTION_GRAM = np.array([[0.0, 1.0], [1.0, 2.0]], dtype=complex)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def signed_residual(source, table):
@@ -167,6 +174,10 @@ def test_partial_keeps_only_promotions_into_kept_levels():
         assert part.output_level_ids() == (0, 2, 4)[:k]
         report = go.verify_table(src, part, 1e-9)
         assert report.passed and report.structural_ok
+        assert report.levels_mismatch is None
+        assert report.output_levels == tuple(
+            zip(part.output_level_ids(), part.output_labels())
+        )
 
 
 def test_degenerate_multielement_level_rejected():
@@ -240,6 +251,72 @@ def test_signed_table_verifies_against_signed_target():
     table = go.pseudo_orthonormalize_graded(src)
     report = go.verify_table(src, table, 1e-12)
     assert report.passed
+
+
+# --- verify_table judges the merges ---------------------------------------------
+
+def test_verify_table_fails_a_merged_non_isotropic_singleton():
+    # orthonormal, zeros intact, merged as a promotion would: but the
+    # vector of level 0 is not isotropic, so no run makes this table
+    source = parse_problem(ROOT / "problems" / "fourier_pseudo.json").source
+    table = go.pseudo_orthonormalize_graded(source)
+    assert table.output_index.sizes[:2] == (1, 2) and not table.promotions
+    merged = go.CoefficientTable(
+        source.index,
+        [np.hstack(table.blocks[:2])] + table.blocks[2:],
+        [np.concatenate(table.signs[:2])] + table.signs[2:],
+    )
+    report = go.verify_table(source, merged)
+    assert report.max_residual <= report.tolerance and report.structural_ok
+    assert report.levels_mismatch == (
+        "levels[0] columns 0..2 merge input level 0 into 1, but its vector is not isotropic"
+    )
+    assert report.output_levels == ()
+    assert report.passed is False
+    assert "output levels: mismatch (levels[0] columns 0..2" in "\n".join(report.lines())
+
+
+def promotion_source(name, tmp_path):
+    """``explicit_pseudo.json`` (one isotropic singleton), or the
+    ``pseudo_explicit`` benchmark problem of seed 101 (N=200, three)."""
+    if name == "explicit_pseudo":
+        return parse_problem(ROOT / "problems" / "explicit_pseudo.json").source
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "pseudo_explicit.json"
+    path.write_text(json.dumps(workloads.pseudo_explicit(101).problem), encoding="utf-8")
+    return parse_problem(path).source
+
+
+@pytest.mark.parametrize("name", ["explicit_pseudo", "pseudo_explicit-101"])
+def test_verify_table_re_decides_promotions_from_the_loops_bits(monkeypatch, tmp_path, name):
+    source = promotion_source(name, tmp_path)
+    calls = []
+    original = ortho._projected_block
+
+    def recording(gram, c, signs, lo, hi):
+        b, sd = original(gram, c, signs, lo, hi)
+        if hi - lo == 1:
+            calls.append((lo, b.copy()))
+        return b, sd
+
+    monkeypatch.setattr(ortho, "_projected_block", recording)
+    table = go.pseudo_orthonormalize_graded(source)
+    looped = dict(calls)
+    calls.clear()
+    report = go.verify_table(source, table)
+    promoted = [source.index.offsets[source.index.level_ids.index(k)] for k, *_ in table.promotions]
+    assert len(promoted) == {"explicit_pseudo": 1, "pseudo_explicit-101": 3}[name]
+    assert [lo for lo, _ in calls] == promoted
+    for lo, b in calls:
+        assert b.tobytes() == looped[lo].tobytes()
+    assert report.passed and report.levels_mismatch is None
+    assert report.output_levels == tuple(
+        zip(table.output_index.level_ids, table.output_index.levels)
+    )
 
 
 # --- obstruction demonstration --------------------------------------------------
