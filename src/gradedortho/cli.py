@@ -26,7 +26,6 @@ from .errors import (
     GradedOrthoError,
     LinearlyDependentInput,
     NoConvergence,
-    SchemaError,
     TerminalIsotropicVector,
 )
 from .fileio import (
@@ -83,10 +82,7 @@ def _run_method(problem, method):
 
 
 def cmd_run(args):
-    try:
-        problem = parse_problem(args.input)
-    except (SchemaError, GradedOrthoError, OSError) as err:
-        return _fail(EXIT_SCHEMA, str(err))
+    problem = parse_problem(args.input)
     if problem.metric == "pseudo" and args.method != "graded":
         return _fail(
             EXIT_SCHEMA,
@@ -95,8 +91,6 @@ def cmd_run(args):
         )
     try:
         table = _run_method(problem, args.method)
-    except MATH_ERRORS as err:
-        return _math_exit(err)
     except ValueError as err:
         # Input values the run cannot go on with, such as a promotion
         # that would merge two levels sharing a label.
@@ -139,11 +133,8 @@ def _levels_mismatch(result, report):
 
 
 def cmd_verify(args):
-    try:
-        problem = parse_problem(args.problem)
-        result = parse_result(args.result)
-    except (SchemaError, GradedOrthoError, OSError) as err:
-        return _fail(EXIT_SCHEMA, str(err))
+    problem = parse_problem(args.problem)
+    result = parse_result(args.result)
     if result.digest_hex != problem.digest_hex:
         return _fail(
             EXIT_SCHEMA,
@@ -157,13 +148,6 @@ def cmd_verify(args):
             EXIT_SCHEMA,
             f"result provides {columns} output vectors for {index.total} inputs",
         )
-    for pos, block in enumerate(result.blocks):
-        if block.shape[0] != index.total:
-            return _fail(
-                EXIT_SCHEMA,
-                f"level entry {pos} has {block.shape[0]} coefficient rows, "
-                f"expected {index.total}",
-            )
     table = CoefficientTable(index, result.blocks, result.signs)
     report = verify_table(problem.source, table, problem.verify_tol, problem.degeneracy_tol)
     mismatch = _levels_mismatch(result, report)
@@ -184,19 +168,10 @@ def cmd_verify(args):
 
 
 def cmd_compare(args):
-    try:
-        problem = parse_problem(args.input)
-    except (SchemaError, GradedOrthoError, OSError) as err:
-        return _fail(EXIT_SCHEMA, str(err))
+    problem = parse_problem(args.input)
     if problem.metric != "euclidean":
         return _fail(EXIT_SCHEMA, "compare requires a euclidean problem")
-    tables = {}
-    for method in METHODS:
-        try:
-            tables[method] = _run_method(problem, method)
-        except MATH_ERRORS as err:
-            return _math_exit(err)
-    matrices = {m: t.matrix() for m, t in tables.items()}
+    matrices = {m: _run_method(problem, m).matrix() for m in METHODS}
     pairs = [("graded", "gram-schmidt"), ("graded", "gram"), ("gram-schmidt", "gram")]
     diffs = {}
     for a, b in pairs:
@@ -243,9 +218,20 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand and map its errors to exit codes.
+
+    A method's failure on a well-formed problem exits 3; any other
+    package error (a problem or result file it cannot use, a table of
+    the wrong shape) and an unreadable file exit 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MATH_ERRORS as err:
+        return _math_exit(err)
+    except (GradedOrthoError, OSError) as err:
+        return _fail(EXIT_SCHEMA, str(err))
 
 
 def entry():

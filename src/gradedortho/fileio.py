@@ -59,8 +59,6 @@ class Problem(NamedTuple):
 class ResultData(NamedTuple):
     """The arrays of a parsed result file, for re-verification."""
 
-    metric: str
-    method: str
     digest_hex: str
     level_ids: list
     level_labels: list
@@ -330,9 +328,7 @@ def parse_problem(path):
 def result_payload(problem, table, report, method):
     """Assemble the result-file dictionary (fixed key order)."""
     levels = []
-    out_ids = table.output_level_ids()
-    out_labels = table.output_labels()
-    for pos, (lid, labels) in enumerate(zip(out_ids, out_labels)):
+    for pos, (lid, labels) in enumerate(table.output_levels()):
         entry = {
             "level": int(lid),
             "labels": list(labels),
@@ -434,8 +430,6 @@ def parse_result(path):
     if report.get("max_residual") is not None:
         _require(report, "max_residual", (int, float), "report.")
     return ResultData(
-        metric=metric,
-        method=method,
         digest_hex=digest_hex,
         level_ids=level_ids,
         level_labels=level_labels,

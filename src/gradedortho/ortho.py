@@ -12,7 +12,7 @@ of its own and lower levels.
 """
 
 import math
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import (
     ShapeMismatch,
     TerminalIsotropicVector,
 )
-from .grading import GradedIndex
 from .spectral import DEFAULT_DEGENERACY_TOL, _from_eigenbasis, eigh, max_abs
 
 DEFAULT_VERIFY_TOL = 1e-9
@@ -45,19 +44,17 @@ class CoefficientTable:
 
     ``signs`` is None for a Euclidean table; for a signed one
     ``signs[k]`` holds the pseudo-norm (+1 or -1) of each column of
-    ``blocks[k]``.  Columns are grouped by the output levels of
-    ``output_index``, which differs from ``index`` only after isotropic
-    promotion merged levels; coefficient rows stay in the flat order of
-    ``index``.  ``promotions`` lists one ``(from_level, label,
-    to_level)`` triple per promoted vector.
+    ``blocks[k]``.  The columns of the blocks follow the flat input order
+    of ``index`` side by side, so the column ranges fix the output
+    levels: ``output_levels()`` gives each block's level id and labels,
+    and ``promotions`` the blocks that merged an isotropic singleton
+    into the level after it.
     """
 
-    def __init__(self, index, blocks, signs=None, output_index=None, promotions=()):
+    def __init__(self, index, blocks, signs=None):
         self.index = index
         self.blocks = list(blocks)
         self.signs = None if signs is None else list(signs)
-        self.output_index = index if output_index is None else output_index
-        self.promotions = list(promotions)
 
     @property
     def completed(self):
@@ -73,11 +70,19 @@ class CoefficientTable:
         ends = accumulate(block.shape[1] for block in self.blocks)
         return [block[end - block.shape[1] : end] for block, end in zip(self.blocks, ends)]
 
-    def output_level_ids(self):
-        return tuple(self.output_index.level_ids[: self.completed])
+    def output_levels(self):
+        """(level id, labels) per block: the id of the input level holding
+        its last column and the flat input labels of its columns."""
+        return _output_levels(self.index, self.blocks)
 
-    def output_labels(self):
-        return tuple(self.output_index.levels[: self.completed])
+    @property
+    def promotions(self):
+        """``(from_level, label, to_level)`` per block spanning two input levels."""
+        return [
+            (first, self.index.levels[first][0], last)
+            for *_, first, last in _column_levels(self.index, self.blocks)
+            if last > first
+        ]
 
     def matrix(self):
         """All coefficient columns, level-major."""
@@ -89,14 +94,8 @@ class CoefficientTable:
             raise LevelNotReady(
                 f"cannot keep {upto} levels: {self.completed} levels are completed"
             )
-        kept = self.output_index.level_ids[:upto]
-        return CoefficientTable(
-            self.index,
-            self.blocks[:upto],
-            None if self.signs is None else self.signs[:upto],
-            self.output_index,
-            [step for step in self.promotions if step[2] in kept],
-        )
+        signs = None if self.signs is None else self.signs[:upto]
+        return CoefficientTable(self.index, self.blocks[:upto], signs)
 
 
 class VerificationReport(NamedTuple):
@@ -256,24 +255,23 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
     """
     gram = source.matrix
     index = source.index
-    ids = index.level_ids
     c = np.zeros((index.total, index.total), dtype=np.complex128)
     finished_signs = np.ones(index.total) if signed else None
     blocks = []
     level_signs = [] if signed else None
-    merged = []  # the input levels promoted into the level after them
     # Promotion only ever merges a singleton into the next level, so the
     # level at hand is the row range [lo, hi) and the finished output
-    # vectors always occupy the leading columns [0, lo) of c.
+    # vectors always occupy the leading columns [0, lo) of c.  A promoted
+    # singleton leaves lo where it is, and the next level's block starts
+    # with its column.
     lo = 0
-    for k, lid in enumerate(ids):
+    for k in range(len(index)):
         hi = index.offsets[k] + index.sizes[k]
         b, sd = _projected_block(gram, c, finished_signs, lo, hi)
         if signed and _isotropic_singleton(gram[lo:hi, lo:hi], b, degeneracy_tol):
             _check_promotion(index, k)
-            merged.append(k)
             continue
-        r, signs = level_normalizer(b, degeneracy_tol, lid, signed)
+        r, signs = level_normalizer(b, degeneracy_tol, k, signed)
         if signed:
             finished_signs[lo:hi] = signs
             level_signs.append(signs)
@@ -282,9 +280,7 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
         c[:lo, lo:hi] = c[:lo, :lo] @ p
         blocks.append(c[:, lo:hi].copy())
         lo = hi
-
-    promotions = [(ids[k], index.levels[k][0], ids[k + 1]) for k in merged]
-    return CoefficientTable(index, blocks, level_signs, _output_index(index, merged), promotions)
+    return CoefficientTable(index, blocks, level_signs)
 
 
 def _projected_block(gram, c, signs, lo, hi):
@@ -310,9 +306,8 @@ def _merge_fault(index, first, last, signed):
     Only a signed run merges, and only a singleton into the level right
     after it, which must not hold the same label.
     """
-    ids = index.level_ids
     if not signed or index.sizes[first] != 1 or last != first + 1:
-        return f"merge input levels {ids[first]}..{ids[last]}, which no run does"
+        return f"merge input levels {first}..{last}, which no run does"
     label = index.levels[first][0]
     if label in index.levels[last]:
         return f"merge two input levels holding '{label}'"
@@ -321,31 +316,20 @@ def _merge_fault(index, first, last, signed):
 
 def _check_promotion(index, k):
     """Raise unless the isotropic singleton level ``k`` can join level k + 1."""
-    level, label = index.level_ids[k], index.levels[k][0]
+    label = index.levels[k][0]
     if k + 1 == len(index):
         raise TerminalIsotropicVector(
-            f"level {level}: lone isotropic vector '{label}' has no following level to join",
-            level=level,
+            f"level {k}: lone isotropic vector '{label}' has no following level to join",
+            level=k,
             label=label,
         )
     if _merge_fault(index, k, k + 1, signed=True):
         # Checked here, where the promotion is decided, so the error names
         # both input levels rather than the merged output level.
         raise ValueError(
-            f"promoting isotropic '{label}' from level {level} into level "
-            f"{index.level_ids[k + 1]} would repeat the label '{label}' in one output level"
+            f"promoting isotropic '{label}' from level {k} into level "
+            f"{k + 1} would repeat the label '{label}' in one output level"
         )
-
-
-def _output_index(index, merged):
-    """The output levels once each input level in ``merged`` (a singleton)
-    joined the level after it, which gives the merged level its id."""
-    merged = set(merged)
-    kept = [k for k in range(len(index)) if k not in merged]
-    return GradedIndex(
-        [(index.levels[k - 1] if k - 1 in merged else ()) + index.levels[k] for k in kept],
-        level_ids=[index.level_ids[k] for k in kept],
-    )
 
 
 def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -371,8 +355,7 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
         norm_sq = float((col.conj() @ gcol).real)
         band = degeneracy_tol * max(float(gram[i, i].real), 1.0)
         if norm_sq <= band:
-            pos = int(np.searchsorted(np.asarray(index.offsets), i, side="right") - 1)
-            level = index.level_ids[pos]
+            level = int(np.searchsorted(np.asarray(index.offsets), i, side="right") - 1)
             if norm_sq < -band:
                 raise DegenerateMetric(
                     f"vector {i} has squared norm {norm_sq:.6e} during "
@@ -431,14 +414,28 @@ def _column_levels(index, blocks):
     input levels holding its first and its last column.
 
     The blocks' columns follow the flat input order of ``index`` side by
-    side; the blocks must have at most ``index.total`` columns in all.
+    side; more than ``index.total`` columns in all is a ShapeMismatch.
     """
     ends = np.add(index.offsets, index.sizes)
     stops = list(accumulate(block.shape[1] for block in blocks))
+    if stops and stops[-1] > index.total:
+        raise ShapeMismatch(
+            f"the blocks hold {stops[-1]} coefficient columns for {index.total} inputs"
+        )
     starts = [0] + stops[:-1]
     firsts = np.searchsorted(ends, starts, side="right").tolist()
     lasts = np.searchsorted(ends, np.subtract(stops, 1), side="right").tolist()
     return list(zip(starts, stops, firsts, lasts))
+
+
+def _output_levels(index, blocks):
+    """(level id, labels) per block: the input level holding its last
+    column (a level's id is its position) and the flat input labels of
+    its columns.  The one source of a table's output levels."""
+    labels = tuple(chain.from_iterable(index.levels))
+    return tuple(
+        (last, labels[start:stop]) for start, stop, _, last in _column_levels(index, blocks)
+    )
 
 
 def _structural_zeros_ok(index, blocks):
@@ -483,7 +480,8 @@ def verify_table(
     signed tables), checks the structural grading zeros and the output
     levels, and reports per-level condition numbers σmax/σmin of the
     normalizer blocks, labelled by the input level holding each block's
-    last column.
+    last column.  ``output_levels`` are the table's own, cut off at the
+    first block that is no output level of the source.
 
     Each block's column range must be one input level of the source or,
     on a signed table, a singleton merged into the next level as the
@@ -494,8 +492,8 @@ def verify_table(
     output levels and structural zeros hold.  The zeros are waived only
     for a Euclidean table whose stacked C is exactly Hermitian and
     positive definite: that C is the Gram method's G^(-1/2), whatever
-    produced it.  Every block must have ``index.total`` rows
-    (ShapeMismatch otherwise), and all of them at most as many columns.
+    produced it.  Every block must have ``index.total`` rows, and all of
+    them at most as many columns (ShapeMismatch otherwise).
     """
     index = source.index
     gram = source.matrix
@@ -505,14 +503,12 @@ def verify_table(
                 f"level entry {pos} has {block.shape[0]} coefficient rows, "
                 f"expected {index.total}"
             )
+    spans = _column_levels(index, table.blocks)
     c = np.hstack(table.blocks)
     signs = None if table.signs is None else np.concatenate(table.signs)
     target = np.eye(c.shape[1]) if signs is None else np.diag(signs)
     max_residual = max_abs(c.conj().T @ gram @ c - target)
     structural_ok = _structural_zeros_ok(index, table.blocks)
-    spans = _column_levels(index, table.blocks)
-    ids = index.level_ids
-    merged = []
     mismatch = None
     derived = len(spans)  # the blocks that are output levels of the source
     for pos, (start, stop, first, last) in enumerate(spans):
@@ -526,18 +522,14 @@ def verify_table(
                 degeneracy_tol,
             ):
                 mismatch = (
-                    f"merge input level {ids[first]} into {ids[last]}, but its "
-                    f"vector is not isotropic"
+                    f"merge input level {first} into {last}, but its vector is not isotropic"
                 )
         if mismatch is not None:
             mismatch = f"levels[{pos}] columns {start}..{stop - 1} {mismatch}"
             derived = pos
             break
-        if last > first:
-            merged.append(first)
-    output = _output_index(index, merged)
     conditions = tuple(
-        zip((ids[last] for *_, last in spans), _condition_numbers(table.normalizers))
+        zip((last for *_, last in spans), _condition_numbers(table.normalizers))
     )
     passed = max_residual <= tolerance and mismatch is None and (
         structural_ok or (signs is None and _is_loewdin(c))
@@ -546,7 +538,7 @@ def verify_table(
         max_residual=max_residual,
         condition_numbers=conditions,
         structural_ok=structural_ok,
-        output_levels=tuple(zip(output.level_ids, output.levels))[:derived],
+        output_levels=_output_levels(index, table.blocks)[:derived],
         levels_mismatch=mismatch,
         tolerance=float(tolerance),
         passed=bool(passed),

@@ -19,10 +19,11 @@ def pseudo_orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     Returns a :class:`~gradedortho.ortho.CoefficientTable` with
     ``signs``, whose columns satisfy c_a† G c_b = sign(a) * delta_ab.  A
     singleton level whose vector is isotropic is merged into the next
-    level (logged in ``promotions``, with the merged levels in
-    ``output_index``); if no next level exists the run fails with
-    TerminalIsotropicVector, and if the next level holds the same label
-    with ValueError.  On a positive definite source every step
-    reduces exactly to the Euclidean path and all signs come out +1.
+    level: its column leads that level's block, so the table's
+    ``output_levels()`` and ``promotions`` show the merge.  If no next
+    level exists the run fails with TerminalIsotropicVector, and if the
+    next level holds the same label with ValueError.  On a positive
+    definite source every step reduces exactly to the Euclidean path and
+    all signs come out +1.
     """
     return _orthonormalize_levels(source, degeneracy_tol, signed=True)

@@ -351,6 +351,14 @@ def test_verify_detects_corruption():
     assert not report.passed
 
 
+def test_verify_rejects_blocks_with_more_columns_than_inputs():
+    idx = go.GradedIndex([["a"], ["b"]])
+    src = go.build_explicit(idx, np.eye(2))
+    table = go.CoefficientTable(idx, [np.eye(2), np.eye(2)[:, :1]])
+    with pytest.raises(go.ShapeMismatch, match="3 coefficient columns for 2 inputs"):
+        go.verify_table(src, table)
+
+
 def test_verify_condition_numbers_sane():
     src = pair_source()
     table = go.orthonormalize_graded(src)
@@ -373,7 +381,8 @@ def test_verify_condition_numbers_match_per_level_oracles(path):
     # against sqrt(lambda_max / lambda_min) of r^dagger r
     source, table = exemplar_table(path)
     report = go.verify_table(source, table)
-    assert [lid for lid, _ in report.condition_numbers] == list(table.output_level_ids())
+    ids = [lid for lid, _ in table.output_levels()]
+    assert [lid for lid, _ in report.condition_numbers] == ids
     for (_, cond), r in zip(report.condition_numbers, table.normalizers):
         s = np.linalg.svd(r, compute_uv=False)
         w = np.linalg.eigvalsh(r.conj().T @ r)

@@ -3,6 +3,7 @@ Gram-Schmidt obstruction demonstration."""
 
 import importlib.util
 import json
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 import gradedortho as go
 from gradedortho import ortho
-from gradedortho.fileio import parse_problem
+from gradedortho.cli import main
+from gradedortho.fileio import parse_problem, result_payload, write_result
 from gradedortho.ortho import _structural_zeros_ok
 
 from conftest import random_indefinite_source, random_spd, relative_error
@@ -60,7 +62,7 @@ def test_positive_definite_reduces_to_euclidean_exactly():
     assert euclid.signs is None
     assert all(np.all(s == 1) for s in signed.signs)
     assert signed.promotions == []
-    assert signed.output_index == idx
+    assert signed.output_levels() == tuple(enumerate(idx.levels))
 
 
 def test_single_level_minkowski_plane():
@@ -80,8 +82,7 @@ def test_isotropic_leader_promoted():
     src = go.build_explicit(idx, PROMOTION_GRAM)
     table = go.pseudo_orthonormalize_graded(src)
     assert table.promotions == [(0, "a", 1)]
-    assert table.output_index.level_ids == (1,)
-    assert table.output_index.levels == (("a", "b"),)
+    assert table.output_levels() == ((1, ("a", "b")),)
     assert list(table.signs[0]) == [1, -1]
     assert signed_residual(src, table) < 1e-12
     # signature of the merged block is (1, 1)
@@ -128,7 +129,7 @@ def test_promotion_keeps_filtration_zeros():
     src = go.build_explicit(idx, g)
     table = go.pseudo_orthonormalize_graded(src)
     assert table.promotions == [(0, "a", 1)]
-    assert table.output_index.level_ids == (1, 2)
+    assert [lid for lid, _ in table.output_levels()] == [1, 2]
     merged = table.blocks[0]
     assert merged.shape == (3, 2)
     assert np.all(merged[2, :] == 0.0)  # level-2 rows exactly zero
@@ -148,11 +149,11 @@ def test_partial_of_signed_table_keeps_signs_and_output_levels():
     )
     src = go.build_explicit(go.GradedIndex([["a"], ["b"], ["c", "d"]]), g)
     table = go.pseudo_orthonormalize_graded(src)
-    assert table.output_level_ids() == (1, 2)
+    assert [lid for lid, _ in table.output_levels()] == [1, 2]
     for k in range(1, table.completed + 1):
         part = table.partial(k)
-        assert part.output_level_ids() == (1, 2)[:k]
-        assert part.output_labels() == (("a", "b"), ("c", "d"))[:k]
+        assert [lid for lid, _ in part.output_levels()] == [1, 2][:k]
+        assert [labels for _, labels in part.output_levels()] == [("a", "b"), ("c", "d")][:k]
         assert len(part.signs) == k
         assert part.promotions == [(0, "a", 1)]
         report = go.verify_table(src, part, 1e-12)
@@ -171,13 +172,11 @@ def test_partial_keeps_only_promotions_into_kept_levels():
     for k in range(1, table.completed + 1):
         part = table.partial(k)
         assert part.promotions == kept[k - 1]
-        assert part.output_level_ids() == (0, 2, 4)[:k]
+        assert [lid for lid, _ in part.output_levels()] == [0, 2, 4][:k]
         report = go.verify_table(src, part, 1e-9)
         assert report.passed and report.structural_ok
         assert report.levels_mismatch is None
-        assert report.output_levels == tuple(
-            zip(part.output_level_ids(), part.output_labels())
-        )
+        assert report.output_levels == part.output_levels()
 
 
 def test_degenerate_multielement_level_rejected():
@@ -215,9 +214,10 @@ def test_signed_oracle_matches_block_recursion_with_promotion():
         src = go.build_explicit(idx, g)
         table = go.pseudo_orthonormalize_graded(src)
         assert table.promotions == [(1, "c", 2), (3, "f", 4)]
-        out = table.output_index
-        for k in range(len(out)):
-            cols = out.level_slice(k)
+        sizes = [len(labels) for _, labels in table.output_levels()]
+        assert sizes == [2, 3, 4]
+        for k, stop in enumerate(accumulate(sizes)):
+            cols = slice(stop - sizes[k], stop)
             r = table.normalizers[k]
             assembled = np.zeros_like(table.blocks[k])
             assembled[cols, :] = r
@@ -260,7 +260,8 @@ def test_verify_table_fails_a_merged_non_isotropic_singleton():
     # vector of level 0 is not isotropic, so no run makes this table
     source = parse_problem(ROOT / "problems" / "fourier_pseudo.json").source
     table = go.pseudo_orthonormalize_graded(source)
-    assert table.output_index.sizes[:2] == (1, 2) and not table.promotions
+    assert [len(labels) for _, labels in table.output_levels()[:2]] == [1, 2]
+    assert not table.promotions
     merged = go.CoefficientTable(
         source.index,
         [np.hstack(table.blocks[:2])] + table.blocks[2:],
@@ -276,11 +277,11 @@ def test_verify_table_fails_a_merged_non_isotropic_singleton():
     assert "output levels: mismatch (levels[0] columns 0..2" in "\n".join(report.lines())
 
 
-def promotion_source(name, tmp_path):
-    """``explicit_pseudo.json`` (one isotropic singleton), or the
+def promotion_problem(name, tmp_path):
+    """Path of ``explicit_pseudo.json`` (one isotropic singleton), or of the
     ``pseudo_explicit`` benchmark problem of seed 101 (N=200, three)."""
     if name == "explicit_pseudo":
-        return parse_problem(ROOT / "problems" / "explicit_pseudo.json").source
+        return ROOT / "problems" / "explicit_pseudo.json"
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
@@ -288,12 +289,12 @@ def promotion_source(name, tmp_path):
     spec.loader.exec_module(workloads)
     path = tmp_path / "pseudo_explicit.json"
     path.write_text(json.dumps(workloads.pseudo_explicit(101).problem), encoding="utf-8")
-    return parse_problem(path).source
+    return path
 
 
 @pytest.mark.parametrize("name", ["explicit_pseudo", "pseudo_explicit-101"])
 def test_verify_table_re_decides_promotions_from_the_loops_bits(monkeypatch, tmp_path, name):
-    source = promotion_source(name, tmp_path)
+    source = parse_problem(promotion_problem(name, tmp_path)).source
     calls = []
     original = ortho._projected_block
 
@@ -308,15 +309,33 @@ def test_verify_table_re_decides_promotions_from_the_loops_bits(monkeypatch, tmp
     looped = dict(calls)
     calls.clear()
     report = go.verify_table(source, table)
-    promoted = [source.index.offsets[source.index.level_ids.index(k)] for k, *_ in table.promotions]
+    promoted = [source.index.offsets[k] for k, *_ in table.promotions]
     assert len(promoted) == {"explicit_pseudo": 1, "pseudo_explicit-101": 3}[name]
     assert [lo for lo, _ in calls] == promoted
     for lo, b in calls:
         assert b.tobytes() == looped[lo].tobytes()
     assert report.passed and report.levels_mismatch is None
-    assert report.output_levels == tuple(
-        zip(table.output_index.level_ids, table.output_index.levels)
-    )
+    assert report.output_levels == table.output_levels()
+
+
+@pytest.mark.parametrize("name", ["explicit_pseudo", "pseudo_explicit-101"])
+def test_table_rebuilt_from_its_blocks_keeps_its_levels_and_verifies(tmp_path, name):
+    # the output levels and promotions follow from the blocks alone, so a
+    # table rebuilt from (index, blocks, signs) writes the same file
+    path = promotion_problem(name, tmp_path)
+    problem = parse_problem(path)
+    table = go.pseudo_orthonormalize_graded(problem.source)
+    rebuilt = go.CoefficientTable(table.index, table.blocks, table.signs)
+    assert rebuilt.output_levels() == table.output_levels()
+    assert rebuilt.promotions == table.promotions
+    assert len(rebuilt.promotions) == {"explicit_pseudo": 1, "pseudo_explicit-101": 3}[name]
+    files = []
+    for t in (table, rebuilt):
+        report = go.verify_table(problem.source, t, problem.verify_tol, problem.degeneracy_tol)
+        files.append(tmp_path / f"result-{len(files)}.json")
+        write_result(files[-1], result_payload(problem, t, report, "graded"))
+    assert files[0].read_bytes() == files[1].read_bytes()
+    assert main(["verify", str(path), str(files[1])]) == 0
 
 
 # --- obstruction demonstration --------------------------------------------------
