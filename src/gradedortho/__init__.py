@@ -43,7 +43,6 @@ from .ortho import (
     VerificationReport,
     gram_method_reference,
     gram_schmidt_reference,
-    is_lone_isotropic,
     level_normalizer,
     orthonormalize_graded,
     verify_table,
@@ -86,7 +85,6 @@ __all__ = [
     "gram_method_reference",
     "gram_schmidt_reference",
     "hermitize",
-    "is_lone_isotropic",
     "level_normalizer",
     "monomial_gram",
     "monomial_index",

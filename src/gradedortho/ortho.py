@@ -8,7 +8,9 @@ sesquilinear form u† G v.  Level k is produced by symmetrically
 normalizing its Gram block after the contributions of all finished
 lower levels have been projected out, so the result is orthonormal
 across and within levels while each output vector stays inside the span
-of its own and lower levels.
+of its own and lower levels.  The references are dense LAPACK calls:
+Gram-Schmidt is the inverse of the upper Cholesky factor of G, the Gram
+method G^(-1/2) from one ``eigh``.
 """
 
 import math
@@ -85,7 +87,9 @@ class CoefficientTable:
         ]
 
     def matrix(self):
-        """All coefficient columns, level-major."""
+        """All coefficient columns, level-major (N x 0 when there are none)."""
+        if not self.blocks:
+            return np.zeros((self.index.total, 0), dtype=np.complex128)
         return np.hstack(self.blocks)
 
     def partial(self, upto):
@@ -214,33 +218,19 @@ def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     return _orthonormalize_levels(source, degeneracy_tol, signed=False)
 
 
-def is_lone_isotropic(block, degeneracy_tol=DEFAULT_DEGENERACY_TOL, scale=None):
-    """True when a 1x1 level Gram block is zero relative to the level scale.
-
-    ``scale`` defaults to the block's own largest magnitude with a floor
-    of one; the pipeline passes the raw level block's scale explicitly
-    when probing projected blocks.
-    """
-    block = np.asarray(block)
-    if block.shape != (1, 1):
-        return False
-    if scale is None:
-        scale = max(max_abs(block), 1.0)
-    return bool(abs(block[0, 0]) <= degeneracy_tol * scale)
-
-
 def _isotropic_singleton(gamma, b, degeneracy_tol):
     """True when a signed run promotes a singleton level.
 
-    ``gamma`` is the level's raw 1x1 Gram block and ``b`` that block
-    projected against the finished columns: the vector is isotropic when
-    either is within ``degeneracy_tol`` of zero, the projected one
-    relative to the raw block's scale (with a floor of one).  Its
-    symmetric part, the real part, is what is tested.
+    ``gamma`` is the level's raw Gram block and ``b`` that block
+    projected against the finished columns.  A 1x1 ``gamma`` is
+    isotropic when |γ| or |Re b| is at most tol·max(|γ|, 1): the
+    projected block is judged relative to the raw block's scale, and
+    only its symmetric part, the real part, is tested.
     """
-    return is_lone_isotropic(gamma, degeneracy_tol) or is_lone_isotropic(
-        b.real, degeneracy_tol, scale=max(max_abs(gamma), 1.0)
-    )
+    if gamma.shape != (1, 1):
+        return False
+    band = degeneracy_tol * max(abs(gamma[0, 0]), 1.0)
+    return bool(min(abs(gamma[0, 0]), abs(b[0, 0].real)) <= band)
 
 
 def _orthonormalize_levels(source, degeneracy_tol, signed):
@@ -333,43 +323,51 @@ def _check_promotion(index, k):
 
 
 def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
-    """Classical (modified) Gram-Schmidt in coefficient space.
+    """Classical Gram-Schmidt in coefficient space: C = (L†)⁻¹ for G = L L†.
 
-    Processes the flat level-major order one vector at a time with
+    Orthonormalizes the flat level-major order one vector at a time with
     positive normalization; used as the oracle the graded method must
-    reproduce when every level is a singleton.
+    reproduce when every level is a singleton.  In the G inner product
+    that is the inverse of the upper Cholesky factor L† (Golub & Van
+    Loan, Matrix Computations, §4.2).  Solving with L† needs no row
+    exchanges, so C is exactly upper triangular.
 
-    Each column, once normalized, is projected out of every later
-    column at once (modified Gram-Schmidt: each coefficient is taken
-    against the partially reduced column).  G times the column is formed
-    once, so every coefficient costs O(N) and the whole run N products
-    with G rather than N²/2.
+    L_ii² is vector i's squared norm once the earlier ones are projected
+    out.  At most tol·max(G_ii, 1) fails: DegenerateMetric below minus
+    that band, else LinearlyDependentInput.  LAPACK does not say which
+    pivot failed, so only then are leading blocks bisected for the first.
     """
     gram = source.matrix
     index = source.index
-    total = index.total
-    c = np.eye(total, dtype=np.complex128)
-    for i in range(total):
-        col = c[:, i]
-        gcol = gram @ col
-        norm_sq = float((col.conj() @ gcol).real)
-        band = degeneracy_tol * max(float(gram[i, i].real), 1.0)
-        if norm_sq <= band:
-            level = int(np.searchsorted(np.asarray(index.offsets), i, side="right") - 1)
-            if norm_sq < -band:
-                raise DegenerateMetric(
-                    f"vector {i} has squared norm {norm_sq:.6e} during "
-                    f"Gram-Schmidt; the metric is not positive definite",
-                    level=level,
-                )
-            raise LinearlyDependentInput(
-                f"vector {i} became numerically null during Gram-Schmidt", level=level
-            )
-        scale = np.sqrt(norm_sq)
-        col /= scale
-        gcol /= scale
-        c[:, i + 1 :] -= np.outer(col, gcol.conj() @ c[:, i + 1 :])
-    return _table_from_columns(index, c)
+    bands = degeneracy_tol * np.maximum(gram.diagonal().real, 1.0)
+    # Leading blocks of size good factor, of size bad do not; the full
+    # matrix is tried first.
+    good, bad, head, size = 0, index.total + 1, np.zeros((0, 0)), index.total
+    while bad - good > 1:
+        try:
+            factor = np.linalg.cholesky(gram[:size, :size])
+            ok = np.all(factor.diagonal().real ** 2 > bands[:size])
+        except np.linalg.LinAlgError:
+            ok = False
+        if ok:
+            good, head = size, factor
+        else:
+            bad = size
+        size = (good + bad) // 2
+    if good == index.total:
+        return _table_from_columns(index, np.linalg.solve(head.conj().T, np.eye(good)))
+    i = good
+    norm_sq = float(gram[i, i].real - np.sum(np.abs(np.linalg.solve(head, gram[:i, i])) ** 2))
+    level = int(np.searchsorted(np.asarray(index.offsets), i, side="right") - 1)
+    if norm_sq < -bands[i]:
+        raise DegenerateMetric(
+            f"vector {i} has squared norm {norm_sq:.6e} during "
+            f"Gram-Schmidt; the metric is not positive definite",
+            level=level,
+        )
+    raise LinearlyDependentInput(
+        f"vector {i} became numerically null during Gram-Schmidt", level=level
+    )
 
 
 def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -504,8 +502,8 @@ def verify_table(
                 f"expected {index.total}"
             )
     spans = _column_levels(index, table.blocks)
-    c = np.hstack(table.blocks)
-    signs = None if table.signs is None else np.concatenate(table.signs)
+    c = table.matrix()
+    signs = None if table.signs is None else np.fromiter(chain.from_iterable(table.signs), np.int64)
     target = np.eye(c.shape[1]) if signs is None else np.diag(signs)
     max_residual = max_abs(c.conj().T @ gram @ c - target)
     structural_ok = _structural_zeros_ok(index, table.blocks)

@@ -3,9 +3,10 @@
 The level loop forms every level in one pass over the finished
 coefficient matrix; the per-pair helpers recompute the same quantities
 one lower level at a time, straight from the Gram matrix and the
-finished blocks.  :func:`gram_schmidt_isotropic_obstruction` shows why
-the signed loop promotes a lone isotropic vector instead of projecting
-against it.
+finished blocks.  :func:`tensor_legendre_table` is the closed-form
+answer for monomials under the uniform weight on a box.
+:func:`gram_schmidt_isotropic_obstruction` shows why the signed loop
+promotes a lone isotropic vector instead of projecting against it.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from gradedortho import (
     LevelNotReady,
     ShapeMismatch,
     hermitize,
+    monomial_index,
 )
 from gradedortho.spectral import max_abs
 
@@ -83,6 +85,49 @@ def residual_gram_direct(source, table, k):
         coeffs = finished.conj().T @ (gram[:, cols])
         h = h - finished @ coeffs
     return hermitize(h.conj().T @ gram @ h)[0]
+
+
+def legendre_1d(max_degree, lo, hi):
+    """Row k: the coefficients over 1, x, .., x^max_degree of the
+    orthonormal Legendre polynomial of degree k on [lo, hi], uniform weight.
+
+    Three-term recurrence (k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1} in
+    t = (2x - lo - hi) / (hi - lo), which maps [lo, hi] onto [-1, 1];
+    P_k has norm sqrt((hi - lo) / (2k + 1)) there.
+    """
+    t = np.zeros(max_degree + 2)
+    t[:2] = -(lo + hi) / (hi - lo), 2.0 / (hi - lo)
+    polys = np.zeros((max_degree + 1, max_degree + 2))
+    polys[0, 0] = 1.0
+    for k in range(max_degree):
+        # t * P_k, as coefficient rows: the constant of t, then x times its slope
+        t_pk = t[0] * polys[k]
+        t_pk[1:] += t[1] * polys[k, :-1]
+        previous = polys[k - 1] if k else 0.0
+        polys[k + 1] = ((2 * k + 1) * t_pk - k * previous) / (k + 1)
+    norms = np.sqrt((2 * np.arange(max_degree + 1) + 1) / (hi - lo))
+    return polys[:, :-1] * norms[:, None]
+
+
+def tensor_legendre_table(dimension, max_degree, box):
+    """The orthonormal coefficient matrix of the graded monomial basis on a
+    box under the uniform weight: column beta is the product over axes i
+    of the degree-beta_i Legendre polynomial of axis i (:func:`legendre_1d`).
+
+    Its rows and columns follow ``monomial_index``.  Entry (alpha, beta)
+    is nonzero only when alpha <= beta on every axis, so the table is
+    upper triangular and each level's diagonal block is positive
+    diagonal.  A block upper triangular G-orthonormal table whose
+    diagonal blocks are Hermitian positive definite is unique, so this
+    is both the graded output and Gram-Schmidt's for such a problem.
+    """
+    _, exponents = monomial_index(dimension, max_degree)
+    exponents = np.array(exponents)
+    table = np.ones((len(exponents), len(exponents)))
+    for axis, (lo, hi) in enumerate(box):
+        e = exponents[:, axis]
+        table *= legendre_1d(max_degree, lo, hi)[np.ix_(e, e)]
+    return table.T
 
 
 class NotACounterexample(GradedOrthoError):

@@ -25,6 +25,7 @@ from oracles import (
     gram_schmidt_isotropic_obstruction,
     residual_gram,
     residual_gram_direct,
+    tensor_legendre_table,
 )
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -142,18 +143,11 @@ def test_c06_legendre_regression():
     )
     src = go.monomial_gram(spec)
     table = go.orthonormalize_graded(src)
-    polys = [np.array([1.0]), np.array([0.0, 1.0])]
-    for k in range(1, 6):
-        lifted = np.zeros(k + 2)
-        lifted[1:] = (2 * k + 1) * polys[k]
-        lifted[:k] -= k * polys[k - 1]
-        polys.append(lifted / (k + 1))
+    legendre = tensor_legendre_table(1, 6, [(-1.0, 1.0)])
     worst = 0.0
     for k in range(7):
-        expected = np.zeros(7)
-        expected[: k + 1] = polys[k] * np.sqrt((2 * k + 1) / 2.0)
         got = table.blocks[k][:, 0].real
-        worst = max(worst, float(np.max(np.abs(got - expected))))
+        worst = max(worst, float(np.max(np.abs(got - legendre[:, k]))))
     ok = worst <= 1e-8
     report(
         "C06 legendre-regression",

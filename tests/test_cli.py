@@ -526,6 +526,27 @@ def test_subprocess_run_writes_in_process_bytes(tmp_path):
     assert child.read_bytes() == here.read_bytes()
 
 
+COMPARE_WITHOUT_SCIPY = """
+import runpy, sys
+sys.argv = ["gradedortho.cli", "compare", sys.argv[1]]
+try:
+    runpy.run_module("gradedortho.cli", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    code = stop.code
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def test_compare_imports_no_scipy():
+    # scipy is no dependency, and importing scipy.linalg alone costs
+    # about 0.35 s, more than the whole of compare on a small problem.
+    problem = PROBLEM_DIR / "monomial_euclidean.json"
+    proc = run_python("-c", COMPARE_WITHOUT_SCIPY, str(problem))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("case", sorted(INVALID_VALUE_PROBLEMS))
 def test_invalid_values_exit_2(tmp_path, capsys, case, command):

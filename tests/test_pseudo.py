@@ -33,19 +33,27 @@ def signed_residual(source, table):
     return np.max(np.abs(c.conj().T @ source.matrix @ c - target))
 
 
-# --- is_lone_isotropic --------------------------------------------------------
+# --- lone isotropic singletons -----------------------------------------------
+
+def lone_isotropic(entry, scale=None):
+    """The promotion rule on a 1x1 projected block ``entry``, judged
+    against a raw block of magnitude ``scale`` (the entry's own by default)."""
+    b = np.atleast_2d(np.asarray(entry, dtype=complex))
+    gamma = b if scale is None else np.array([[scale]], dtype=complex)
+    return ortho._isotropic_singleton(gamma, b, go.DEFAULT_DEGENERACY_TOL)
+
 
 def test_lone_isotropic_cases():
-    assert go.is_lone_isotropic(np.array([[0.0]]))
-    assert not go.is_lone_isotropic(np.array([[1.0]]))
-    assert go.is_lone_isotropic(np.array([[1e-14]]), scale=1.0)
-    assert not go.is_lone_isotropic(np.eye(2))
+    assert lone_isotropic([[0.0]])
+    assert not lone_isotropic([[1.0]])
+    assert lone_isotropic([[1e-14]], scale=1.0)
+    assert not lone_isotropic(np.eye(2))
 
 
 def test_lone_isotropic_respects_scale():
     # same entry, different level scales
-    assert not go.is_lone_isotropic(np.array([[1e-8]]), scale=1.0)
-    assert go.is_lone_isotropic(np.array([[1e-8]]), scale=1e3)
+    assert not lone_isotropic([[1e-8]], scale=1.0)
+    assert lone_isotropic([[1e-8]], scale=1e3)
 
 
 # --- pseudo_orthonormalize_graded ----------------------------------------------
