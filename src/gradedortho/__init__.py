@@ -14,16 +14,10 @@ on the circle, or multivariate monomial bases on boxes.
 from ._version import __version__
 from .errors import (
     DegenerateMetric,
-    DimensionMismatch,
     GradedOrthoError,
-    InsufficientGrid,
     LevelNotReady,
     LinearlyDependentInput,
     NoConvergence,
-    NonPositiveWeight,
-    NonSquare,
-    NotHermitian,
-    QuadratureOrderTooLow,
     SchemaError,
     ShapeMismatch,
     TerminalIsotropicVector,
@@ -60,20 +54,14 @@ __all__ = [
     "DEFAULT_DEGENERACY_TOL",
     "CoefficientTable",
     "DegenerateMetric",
-    "DimensionMismatch",
     "EigenDecomposition",
     "GradedIndex",
     "GradedOrthoError",
     "GramSource",
-    "InsufficientGrid",
     "LevelNotReady",
     "LinearlyDependentInput",
     "MonomialBasisSpec",
     "NoConvergence",
-    "NonPositiveWeight",
-    "NonSquare",
-    "NotHermitian",
-    "QuadratureOrderTooLow",
     "SchemaError",
     "ShapeMismatch",
     "TerminalIsotropicVector",

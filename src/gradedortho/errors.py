@@ -5,10 +5,6 @@ class GradedOrthoError(Exception):
     """Base class for all errors raised by gradedortho."""
 
 
-class NonSquare(GradedOrthoError):
-    pass
-
-
 class NoConvergence(GradedOrthoError):
     """Raised when an eigendecomposition fails or misses its residual bound."""
 
@@ -17,26 +13,6 @@ class DegenerateMetric(GradedOrthoError):
     def __init__(self, message, level=None):
         super().__init__(message)
         self.level = level
-
-
-class DimensionMismatch(GradedOrthoError):
-    pass
-
-
-class NotHermitian(GradedOrthoError):
-    pass
-
-
-class NonPositiveWeight(GradedOrthoError):
-    pass
-
-
-class InsufficientGrid(GradedOrthoError):
-    pass
-
-
-class QuadratureOrderTooLow(GradedOrthoError):
-    pass
 
 
 class LevelNotReady(GradedOrthoError):

@@ -233,8 +233,6 @@ def _build_source(mode, block):
         return build_explicit(index, gram)
     if mode == "fourier":
         max_harmonic = _require(block, "max_harmonic", int, "fourier.")
-        if max_harmonic < 0:
-            raise SchemaError("field 'fourier.max_harmonic' must be a non-negative integer")
         weight = _parse_weight(_require(block, "weight", dict, "fourier."), "fourier.weight.")
         return fourier_gram(max_harmonic, weight)
     dimension = _require(block, "dimension", int, "monomial.")

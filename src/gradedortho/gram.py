@@ -11,13 +11,6 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InsufficientGrid,
-    NonPositiveWeight,
-    NotHermitian,
-    QuadratureOrderTooLow,
-)
 from .grading import GradedIndex
 from .spectral import hermitize, max_abs
 
@@ -51,9 +44,9 @@ class WeightFunction:
     def samples(cls, values):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
-            raise NonPositiveWeight("weight samples must be a non-empty 1-d array")
+            raise ValueError("weight samples must be a non-empty 1-d array")
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-            raise NonPositiveWeight("weight samples must all be finite and positive")
+            raise ValueError("weight samples must all be finite and positive")
         values = values.copy()
         values.setflags(write=False)
         return cls("samples", values)
@@ -74,16 +67,14 @@ class MonomialBasisSpec:
             raise ValueError("max_degree must be non-negative")
         box = tuple((float(lo), float(hi)) for lo, hi in box)
         if len(box) != dimension:
-            raise DimensionMismatch(
-                f"box has {len(box)} intervals for dimension {dimension}"
-            )
+            raise ValueError(f"box has {len(box)} intervals for dimension {dimension}")
         for lo, hi in box:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"invalid box interval [{lo}, {hi}]")
         if quadrature_order is None:
             quadrature_order = max_degree + 1
         if quadrature_order < max_degree + 1:
-            raise QuadratureOrderTooLow(
+            raise ValueError(
                 f"quadrature order {quadrature_order} is below max_degree + 1 = "
                 f"{max_degree + 1}; Gram entries would not be exact"
             )
@@ -100,7 +91,7 @@ class GramSource:
     def __init__(self, index, matrix):
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.shape != (index.total, index.total):
-            raise DimensionMismatch(
+            raise ValueError(
                 f"Gram matrix shape {matrix.shape} does not match the "
                 f"{index.total} indexed elements"
             )
@@ -114,15 +105,10 @@ class GramSource:
 
 def build_explicit(index, matrix):
     """Wrap a user-supplied Hermitian matrix as a GramSource."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (index.total, index.total):
-        raise DimensionMismatch(
-            f"matrix dimension {matrix.shape} does not match index total {index.total}"
-        )
     h, adjustment = hermitize(matrix)
     scale = max_abs(matrix)
     if adjustment > HERMITIZE_REJECT_FACTOR * max(scale, 1.0):
-        raise NotHermitian(
+        raise ValueError(
             f"matrix is not Hermitian: symmetrization moved an entry by "
             f"{adjustment:.3e} (max magnitude {scale:.3e})"
         )
@@ -163,7 +149,7 @@ def fourier_gram(max_harmonic, weight):
         samples = weight.values
         n_grid = samples.size
         if n_grid < 4 * max_harmonic + 1:
-            raise InsufficientGrid(
+            raise ValueError(
                 f"{n_grid} grid points cannot resolve harmonics up to "
                 f"{max_harmonic}; need at least {4 * max_harmonic + 1}"
             )
@@ -248,7 +234,7 @@ def monomial_gram(spec):
     if spec.weight.kind == "samples":
         samples = spec.weight.values
         if samples.size != points.shape[1]:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"weight sampled at {samples.size} points but the tensor "
                 f"grid has {points.shape[1]} nodes"
             )

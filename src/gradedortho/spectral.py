@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, NonSquare
+from .errors import NoConvergence
 
 DEFAULT_DEGENERACY_TOL = 1e-10
 # Acceptance bound of an eigendecomposition's reconstruction residual,
@@ -32,7 +32,7 @@ class EigenDecomposition(NamedTuple):
 def _as_complex_square(a, who):
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquare(f"{who} requires a square matrix, got shape {a.shape}")
+        raise ValueError(f"{who} requires a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{who}: matrix contains non-finite entries")
     return a

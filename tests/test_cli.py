@@ -378,41 +378,79 @@ def test_two_mode_blocks_rejected(tmp_path, capsys):
     assert "exactly one mode block" in capsys.readouterr().err
 
 
-def monomial(dimension, max_degree, box):
-    block = {"dimension": dimension, "max_degree": max_degree, "box": box}
+def monomial(dimension, max_degree, box, **fields):
+    block = {"dimension": dimension, "max_degree": max_degree, "box": box, **fields}
     return {"mode": "monomial", "metric": "euclidean", "monomial": block}
 
 
-# Valid JSON of the right types whose values no Gram source can be built from.
+def fourier(max_harmonic, samples):
+    block = {"max_harmonic": max_harmonic, "weight": {"kind": "samples", "values": samples}}
+    return {"mode": "fourier", "metric": "euclidean", "fourier": block}
+
+
+def explicit(levels, gram):
+    return {"mode": "explicit", "metric": "euclidean", "explicit": {"levels": levels, "gram": gram}}
+
+
+# Valid JSON of the right types whose values no Gram source can be built
+# from, each with the text of the ValueError that rejects it.
 INVALID_VALUE_PROBLEMS = {
-    "duplicate-label": {
-        "mode": "explicit",
-        "metric": "euclidean",
-        "explicit": {"levels": [["a", "a"]], "gram": [[1.0, 0.0], [0.0, 1.0]]},
-    },
-    "empty-box-interval": monomial(1, 2, [[1.0, 0.0]]),
-    "negative-max-degree": monomial(1, -1, [[0.0, 1.0]]),
-    "zero-dimension": monomial(0, 2, []),
-    "monomial-gram-overflow": monomial(1, 160, [[0.0, 100.0]]),
-    "fourier-gram-overflow": {
-        "mode": "fourier",
-        "metric": "euclidean",
-        "fourier": {"max_harmonic": 0, "weight": {"kind": "samples", "values": [1e308, 1e308]}},
-    },
+    "duplicate-label": (
+        explicit([["a", "a"]], [[1.0, 0.0], [0.0, 1.0]]),
+        "level 0 has duplicate labels",
+    ),
+    "explicit-not-hermitian": (
+        explicit([["a", "b"]], [[1.0, 0.5], [0.0, 1.0]]),
+        "matrix is not Hermitian: symmetrization moved an entry by 2.500e-01 "
+        "(max magnitude 1.000e+00)",
+    ),
+    "empty-box-interval": (monomial(1, 2, [[1.0, 0.0]]), "invalid box interval [1.0, 0.0]"),
+    "negative-max-degree": (monomial(1, -1, [[0.0, 1.0]]), "max_degree must be non-negative"),
+    "zero-dimension": (monomial(0, 2, []), "dimension must be at least 1"),
+    "monomial-box-length": (
+        monomial(2, 1, [[0.0, 1.0]]),
+        "box has 1 intervals for dimension 2",
+    ),
+    "monomial-order-too-low": (
+        monomial(1, 3, [[0.0, 1.0]], quadrature_order=2),
+        "quadrature order 2 is below max_degree + 1 = 4; Gram entries would not be exact",
+    ),
+    "monomial-sample-count": (
+        monomial(1, 1, [[0.0, 1.0]], weight={"kind": "samples", "values": [1.0, 1.0, 1.0]}),
+        "weight sampled at 3 points but the tensor grid has 2 nodes",
+    ),
+    "monomial-gram-overflow": (
+        monomial(1, 160, [[0.0, 100.0]]),
+        "Gram matrix has non-finite entries",
+    ),
+    "fourier-negative-harmonic": (fourier(-1, [1.0]), "max_harmonic must be non-negative"),
+    "fourier-too-few-samples": (
+        fourier(2, [1.0, 1.0, 1.0]),
+        "3 grid points cannot resolve harmonics up to 2; need at least 9",
+    ),
+    "fourier-nonpositive-sample": (
+        fourier(1, [-1.0]),
+        "weight samples must all be finite and positive",
+    ),
+    "fourier-empty-samples": (fourier(0, []), "weight samples must be a non-empty 1-d array"),
+    "fourier-gram-overflow": (fourier(0, [1e308, 1e308]), "Gram matrix has non-finite entries"),
 }
 
 
-@pytest.mark.parametrize("case", ["monomial-gram-overflow", "fourier-gram-overflow"])
+@pytest.mark.parametrize("case", sorted(INVALID_VALUE_PROBLEMS))
 def test_gram_overflow_prints_one_error_line(tmp_path, case):
+    # every invalid value, not only an overflow, ends in one error line
+    problem, _ = INVALID_VALUE_PROBLEMS[case]
     path = tmp_path / "invalid.json"
-    write_json(path, INVALID_VALUE_PROBLEMS[case])
+    write_json(path, problem)
     proc = run_python("-m", "gradedortho.cli", "run", str(path))
     assert proc.returncode == EXIT_SCHEMA
+    assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
-    mode = INVALID_VALUE_PROBLEMS[case]["mode"]
     [line] = proc.stderr.splitlines()
-    assert line.startswith(f"error: invalid '{mode}' problem: ")
-    assert "Gram matrix" in line
+    assert line.startswith(f"error: invalid '{problem['mode']}' problem: ")
+    if case.endswith("gram-overflow"):
+        assert "Gram matrix" in line
 
 
 def test_subnormal_gram_entry_runs_and_verifies(tmp_path, capsys):
@@ -550,10 +588,11 @@ def test_compare_imports_no_scipy():
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("case", sorted(INVALID_VALUE_PROBLEMS))
 def test_invalid_values_exit_2(tmp_path, capsys, case, command):
+    problem, message = INVALID_VALUE_PROBLEMS[case]
     path = tmp_path / "invalid.json"
-    write_json(path, INVALID_VALUE_PROBLEMS[case])
+    write_json(path, problem)
     assert main([command, str(path)]) == EXIT_SCHEMA
-    assert "error: invalid" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: invalid '{problem['mode']}' problem: {message}\n"
     assert not (tmp_path / "invalid.result.json").exists()
 
 
@@ -700,6 +739,23 @@ def test_library_names_match_readme():
         if name not in gradedortho.__all__ and not hasattr(table, name)
     }
     assert not unknown
+
+
+def test_error_types_are_documented_or_mapped():
+    # an exception class that neither README names nor the CLI maps to
+    # an exit code is one only tests can tell apart
+    readme = (PROBLEM_DIR.parent / "README.md").read_text(encoding="utf-8")
+    cli_source = (Path(SRC) / "gradedortho" / "cli.py").read_text(encoding="utf-8")
+    classes = [
+        name for name, obj in vars(gradedortho.errors).items()
+        if isinstance(obj, type) and obj.__module__ == gradedortho.errors.__name__
+    ]
+    assert classes
+    unused = [
+        name for name in classes
+        if not re.search(rf"\b{name}\b", readme) and not re.search(rf"\b{name}\b", cli_source)
+    ]
+    assert not unused
 
 
 # case: (path to the replaced value, new value, field the error must name)

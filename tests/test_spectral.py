@@ -40,7 +40,7 @@ def test_hermitize_keeps_hermitian_input():
 
 
 def test_hermitize_rejects_rectangular():
-    with pytest.raises(go.NonSquare):
+    with pytest.raises(ValueError, match=r"hermitize requires a square matrix, got shape \(2, 3\)"):
         go.hermitize(np.ones((2, 3)))
 
 
