@@ -15,11 +15,9 @@ from ._version import __version__
 from .errors import (
     DegenerateMetric,
     GradedOrthoError,
-    LevelNotReady,
     LinearlyDependentInput,
     NoConvergence,
     SchemaError,
-    ShapeMismatch,
     TerminalIsotropicVector,
 )
 from .grading import GradedIndex
@@ -58,12 +56,10 @@ __all__ = [
     "GradedIndex",
     "GradedOrthoError",
     "GramSource",
-    "LevelNotReady",
     "LinearlyDependentInput",
     "MonomialBasisSpec",
     "NoConvergence",
     "SchemaError",
-    "ShapeMismatch",
     "TerminalIsotropicVector",
     "VerificationReport",
     "WeightFunction",

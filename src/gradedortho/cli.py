@@ -9,8 +9,8 @@ pairwise differences).
 the one rule of :func:`gradedortho.ortho.verify_table`, never through
 the method a result file names; that rule also derives the output
 levels from the problem's grading and judges every merge.  ``verify``
-adds only what a file can get wrong on its own: its digest, its shapes,
-and level ids or labels other than the derived ones.
+adds only what a file can get wrong on its own: its digest, its metric,
+its shapes, and level ids or labels other than the derived ones.
 
 Exit codes: 0 success, 2 parse/schema/usage error, 3 mathematical
 failure (linear dependence, degenerate metric, terminal isotropic
@@ -20,6 +20,9 @@ vector, an eigendecomposition that fails), 4 verification failure.
 import argparse
 import gc
 import sys
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import (
     DegenerateMetric,
@@ -141,14 +144,27 @@ def cmd_verify(args):
             "result file was computed from a different problem file "
             f"(digest {result.digest_hex[:12]}... vs {problem.digest_hex[:12]}...)",
         )
-    index = problem.source.index
-    columns = sum(block.shape[1] for block in result.blocks)
-    if columns != index.total:
+    metric = "euclidean" if result.signs is None else "pseudo"
+    if metric != problem.metric:
         return _fail(
             EXIT_SCHEMA,
-            f"result provides {columns} output vectors for {index.total} inputs",
+            f"result file has metric '{metric}' but the problem has metric '{problem.metric}'",
         )
-    table = CoefficientTable(index, result.blocks, result.signs)
+    index = problem.source.index
+    stops = list(accumulate(block.shape[1] for block in result.blocks))
+    if stops[-1] != index.total:
+        return _fail(
+            EXIT_SCHEMA,
+            f"result provides {stops[-1]} output vectors for {index.total} inputs",
+        )
+    for pos, block in enumerate(result.blocks):
+        if block.shape[0] != index.total:
+            return _fail(
+                EXIT_SCHEMA,
+                f"level entry {pos} has {block.shape[0]} coefficient rows, expected {index.total}",
+            )
+    signs = None if result.signs is None else np.concatenate(result.signs)
+    table = CoefficientTable(index, np.hstack(result.blocks), stops, signs)
     report = verify_table(problem.source, table, problem.verify_tol, problem.degeneracy_tol)
     mismatch = _levels_mismatch(result, report)
     embedded = result.report.get("max_residual")
@@ -171,7 +187,7 @@ def cmd_compare(args):
     problem = parse_problem(args.input)
     if problem.metric != "euclidean":
         return _fail(EXIT_SCHEMA, "compare requires a euclidean problem")
-    matrices = {m: _run_method(problem, m).matrix() for m in METHODS}
+    matrices = {m: _run_method(problem, m).matrix for m in METHODS}
     pairs = [("graded", "gram-schmidt"), ("graded", "gram"), ("gram-schmidt", "gram")]
     diffs = {}
     for a, b in pairs:
@@ -221,8 +237,8 @@ def main(argv=None):
     """Run one subcommand and map its errors to exit codes.
 
     A method's failure on a well-formed problem exits 3; any other
-    package error (a problem or result file it cannot use, a table of
-    the wrong shape) and an unreadable file exit 2.
+    package error (a problem or result file it cannot use) and an
+    unreadable file exit 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -15,14 +15,6 @@ class DegenerateMetric(GradedOrthoError):
         self.level = level
 
 
-class LevelNotReady(GradedOrthoError):
-    pass
-
-
-class ShapeMismatch(GradedOrthoError):
-    pass
-
-
 class LinearlyDependentInput(GradedOrthoError):
     """Raised when a level's projected Gram block is numerically singular."""
 

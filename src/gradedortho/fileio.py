@@ -326,14 +326,15 @@ def parse_problem(path):
 def result_payload(problem, table, report, method):
     """Assemble the result-file dictionary (fixed key order)."""
     levels = []
-    for pos, (lid, labels) in enumerate(table.output_levels()):
+    starts = (0, *table.stops)
+    for start, stop, (lid, labels) in zip(starts, table.stops, table.output_levels()):
         entry = {
             "level": int(lid),
             "labels": list(labels),
-            "coefficients": matrix_to_json(table.blocks[pos]),
+            "coefficients": matrix_to_json(table.matrix[:, start:stop]),
         }
         if table.signs is not None:
-            entry["signs"] = [int(s) for s in table.signs[pos]]
+            entry["signs"] = table.signs[start:stop].tolist()
         levels.append(entry)
     payload = {
         "tool": {"name": "gradedortho", "version": __version__},

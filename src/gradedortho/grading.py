@@ -6,7 +6,7 @@ class GradedIndex:
 
     Flat positions are level-major and preserve the within-level label
     order, so level k occupies the contiguous slice
-    ``[offsets[k], offsets[k] + sizes[k])``.  A level's id is its
+    ``[offsets[k], ends[k])``, where ``ends[k] = offsets[k] + sizes[k]``.  A level's id is its
     position k; output levels after an isotropic promotion keep the id
     of the input level holding their last vector.
     """
@@ -26,6 +26,7 @@ class GradedIndex:
         for size in self.sizes:
             offsets.append(offsets[-1] + size)
         self.offsets = tuple(offsets[:-1])
+        self.ends = tuple(offsets[1:])
         self.total = offsets[-1]
 
     def __len__(self):
@@ -37,4 +38,4 @@ class GradedIndex:
 
     def level_slice(self, pos):
         """Flat slice occupied by the level at list position ``pos``."""
-        return slice(self.offsets[pos], self.offsets[pos] + self.sizes[pos])
+        return slice(self.offsets[pos], self.ends[pos])

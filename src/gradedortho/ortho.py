@@ -14,92 +14,102 @@ method G^(-1/2) from one ``eigh``.
 """
 
 import math
-from itertools import accumulate, chain
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateMetric,
-    LevelNotReady,
-    LinearlyDependentInput,
-    ShapeMismatch,
-    TerminalIsotropicVector,
-)
+from .errors import DegenerateMetric, LinearlyDependentInput, TerminalIsotropicVector
 from .spectral import DEFAULT_DEGENERACY_TOL, _from_eigenbasis, eigh, max_abs
 
 DEFAULT_VERIFY_TOL = 1e-9
 
 
 class CoefficientTable:
-    """Output of an orthonormalization run, organized by level.
+    """Output of an orthonormalization run: one coefficient matrix, cut into levels.
 
-    ``blocks[k]`` holds the coefficient columns of the level-k output
-    vectors over the full flat input basis; rows belonging to higher
-    levels are exactly zero for the graded and Gram-Schmidt methods.
-    Everything else about a level follows from its block: the normalizer
-    r acting on level k's own raw vectors is its own rows
-    (``normalizers``), and the block is E_k r + sum over j < k of
-    blocks[j] (-S_j blocks[j]† G E_k r), where E_k picks level k's raw
-    vectors and S_j holds the signs of level j's vectors (all +1 on a
-    Euclidean table).
+    ``matrix`` is the N x n array whose columns hold the output vectors'
+    coefficients over the full flat input basis, level after level in
+    the flat input order of ``index``.  ``stops[k]`` is one past the last
+    column of output level k, so ``blocks[k]`` is the column range
+    ``stops[k-1]:stops[k]``; rows belonging to higher levels are exactly
+    zero for the graded and Gram-Schmidt methods.  Everything else about
+    a level follows from its block: the normalizer r acting on level k's
+    own raw vectors is its own rows (``normalizers``), and the block is
+    E_k r + sum over j < k of blocks[j] (-S_j blocks[j]† G E_k r), where
+    E_k picks level k's raw vectors and S_j holds the signs of level j's
+    vectors (all +1 on a Euclidean table).
 
-    ``signs`` is None for a Euclidean table; for a signed one
-    ``signs[k]`` holds the pseudo-norm (+1 or -1) of each column of
-    ``blocks[k]``.  The columns of the blocks follow the flat input order
-    of ``index`` side by side, so the column ranges fix the output
-    levels: ``output_levels()`` gives each block's level id and labels,
-    and ``promotions`` the blocks that merged an isotropic singleton
-    into the level after it.
+    ``signs`` is None for a Euclidean table; for a signed one it holds
+    the pseudo-norm (+1 or -1) of each column.  The column ranges fix the
+    output levels: ``output_levels()`` gives each block's level id and
+    labels, and ``promotions`` the blocks that merged an isotropic
+    singleton into the level after it.  ``blocks``, ``normalizers`` and
+    ``partial`` are views of ``matrix``.
+
+    ``matrix`` must have ``index.total`` rows and at most as many
+    columns, ``stops`` must strictly increase up to its column count and
+    ``signs`` hold one entry per column (ValueError otherwise).
     """
 
-    def __init__(self, index, blocks, signs=None):
+    def __init__(self, index, matrix, stops, signs=None):
+        rows, cols = matrix.shape
+        stops = tuple(stops)
+        if rows != index.total:
+            raise ValueError(f"the matrix has {rows} coefficient rows, expected {index.total}")
+        if cols > index.total:
+            raise ValueError(f"the matrix holds {cols} coefficient columns for {index.total} inputs")
+        bounds = (0, *stops)
+        if bounds[-1] != cols or any(a >= b for a, b in zip(bounds, stops)):
+            raise ValueError(f"column stops {list(stops)} must strictly increase to {cols}")
+        if signs is not None and len(signs) != cols:
+            raise ValueError(f"{len(signs)} signs for {cols} coefficient columns")
         self.index = index
-        self.blocks = list(blocks)
-        self.signs = None if signs is None else list(signs)
+        self.matrix = matrix
+        self.stops = stops
+        self.signs = signs
 
     @property
     def completed(self):
-        return len(self.blocks)
+        return len(self.stops)
+
+    @property
+    def blocks(self):
+        """Each output level's coefficient columns."""
+        return [self.matrix[:, a:b] for a, b in zip((0, *self.stops), self.stops)]
 
     @property
     def normalizers(self):
-        """Each level's square block on its own raw vectors (views of ``blocks``).
+        """Each level's square block on its own raw vectors.
 
-        The columns of the blocks follow the flat input order side by
-        side, so level k's own rows are its running column range.
+        The columns follow the flat input order, so level k's own rows
+        are its column range.
         """
-        ends = accumulate(block.shape[1] for block in self.blocks)
-        return [block[end - block.shape[1] : end] for block, end in zip(self.blocks, ends)]
+        return [self.matrix[a:b, a:b] for a, b in zip((0, *self.stops), self.stops)]
 
     def output_levels(self):
         """(level id, labels) per block: the id of the input level holding
         its last column and the flat input labels of its columns."""
-        return _output_levels(self.index, self.blocks)
+        return _output_levels(self.index, self.stops)
 
     @property
     def promotions(self):
         """``(from_level, label, to_level)`` per block spanning two input levels."""
         return [
             (first, self.index.levels[first][0], last)
-            for *_, first, last in _column_levels(self.index, self.blocks)
+            for *_, first, last in _column_levels(self.index, self.stops)
             if last > first
         ]
-
-    def matrix(self):
-        """All coefficient columns, level-major (N x 0 when there are none)."""
-        if not self.blocks:
-            return np.zeros((self.index.total, 0), dtype=np.complex128)
-        return np.hstack(self.blocks)
 
     def partial(self, upto):
         """View of the first ``upto`` completed levels."""
         if not 0 <= upto <= self.completed:
-            raise LevelNotReady(
+            raise ValueError(
                 f"cannot keep {upto} levels: {self.completed} levels are completed"
             )
-        signs = None if self.signs is None else self.signs[:upto]
-        return CoefficientTable(self.index, self.blocks[:upto], signs)
+        stop = (0, *self.stops)[upto]
+        signs = None if self.signs is None else self.signs[:stop]
+        return CoefficientTable(self.index, self.matrix[:, :stop], self.stops[:upto], signs)
 
 
 class VerificationReport(NamedTuple):
@@ -241,14 +251,15 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
     S is skipped because multiplying by it changes no value) and
     normalized symmetrically by :func:`level_normalizer`.  Only the
     signed metric promotes a lone isotropic vector into the following
-    level and keeps the signs of its output vectors.
+    level and keeps the signs of its output vectors.  The table returned
+    is the loop's own state: C, the column where each output level ends
+    and the finished signs.
     """
     gram = source.matrix
     index = source.index
     c = np.zeros((index.total, index.total), dtype=np.complex128)
-    finished_signs = np.ones(index.total) if signed else None
-    blocks = []
-    level_signs = [] if signed else None
+    signs = np.ones(index.total, dtype=np.int64) if signed else None
+    stops = []
     # Promotion only ever merges a singleton into the next level, so the
     # level at hand is the row range [lo, hi) and the finished output
     # vectors always occupy the leading columns [0, lo) of c.  A promoted
@@ -256,21 +267,20 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
     # with its column.
     lo = 0
     for k in range(len(index)):
-        hi = index.offsets[k] + index.sizes[k]
-        b, sd = _projected_block(gram, c, finished_signs, lo, hi)
+        hi = index.ends[k]
+        b, sd = _projected_block(gram, c, signs, lo, hi)
         if signed and _isotropic_singleton(gram[lo:hi, lo:hi], b, degeneracy_tol):
             _check_promotion(index, k)
             continue
-        r, signs = level_normalizer(b, degeneracy_tol, k, signed)
+        r, s = level_normalizer(b, degeneracy_tol, k, signed)
         if signed:
-            finished_signs[lo:hi] = signs
-            level_signs.append(signs)
+            signs[lo:hi] = s
         p = -sd @ r
         c[lo:hi, lo:hi] = r
         c[:lo, lo:hi] = c[:lo, :lo] @ p
-        blocks.append(c[:, lo:hi].copy())
+        stops.append(hi)
         lo = hi
-    return CoefficientTable(index, blocks, level_signs)
+    return CoefficientTable(index, c, stops, signs)
 
 
 def _projected_block(gram, c, signs, lo, hi):
@@ -355,10 +365,10 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
             bad = size
         size = (good + bad) // 2
     if good == index.total:
-        return _table_from_columns(index, np.linalg.solve(head.conj().T, np.eye(good)))
+        return CoefficientTable(index, np.linalg.solve(head.conj().T, np.eye(good)), index.ends)
     i = good
     norm_sq = float(gram[i, i].real - np.sum(np.abs(np.linalg.solve(head, gram[:i, i])) ** 2))
-    level = int(np.searchsorted(np.asarray(index.offsets), i, side="right") - 1)
+    level = int(np.searchsorted(index.ends, i, side="right"))
     if norm_sq < -bands[i]:
         raise DegenerateMetric(
             f"vector {i} has squared norm {norm_sq:.6e} during "
@@ -379,14 +389,7 @@ def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     that is not positive definite fails as in :func:`level_normalizer`.
     """
     c, _ = level_normalizer(source.matrix, degeneracy_tol)
-    return _table_from_columns(source.index, c)
-
-
-def _table_from_columns(index, columns):
-    """Split flat coefficient columns into per-level table blocks."""
-    return CoefficientTable(
-        index, [columns[:, index.level_slice(k)].copy() for k in range(len(index))]
-    )
+    return CoefficientTable(source.index, c, source.index.ends)
 
 
 def _condition_numbers(matrices):
@@ -407,47 +410,35 @@ def _condition_numbers(matrices):
     return conditions
 
 
-def _column_levels(index, blocks):
-    """(start, stop, first, last) per block: its flat column range and the
-    input levels holding its first and its last column.
-
-    The blocks' columns follow the flat input order of ``index`` side by
-    side; more than ``index.total`` columns in all is a ShapeMismatch.
-    """
-    ends = np.add(index.offsets, index.sizes)
-    stops = list(accumulate(block.shape[1] for block in blocks))
-    if stops and stops[-1] > index.total:
-        raise ShapeMismatch(
-            f"the blocks hold {stops[-1]} coefficient columns for {index.total} inputs"
-        )
-    starts = [0] + stops[:-1]
-    firsts = np.searchsorted(ends, starts, side="right").tolist()
-    lasts = np.searchsorted(ends, np.subtract(stops, 1), side="right").tolist()
+def _column_levels(index, stops):
+    """(start, stop, first, last) per output level: its flat column range
+    and the input levels holding its first and its last column."""
+    starts = (0, *stops[:-1])
+    firsts = np.searchsorted(index.ends, starts, side="right").tolist()
+    lasts = np.searchsorted(index.ends, np.subtract(stops, 1), side="right").tolist()
     return list(zip(starts, stops, firsts, lasts))
 
 
-def _output_levels(index, blocks):
-    """(level id, labels) per block: the input level holding its last
-    column (a level's id is its position) and the flat input labels of
-    its columns.  The one source of a table's output levels."""
+def _output_levels(index, stops):
+    """(level id, labels) per output level: the input level holding its
+    last column (a level's id is its position) and the flat input labels
+    of its columns.  The one source of a table's output levels."""
     labels = tuple(chain.from_iterable(index.levels))
     return tuple(
-        (last, labels[start:stop]) for start, stop, _, last in _column_levels(index, blocks)
+        (last, labels[start:stop]) for start, stop, _, last in _column_levels(index, stops)
     )
 
 
-def _structural_zeros_ok(index, blocks):
-    """True when no block has a nonzero entry on the rows of a higher level.
+def _structural_zeros_ok(index, c, spans):
+    """True when no output level has a nonzero entry on the rows of a
+    higher level.
 
-    Every row at or after the end of the input level holding a block's
+    Every row at or after the end of the input level holding a level's
     last column must be exactly zero, so a promoted output level ends
-    where the last input level it merged ends.  Blocks must have
-    ``index.total`` rows and at most as many columns in all.
+    where the last input level it merged ends.
     """
-    ends = np.add(index.offsets, index.sizes)
     return not any(
-        np.any(block[ends[last] :] != 0.0)
-        for block, (*_, last) in zip(blocks, _column_levels(index, blocks))
+        np.any(c[index.ends[last] :, start:stop] != 0.0) for start, stop, _, last in spans
     )
 
 
@@ -488,29 +479,24 @@ def verify_table(
 
     The table passes when its residual is at most ``tolerance`` and its
     output levels and structural zeros hold.  The zeros are waived only
-    for a Euclidean table whose stacked C is exactly Hermitian and
+    for a Euclidean table whose C is exactly Hermitian and
     positive definite: that C is the Gram method's G^(-1/2), whatever
-    produced it.  Every block must have ``index.total`` rows, and all of
-    them at most as many columns (ShapeMismatch otherwise).
+    produced it.  A table with other than N rows is a ValueError.
     """
     index = source.index
     gram = source.matrix
-    for pos, block in enumerate(table.blocks):
-        if block.shape[0] != index.total:
-            raise ShapeMismatch(
-                f"level entry {pos} has {block.shape[0]} coefficient rows, "
-                f"expected {index.total}"
-            )
-    spans = _column_levels(index, table.blocks)
-    c = table.matrix()
-    signs = None if table.signs is None else np.fromiter(chain.from_iterable(table.signs), np.int64)
+    c = table.matrix
+    if c.shape[0] != index.total:
+        raise ValueError(f"the table has {c.shape[0]} coefficient rows, the source {index.total}")
+    signs = table.signs
+    spans = _column_levels(index, table.stops)
     target = np.eye(c.shape[1]) if signs is None else np.diag(signs)
     max_residual = max_abs(c.conj().T @ gram @ c - target)
-    structural_ok = _structural_zeros_ok(index, table.blocks)
+    structural_ok = _structural_zeros_ok(index, c, spans)
     mismatch = None
     derived = len(spans)  # the blocks that are output levels of the source
     for pos, (start, stop, first, last) in enumerate(spans):
-        if stop != index.offsets[last] + index.sizes[last]:
+        if stop != index.ends[last]:
             mismatch = "split an input level"
         elif last > first:
             mismatch = _merge_fault(index, first, last, signs is not None)
@@ -536,7 +522,7 @@ def verify_table(
         max_residual=max_residual,
         condition_numbers=conditions,
         structural_ok=structural_ok,
-        output_levels=_output_levels(index, table.blocks)[:derived],
+        output_levels=_output_levels(index, table.stops)[:derived],
         levels_mismatch=mismatch,
         tolerance=float(tolerance),
         passed=bool(passed),

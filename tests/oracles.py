@@ -16,8 +16,6 @@ import numpy as np
 from gradedortho import (
     DEFAULT_DEGENERACY_TOL,
     GradedOrthoError,
-    LevelNotReady,
-    ShapeMismatch,
     hermitize,
     monomial_index,
 )
@@ -32,9 +30,9 @@ def cross_overlap(source, table, k, j):
     from the Gram matrix and the coefficient table.
     """
     if j >= k:
-        raise LevelNotReady(f"level {j} is not below level {k}")
+        raise ValueError(f"level {j} is not below level {k}")
     if j >= table.completed:
-        raise LevelNotReady(
+        raise ValueError(
             f"level {j} is not finished yet (frontier is {table.completed})"
         )
     cols = source.index.level_slice(k)
@@ -46,7 +44,7 @@ def residual_gram(gamma_k, corrections):
     b = np.array(gamma_k, dtype=np.complex128)
     for delta in corrections:
         if delta.shape != b.shape:
-            raise ShapeMismatch(
+            raise ValueError(
                 f"correction shape {delta.shape} does not match block {b.shape}"
             )
         b = b - delta
@@ -56,7 +54,7 @@ def residual_gram(gamma_k, corrections):
 def mixing_block(overlap, normalizer):
     """Lower-level mixing coefficients induced by an overlap block."""
     if overlap.shape[1] != normalizer.shape[0]:
-        raise ShapeMismatch(
+        raise ValueError(
             f"overlap shape {overlap.shape} does not conform with "
             f"normalizer shape {normalizer.shape}"
         )
@@ -72,7 +70,7 @@ def residual_gram_direct(source, table, k):
     :func:`residual_gram`.
     """
     if k > table.completed:
-        raise LevelNotReady(
+        raise ValueError(
             f"levels below {k} are not all finished (frontier {table.completed})"
         )
     gram = source.matrix

@@ -71,11 +71,16 @@ def test_exemplars_are_committed():
 
 @pytest.mark.parametrize("problem", EXEMPLARS, ids=lambda p: p.stem)
 def test_round_trip_every_exemplar(problem, tmp_path, capsys):
-    out = tmp_path / "result.json"
-    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
-    assert main(["verify", str(problem), str(out)]) == EXIT_OK
-    text = capsys.readouterr().out
-    assert "structural grading zeros: ok\nverification: PASS" in text
+    # every method run accepts for the problem's metric
+    euclidean = parse_problem(problem).metric == "euclidean"
+    for method in METHODS if euclidean else ["graded"]:
+        out = tmp_path / f"{method}.json"
+        assert main(["run", str(problem), "--output", str(out), "--method", method]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", str(problem), str(out)]) == EXIT_OK
+        zeros = "violated" if method == "gram" else "ok"
+        expected = f"structural grading zeros: {zeros}\nverification: PASS"
+        assert expected in capsys.readouterr().out, method
 
 
 @pytest.mark.parametrize("problem", EXEMPLARS, ids=lambda p: p.stem)
@@ -1001,14 +1006,64 @@ def test_verify_rejects_a_block_with_missing_rows(tmp_path, capsys):
     problem = PROBLEM_DIR / "fourier_pseudo.json"
     out = tmp_path / "result.json"
     assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    del payload["levels"][0]["coefficients"][-1]
-    write_json(out, payload)
+    ran = json.loads(out.read_text(encoding="utf-8"))
+    # one short entry, and every entry short, which stack into one N-1 x N
+    # matrix: the rows of each entry are checked before they are stacked
+    for short in ([0], range(len(ran["levels"]))):
+        payload = copy.deepcopy(ran)
+        for pos in short:
+            del payload["levels"][pos]["coefficients"][-1]
+        write_json(out, payload)
+        capsys.readouterr()
+        assert main(["verify", str(problem), str(out)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: level entry 0 has 4 coefficient rows, expected 5"
+        ]
+
+
+def relabel_metric(problem, tmp_path):
+    """A result of ``problem`` that claims the other metric, with the digest
+    of ``problem``: a pseudo problem's Gram-method result, computed as if
+    the problem were euclidean, or a euclidean problem's graded result
+    marked pseudo with every sign +1."""
+    payload = json.loads(problem.read_text(encoding="utf-8"))
+    pseudo = payload["metric"] == "pseudo"
+    out = tmp_path / "result.json"
+    if pseudo:
+        payload["metric"] = "euclidean"
+        write_json(tmp_path / "euclidean.json", payload)
+        argv = [str(tmp_path / "euclidean.json"), "--method", "gram"]
+    else:
+        argv = [str(problem)]
+    assert main(["run", *argv, "--output", str(out)]) in (EXIT_OK, EXIT_VERIFY)
+    result = json.loads(out.read_text(encoding="utf-8"))
+    result["input_digest"]["hex"] = parse_problem(problem).digest_hex
+    if not pseudo:
+        result["metric"] = "pseudo"
+        for level in result["levels"]:
+            level["signs"] = [1] * len(level["labels"])
+    write_json(out, result)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, metric",
+    [("monomial_pseudo.json", "euclidean"), ("monomial_euclidean.json", "pseudo")],
+)
+def test_verify_rejects_a_result_of_the_other_metric(tmp_path, capsys, name, metric):
+    problem = PROBLEM_DIR / name
+    out = relabel_metric(problem, tmp_path)
+    assert parse_problem(problem).metric != metric
     capsys.readouterr()
     assert main(["verify", str(problem), str(out)]) == EXIT_SCHEMA
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: level entry 0 has 4 coefficient rows, expected 5"]
+    other = parse_problem(problem).metric
+    assert captured.err.splitlines() == [
+        f"error: result file has metric '{metric}' but the problem has metric '{other}'"
+    ]
 
 
 def test_verify_accepts_a_promotion_decided_on_the_projected_block(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The graded orthonormalization core and its reference methods."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -62,11 +63,11 @@ def test_cross_overlap_fourier_uniform_vanishes():
 
 def test_cross_overlap_level_not_ready():
     src = pair_source()
-    empty = go.CoefficientTable(src.index, [])
-    with pytest.raises(go.LevelNotReady):
+    empty = go.orthonormalize_graded(src).partial(0)
+    with pytest.raises(ValueError, match="level 0 is not finished yet"):
         cross_overlap(src, empty, 1, 0)
     table = go.orthonormalize_graded(src)
-    with pytest.raises(go.LevelNotReady):
+    with pytest.raises(ValueError, match="level 1 is not below level 1"):
         cross_overlap(src, table, 1, 1)
 
 
@@ -74,7 +75,7 @@ def test_partial_rejects_levels_out_of_range():
     table = go.orthonormalize_graded(identity_source())
     assert table.partial(0).completed == 0
     for upto in (-1, table.completed + 1):
-        with pytest.raises(go.LevelNotReady):
+        with pytest.raises(ValueError, match=f"cannot keep {upto} levels: 3 levels are completed"):
             table.partial(upto)
 
 
@@ -83,7 +84,7 @@ def test_empty_table_verifies(signed):
     src = identity_source()
     run = go.pseudo_orthonormalize_graded if signed else go.orthonormalize_graded
     empty = run(src).partial(0)
-    assert empty.matrix().shape == (5, 0)
+    assert empty.matrix.shape == (5, 0) and empty.stops == ()
     report = go.verify_table(src, empty)
     assert report.passed and report.max_residual == 0.0
     assert report.output_levels == () and report.condition_numbers == ()
@@ -117,7 +118,7 @@ def test_residual_gram_matches_projection_norm():
 
 
 def test_residual_gram_shape_mismatch():
-    with pytest.raises(go.ShapeMismatch):
+    with pytest.raises(ValueError, match="correction shape"):
         residual_gram(np.eye(2), [np.eye(3)])
 
 
@@ -144,7 +145,7 @@ def test_level_normalizer_reports_level_on_failure():
 def test_mixing_block_cases():
     assert np.max(np.abs(mixing_block(np.zeros((2, 2)), np.eye(2)))) == 0.0
     assert mixing_block(np.array([[1.0]]), np.array([[1.0]]))[0, 0] == -1.0
-    with pytest.raises(go.ShapeMismatch):
+    with pytest.raises(ValueError, match="does not conform"):
         mixing_block(np.ones((1, 2)), np.ones((3, 3)))
 
 
@@ -152,7 +153,7 @@ def test_pair_fixture_full_chain():
     # D=[1], Q=[1], P=[-1]: f1 = e2 - e1 = (0, 1) in the plane
     src = pair_source()
     table = go.orthonormalize_graded(src)
-    assert np.allclose(table.matrix().real, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
+    assert np.allclose(table.matrix.real, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
 
 
 # --- orthonormalize_graded ---------------------------------------------------
@@ -160,14 +161,14 @@ def test_pair_fixture_full_chain():
 def test_identity_gram_gives_identity_table():
     src = identity_source()
     table = go.orthonormalize_graded(src)
-    assert np.array_equal(table.matrix(), np.eye(5))
+    assert np.array_equal(table.matrix, np.eye(5))
 
 
 def test_fourier_uniform_scalar_normalization():
     src = go.fourier_gram(1, go.WeightFunction.uniform())
     table = go.orthonormalize_graded(src)
     scale = 1.0 / np.sqrt(2.0 * np.pi)
-    assert np.allclose(table.matrix(), scale * np.eye(3), atol=1e-15)
+    assert np.allclose(table.matrix, scale * np.eye(3), atol=1e-15)
 
 
 def test_fourier_constant_level_real_positive():
@@ -212,9 +213,9 @@ def test_random_orthonormality_and_structure():
 
 def test_gram_schmidt_reference_examples():
     src = identity_source()
-    assert np.array_equal(go.gram_schmidt_reference(src).matrix(), np.eye(5))
+    assert np.array_equal(go.gram_schmidt_reference(src).matrix, np.eye(5))
     table = go.gram_schmidt_reference(pair_source())
-    assert np.allclose(table.matrix().real, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
+    assert np.allclose(table.matrix.real, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
 
 
 def test_gram_schmidt_blocks_match_block_recursion():
@@ -304,7 +305,7 @@ def test_gram_schmidt_names_a_negative_direction(bad, level_size):
 )
 def test_gram_schmidt_table_is_exactly_upper_triangular(src):
     gs = go.gram_schmidt_reference(src)
-    assert np.all(np.tril(gs.matrix(), -1) == 0.0)
+    assert np.all(np.tril(gs.matrix, -1) == 0.0)
     assert go.verify_table(src, gs).structural_ok
 
 
@@ -316,17 +317,17 @@ def test_singleton_levels_degenerate_to_gram_schmidt():
         src = go.build_explicit(idx, random_spd(rng, n, cond=1e4))
         graded = go.orthonormalize_graded(src)
         reference = go.gram_schmidt_reference(src)
-        assert np.max(np.abs(graded.matrix() - reference.matrix())) < 1e-10
+        assert np.max(np.abs(graded.matrix - reference.matrix)) < 1e-10
 
 
 def test_gram_method_reference_examples():
     src = identity_source()
-    assert np.allclose(go.gram_method_reference(src).matrix(), np.eye(5), atol=1e-14)
+    assert np.allclose(go.gram_method_reference(src).matrix, np.eye(5), atol=1e-14)
     idx = go.GradedIndex([["a", "b"]])
     g = np.array([[1.0, 0.5], [0.5, 1.0]])
     src2 = go.build_explicit(idx, g)
     table = go.gram_method_reference(src2)
-    assert np.array_equal(table.matrix(), go.level_normalizer(g)[0])
+    assert np.array_equal(table.matrix, go.level_normalizer(g)[0])
 
 
 def test_single_level_degenerates_to_gram_method():
@@ -337,7 +338,7 @@ def test_single_level_degenerates_to_gram_method():
         src = go.build_explicit(idx, random_spd(rng, n, cond=1e3))
         graded = go.orthonormalize_graded(src)
         reference = go.gram_method_reference(src)
-        assert np.max(np.abs(graded.matrix() - reference.matrix())) < 1e-12
+        assert np.max(np.abs(graded.matrix - reference.matrix)) < 1e-12
         normalizer, _ = go.level_normalizer(src.matrix)
         assert np.max(np.abs(graded.normalizers[0] - normalizer)) < 1e-12
 
@@ -364,8 +365,8 @@ def test_methods_genuinely_differ_on_multielement_levels():
     rng = np.random.default_rng(31)
     idx = go.GradedIndex([["a", "b"], ["c", "d"]])
     src = go.build_explicit(idx, random_spd(rng, 4, cond=50.0))
-    graded = go.orthonormalize_graded(src).matrix()
-    gs = go.gram_schmidt_reference(src).matrix()
+    graded = go.orthonormalize_graded(src).matrix
+    gs = go.gram_schmidt_reference(src).matrix
     assert np.max(np.abs(graded - gs)) > 1e-3
 
 
@@ -373,12 +374,12 @@ def test_methods_genuinely_differ_on_multielement_levels():
 
 def test_residual_gram_direct_base_cases():
     src = pair_source()
-    empty = go.CoefficientTable(src.index, [])
+    empty = go.CoefficientTable(src.index, np.zeros((2, 0)), [])
     assert np.array_equal(residual_gram_direct(src, empty, 0), PAIR_GRAM[:1, :1])
     table = go.orthonormalize_graded(src)
     h = residual_gram_direct(src, table.partial(1), 1)
     assert abs(h[0, 0] - 1.0) < 1e-14
-    with pytest.raises(go.LevelNotReady):
+    with pytest.raises(ValueError, match="levels below 2 are not all finished"):
         residual_gram_direct(src, table.partial(1), 2)
 
 
@@ -434,12 +435,58 @@ def test_verify_detects_corruption():
     assert not report.passed
 
 
-def test_verify_rejects_blocks_with_more_columns_than_inputs():
+def test_verify_rejects_a_table_of_another_source():
+    table = go.orthonormalize_graded(identity_source((1, 1)))
+    with pytest.raises(ValueError, match="^the table has 2 coefficient rows, the source 5$"):
+        go.verify_table(identity_source(), table)
+
+
+@pytest.mark.parametrize(
+    "matrix, stops, signs, message",
+    [
+        (np.eye(3)[:, :2], [1, 2], None, "the matrix has 3 coefficient rows, expected 2"),
+        (np.ones((2, 3)), [2, 3], None, "the matrix holds 3 coefficient columns for 2 inputs"),
+        (np.eye(2), [1, 1, 2], None, r"column stops \[1, 1, 2\] must strictly increase to 2"),
+        (np.eye(2), [2, 1], None, r"column stops \[2, 1\] must strictly increase to 2"),
+        (np.eye(2), [0, 2], None, r"column stops \[0, 2\] must strictly increase to 2"),
+        (np.eye(2), [1], None, r"column stops \[1\] must strictly increase to 2"),
+        (np.eye(2), [], None, r"column stops \[\] must strictly increase to 2"),
+        (np.eye(2)[:, :1], [1, 2], None, r"column stops \[1, 2\] must strictly increase to 1"),
+        (np.eye(2), [1, 2], np.ones(1, dtype=np.int64), "1 signs for 2 coefficient columns"),
+    ],
+    ids=[
+        "rows", "columns", "repeated-stop", "decreasing-stops", "empty-level",
+        "short-stops", "no-stops", "stops-past-columns", "signs",
+    ],
+)
+def test_table_rejects_a_wrong_shape(matrix, stops, signs, message):
     idx = go.GradedIndex([["a"], ["b"]])
-    src = go.build_explicit(idx, np.eye(2))
-    table = go.CoefficientTable(idx, [np.eye(2), np.eye(2)[:, :1]])
-    with pytest.raises(go.ShapeMismatch, match="3 coefficient columns for 2 inputs"):
-        go.verify_table(src, table)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        go.CoefficientTable(idx, matrix, stops, signs)
+
+
+# Every exemplar through the signed loop, the euclidean ones also through
+# the euclidean loop.
+LOOP_RUNS = [(p, True) for p in EXEMPLARS] + [
+    (p, False) for p in EXEMPLARS if json.loads(p.read_text())["metric"] == "euclidean"
+]
+
+
+@pytest.mark.parametrize(
+    "path, signed", LOOP_RUNS, ids=[f"{p.stem}-{'signed' if s else 'euclidean'}" for p, s in LOOP_RUNS]
+)
+def test_table_parts_are_views_of_the_loops_matrix(path, signed):
+    source = parse_problem(path).source
+    table = (go.pseudo_orthonormalize_graded if signed else go.orthonormalize_graded)(source)
+    assert table.matrix.shape == (source.index.total,) * 2
+    assert table.stops[-1] == source.index.total
+    assert (table.signs is None) is not signed
+    assert not signed or (table.signs.dtype == np.int64 and len(table.signs) == table.stops[-1])
+    parts = table.blocks + table.normalizers
+    parts += [table.partial(k).matrix for k in range(table.completed + 1)]
+    assert all(np.shares_memory(part, table.matrix) for part in parts if part.size)
+    if signed:
+        assert np.shares_memory(table.partial(1).signs, table.signs)
 
 
 def test_verify_condition_numbers_sane():
@@ -534,15 +581,16 @@ BOOST = np.array([[np.cosh(0.5), np.sinh(0.5)], [np.sinh(0.5), np.cosh(0.5)]])
     "c,signs",
     [
         (np.array([[0.0, -1.0], [-1.0, 0.0]]), None),  # a reflection: not positive definite
-        (BOOST, [np.array([1]), np.array([-1])]),  # positive definite, but signed
+        (BOOST, np.array([1, -1])),  # positive definite, but signed
     ],
     ids=["reflection", "boost"],
 )
 def test_verify_waives_no_zeros_of_other_hermitian_tables(c, signs):
     # both tables are exactly Hermitian, meet C† G C = diag(signs) and
     # mix the two levels; neither is the Gram method's G^(-1/2)
-    src = go.build_explicit(go.GradedIndex([["a"], ["b"]]), np.diag([1.0, -1.0 if signs else 1.0]))
-    table = go.CoefficientTable(src.index, [c[:, :1], c[:, 1:]], signs)
+    metric = np.diag([1.0, 1.0 if signs is None else -1.0])
+    src = go.build_explicit(go.GradedIndex([["a"], ["b"]]), metric)
+    table = go.CoefficientTable(src.index, c, [1, 2], signs)
     report = go.verify_table(src, table)
     assert np.array_equal(c, c.conj().T)
     assert report.max_residual <= 1e-15
@@ -619,4 +667,4 @@ def test_tensor_legendre_is_graded_and_gram_schmidt(dimension, max_degree, box, 
     src = go.monomial_gram(go.MonomialBasisSpec(dimension, max_degree, box))
     legendre = tensor_legendre_table(dimension, max_degree, box)
     for method in (go.orthonormalize_graded, go.gram_schmidt_reference):
-        assert relative_error(method(src).matrix(), legendre) <= tol, method.__name__
+        assert relative_error(method(src).matrix, legendre) <= tol, method.__name__

@@ -3,7 +3,6 @@ Gram-Schmidt obstruction demonstration."""
 
 import importlib.util
 import json
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import gradedortho as go
 from gradedortho import ortho
 from gradedortho.cli import main
 from gradedortho.fileio import parse_problem, result_payload, write_result
-from gradedortho.ortho import _structural_zeros_ok
+from gradedortho.ortho import _column_levels, _structural_zeros_ok
 
 from conftest import random_indefinite_source, random_spd, relative_error
 from oracles import (
@@ -28,8 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def signed_residual(source, table):
-    c = table.matrix()
-    target = np.diag(np.concatenate(table.signs).astype(complex))
+    c = table.matrix
+    target = np.diag(table.signs.astype(complex))
     return np.max(np.abs(c.conj().T @ source.matrix @ c - target))
 
 
@@ -64,11 +63,11 @@ def test_positive_definite_reduces_to_euclidean_exactly():
     src = go.build_explicit(idx, random_spd(rng, 6, cond=1e3))
     euclid = go.orthonormalize_graded(src)
     signed = go.pseudo_orthonormalize_graded(src)
-    assert np.array_equal(euclid.matrix(), signed.matrix())
+    assert np.array_equal(euclid.matrix, signed.matrix)
     assert len(euclid.normalizers) == len(signed.normalizers)
     assert all(np.array_equal(q, r) for q, r in zip(euclid.normalizers, signed.normalizers))
     assert euclid.signs is None
-    assert all(np.all(s == 1) for s in signed.signs)
+    assert np.all(signed.signs == 1)
     assert signed.promotions == []
     assert signed.output_levels() == tuple(enumerate(idx.levels))
 
@@ -81,7 +80,7 @@ def test_single_level_minkowski_plane():
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(table.blocks[0][:, 0], [s, s], atol=1e-14)
     assert np.allclose(table.blocks[0][:, 1], [s, -s], atol=1e-14)
-    assert list(table.signs[0]) == [1, -1]
+    assert list(table.signs) == [1, -1]
     assert signed_residual(src, table) < 1e-14
 
 
@@ -91,7 +90,7 @@ def test_isotropic_leader_promoted():
     table = go.pseudo_orthonormalize_graded(src)
     assert table.promotions == [(0, "a", 1)]
     assert table.output_levels() == ((1, ("a", "b")),)
-    assert list(table.signs[0]) == [1, -1]
+    assert list(table.signs) == [1, -1]
     assert signed_residual(src, table) < 1e-12
     # signature of the merged block is (1, 1)
     w = np.linalg.eigvalsh(src.matrix)
@@ -145,9 +144,9 @@ def test_promotion_keeps_filtration_zeros():
     report = go.verify_table(src, table, 1e-12)
     assert report.passed and report.structural_ok
     # the merged columns end with level 1, so row 2 alone must be zero
-    broken = [merged.copy(), table.blocks[1]]
-    broken[0][2, 0] = 1e-12
-    assert not _structural_zeros_ok(idx, broken)
+    broken = table.matrix.copy()
+    broken[2, 0] = 1e-12
+    assert not _structural_zeros_ok(idx, broken, _column_levels(idx, table.stops))
 
 
 def test_partial_of_signed_table_keeps_signs_and_output_levels():
@@ -162,7 +161,7 @@ def test_partial_of_signed_table_keeps_signs_and_output_levels():
         part = table.partial(k)
         assert [lid for lid, _ in part.output_levels()] == [1, 2][:k]
         assert [labels for _, labels in part.output_levels()] == [("a", "b"), ("c", "d")][:k]
-        assert len(part.signs) == k
+        assert len(part.signs) == part.stops[-1] == [2, 4][k - 1]
         assert part.promotions == [(0, "a", 1)]
         report = go.verify_table(src, part, 1e-12)
         assert report.passed and report.structural_ok
@@ -204,7 +203,7 @@ def test_random_indefinite_suite():
         assert signed_residual(src, table) <= 1e-9
         w = np.linalg.eigvalsh(src.matrix)
         p, q = int(np.sum(w > 0)), int(np.sum(w < 0))
-        eps_sum = sum(int(np.sum(s)) for s in table.signs)
+        eps_sum = int(np.sum(table.signs))
         assert eps_sum == p - q
         report = go.verify_table(src, table, 1e-9)
         assert report.passed and report.structural_ok
@@ -222,16 +221,15 @@ def test_signed_oracle_matches_block_recursion_with_promotion():
         src = go.build_explicit(idx, g)
         table = go.pseudo_orthonormalize_graded(src)
         assert table.promotions == [(1, "c", 2), (3, "f", 4)]
-        sizes = [len(labels) for _, labels in table.output_levels()]
-        assert sizes == [2, 3, 4]
-        for k, stop in enumerate(accumulate(sizes)):
-            cols = slice(stop - sizes[k], stop)
+        assert table.stops == (2, 5, 9)
+        for k, (start, stop) in enumerate(zip((0, *table.stops), table.stops)):
+            cols = slice(start, stop)
             r = table.normalizers[k]
             assembled = np.zeros_like(table.blocks[k])
             assembled[cols, :] = r
-            for j in range(k):
+            for j, (a, b) in enumerate(zip((0, *table.stops[:k]), table.stops[:k])):
                 d = table.blocks[j].conj().T @ g[:, cols]
-                assembled += table.blocks[j] @ mixing_block(table.signs[j][:, None] * d, r)
+                assembled += table.blocks[j] @ mixing_block(table.signs[a:b, None] * d, r)
             assert relative_error(table.blocks[k], assembled) <= 1e-12
         assert signed_residual(src, table) <= 1e-9
 
@@ -270,11 +268,7 @@ def test_verify_table_fails_a_merged_non_isotropic_singleton():
     table = go.pseudo_orthonormalize_graded(source)
     assert [len(labels) for _, labels in table.output_levels()[:2]] == [1, 2]
     assert not table.promotions
-    merged = go.CoefficientTable(
-        source.index,
-        [np.hstack(table.blocks[:2])] + table.blocks[2:],
-        [np.concatenate(table.signs[:2])] + table.signs[2:],
-    )
+    merged = go.CoefficientTable(source.index, table.matrix, table.stops[1:], table.signs)
     report = go.verify_table(source, merged)
     assert report.max_residual <= report.tolerance and report.structural_ok
     assert report.levels_mismatch == (
@@ -328,12 +322,14 @@ def test_verify_table_re_decides_promotions_from_the_loops_bits(monkeypatch, tmp
 
 @pytest.mark.parametrize("name", ["explicit_pseudo", "pseudo_explicit-101"])
 def test_table_rebuilt_from_its_blocks_keeps_its_levels_and_verifies(tmp_path, name):
-    # the output levels and promotions follow from the blocks alone, so a
-    # table rebuilt from (index, blocks, signs) writes the same file
+    # the output levels and promotions follow from the column stops alone,
+    # so a table rebuilt from (index, matrix, stops, signs) writes the same file
     path = promotion_problem(name, tmp_path)
     problem = parse_problem(path)
     table = go.pseudo_orthonormalize_graded(problem.source)
-    rebuilt = go.CoefficientTable(table.index, table.blocks, table.signs)
+    rebuilt = go.CoefficientTable(
+        table.index, table.matrix.copy(), list(table.stops), table.signs.copy()
+    )
     assert rebuilt.output_levels() == table.output_levels()
     assert rebuilt.promotions == table.promotions
     assert len(rebuilt.promotions) == {"explicit_pseudo": 1, "pseudo_explicit-101": 3}[name]
