@@ -255,8 +255,9 @@ def entry():
 
     The cyclic collector is switched off: a one-shot run leaves only a
     few hundred objects in reference cycles, freed at exit, while its
-    large acyclic list trees (the parsed and the encoded JSON) would
-    keep triggering collections that rescan them.  Interpreter
+    large acyclic list trees (a parsed file and the result payload; the
+    encoded result is one bytes object) would keep triggering
+    collections that rescan them.  Interpreter
     finalization still collects with the collector disabled, so the
     ~21,900 objects that numpy and the package create at import are
     then frozen into the permanent generation, which those collections

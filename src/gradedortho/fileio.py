@@ -8,6 +8,13 @@ digest of the problem file they were computed from so ``verify`` can
 refuse mismatched pairs, and contain no timestamps, which keeps reruns
 byte-identical.
 
+orjson is the one codec, both ways.  The reader takes strict JSON only:
+a ``NaN`` or ``Infinity`` token, a number past the float range, a
+byte-order mark or invalid UTF-8 is invalid JSON, reported with its
+line and column.  The writer spells each float in its shortest form
+that reads back to the same bits (``1e-7``, ``1e16``, ``0.00005``), and
+a non-finite float (an infinite condition number, say) as ``null``.
+
 A coefficient row whose entries are all exactly +0.0 (the structural
 zeros above a level, in ``graded`` and ``gram-schmidt`` results) is
 written as plain integer ``0`` entries, every other row as ``[re, im]``
@@ -20,7 +27,6 @@ keys, as earlier versions wrote them, parse to the same arrays.
 """
 
 import hashlib
-import json
 from itertools import chain, compress
 from operator import itemgetter, not_
 from typing import NamedTuple
@@ -266,14 +272,18 @@ def _build_source(mode, block):
 
 def _load_json(path):
     """The file's top-level JSON object, and the bytes it was read from."""
+    # Imported here, not at the top: importing orjson costs a few ms that
+    # ``import gradedortho.cli`` alone need not pay.
+    import orjson
+
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        line = getattr(err, "lineno", "?")
-        col = getattr(err, "colno", "?")
-        raise SchemaError(f"{path}: invalid JSON at line {line}, column {col}") from err
+        payload = orjson.loads(raw)
+    except orjson.JSONDecodeError as err:
+        raise SchemaError(
+            f"{path}: invalid JSON at line {err.lineno}, column {err.colno}"
+        ) from err
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
     return payload, raw
@@ -359,16 +369,14 @@ def result_payload(problem, table, report, method):
 
 
 def write_result(path, payload):
-    # Compact text in one json.dumps call: that is the only form the C
-    # encoder serves (json.dump and any indent take the pure-Python one).
-    # The payload is a fresh acyclic tree (result_payload builds it from
-    # new tolist() lists), so the encoder's cycle markers are skipped.
-    text = json.dumps(
-        payload, ensure_ascii=False, separators=(",", ":"), check_circular=False
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """Write ``payload`` as one line of compact JSON and a newline."""
+    # Imported here, not at the top: importing orjson costs a few ms that
+    # ``import gradedortho.cli`` alone need not pay.
+    import orjson
+
+    data = orjson.dumps(payload, option=orjson.OPT_APPEND_NEWLINE)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _parse_signs(obj, count, where):

@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -83,10 +84,23 @@ def test_round_trip_every_exemplar(problem, tmp_path, capsys):
         assert expected in capsys.readouterr().out, method
 
 
+def leaves(obj):
+    """Keys and values of a JSON tree in document order, each float as its bits."""
+    if type(obj) is dict:
+        for key, value in obj.items():
+            yield key
+            yield from leaves(value)
+    elif type(obj) is list:
+        for value in obj:
+            yield from leaves(value)
+    elif type(obj) is float:
+        yield float, struct.pack("<d", obj)
+    else:
+        yield type(obj), obj
+
+
 @pytest.mark.parametrize("problem", EXEMPLARS, ids=lambda p: p.stem)
-def test_write_result_text_equals_checked_encoding(problem, tmp_path):
-    # the encoder skips its cycle checks; the text must be what the
-    # default, checking encoder gives
+def test_written_result_is_one_compact_line_read_back_bit_identical(problem, tmp_path):
     parsed = parse_problem(problem)
     if parsed.metric == "pseudo":
         table = pseudo_orthonormalize_graded(parsed.source, parsed.degeneracy_tol)
@@ -96,8 +110,12 @@ def test_write_result_text_equals_checked_encoding(problem, tmp_path):
     payload = result_payload(parsed, table, report, "graded")
     out = tmp_path / "result.json"
     write_result(out, payload)
-    expected = json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
-    assert out.read_bytes() == expected.encode("utf-8")
+    raw = out.read_bytes()
+    # one line, and no whitespace outside the strings
+    assert raw.endswith(b"\n")
+    assert not re.search(rb"\s", re.sub(rb'"(?:[^"\\]|\\.)*"', b'""', raw[:-1]))
+    # the standard library reads it back, every float to the same bits
+    assert list(leaves(json.loads(raw))) == list(leaves(payload))
 
 
 @pytest.mark.parametrize("problem", EXEMPLARS, ids=lambda p: p.stem)
@@ -326,6 +344,58 @@ def test_invalid_json_exits_2_with_location(tmp_path, capsys):
     path.write_text('{"mode": "explicit",,}', encoding="utf-8")
     assert main(["run", str(path)]) == EXIT_SCHEMA
     assert "line" in capsys.readouterr().err
+
+
+# Problem files the strict reader rejects, each with the line and column
+# it must name: that of the bad token (None: any).
+STRICT_READER_TEXT = (
+    '{\n  "mode": "explicit",\n  "metric": "euclidean",\n'
+    '  "explicit": {"levels": [["a"]], "gram": [[%s]]}\n}\n'
+)
+STRICT_READER_CASES = {
+    "nan": ((STRICT_READER_TEXT % "NaN").encode(), 4, 45),
+    "infinity": ((STRICT_READER_TEXT % "Infinity").encode(), 4, 45),
+    "minus-infinity": ((STRICT_READER_TEXT % "-Infinity").encode(), 4, 45),
+    "past-float-range": ((STRICT_READER_TEXT % "1e400").encode(), 4, 45),
+    "byte-order-mark": (b"\xef\xbb\xbf" + (STRICT_READER_TEXT % "1.0").encode(), 1, 1),
+    "invalid-utf-8": ((STRICT_READER_TEXT % "1.0").encode().replace(b'"a"', b'"\xff"'), None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_READER_CASES))
+def test_strict_reader_exits_2_with_location(tmp_path, capsys, case):
+    raw, line, column = STRICT_READER_CASES[case]
+    path = tmp_path / "strict.json"
+    path.write_bytes(raw)
+    assert main(["run", str(path)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    found = re.fullmatch(
+        rf"error: {re.escape(str(path))}: invalid JSON at line (\d+), column (\d+)\n", err
+    )
+    assert found, err
+    if line is not None:
+        assert found.groups() == (str(line), str(column))
+
+
+def test_non_finite_report_values_are_written_as_null(pair_problem, tmp_path, capsys):
+    problem = parse_problem(pair_problem)
+    table = orthonormalize_graded(problem.source, problem.degeneracy_tol)
+    report = verify_table(problem.source, table, problem.verify_tol)
+    report = report._replace(
+        max_residual=float("nan"),
+        condition_numbers=((0, float("inf")),) + report.condition_numbers[1:],
+    )
+    out = tmp_path / "result.json"
+    write_result(out, result_payload(problem, table, report, "graded"))
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    payload = json.loads(out.read_bytes(), parse_constant=reject)
+    assert payload["report"]["max_residual"] is None
+    assert payload["report"]["condition_numbers"][0] == [0, None]
+    assert main(["verify", str(pair_problem), str(out)]) == EXIT_OK
+    assert "residual recorded in result file" not in capsys.readouterr().out
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -567,6 +637,18 @@ def test_subprocess_run_writes_in_process_bytes(tmp_path):
     here = tmp_path / "here.json"
     assert main(["run", str(problem), "--output", str(here)]) == EXIT_OK
     assert child.read_bytes() == here.read_bytes()
+
+
+def test_cli_import_loads_no_json_codec():
+    # Each file operation imports its codec itself, so the import of the
+    # CLI (the start-up cost of every process) does not pay for one.
+    code = (
+        "import sys, gradedortho.cli\n"
+        "print(sorted(m for m in ('json', 'orjson') if m in sys.modules))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 COMPARE_WITHOUT_SCIPY = """

@@ -25,9 +25,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PROBLEM_DIR = ROOT / "problems"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
-# Values whose bits a lossy encoder or parser would change.
-AWKWARD = [-0.0, 5e-324, -2.2250738585072014e-308, 1.1e-310, 1e308, -1e308,
-           0.1, 1 / 3, -2.5e-17]
+# Values whose bits a lossy encoder or parser would change: signed zero,
+# the subnormal and normal extremes, and the range [1e-5, 1e-4), which
+# the shortest spelling writes positionally (0.00001).
+AWKWARD = [-0.0, 5e-324, -2.2250738585072014e-308, 2.2250738585072014e-308,
+           1.1e-310, 1e308, -1e308, 1.7976931348623157e308,
+           -1.7976931348623157e308, 0.1, 1 / 3, -2.5e-17, 1e-5, -1.5e-5,
+           9.999999999999999e-05, 3.0000000000000004e-05]
 
 
 def bits(a):
@@ -76,6 +80,10 @@ def test_random_blocks_round_trip_bit_identical(tmp_path):
     blocks[0].real.flat[: special.size] = special
     blocks[0].imag.flat[: special.size] = special[::-1]
     blocks[1][:4, 0] = [complex(0.0, -0.0), complex(-0.0, 0.0), 7.0, -3.0]
+    flip = rng.choice([-1.0, 1.0], size=blocks[2].shape)
+    blocks[2] = flip * rng.uniform(1e-5, 1e-4, size=blocks[2].shape) + 1j * rng.uniform(
+        1e-5, 1e-4, size=blocks[2].shape
+    )
     levels = []
     for k, block in enumerate(blocks):
         coefficients = matrix_to_json(block)
