@@ -23,12 +23,9 @@ from .errors import (
 from .grading import GradedIndex
 from .gram import (
     GramSource,
-    MonomialBasisSpec,
-    WeightFunction,
     build_explicit,
     fourier_gram,
     monomial_gram,
-    monomial_index,
 )
 from .ortho import (
     CoefficientTable,
@@ -44,7 +41,6 @@ from .spectral import (
     DEFAULT_DEGENERACY_TOL,
     EigenDecomposition,
     eigh,
-    hermitize,
 )
 
 __all__ = [
@@ -57,21 +53,17 @@ __all__ = [
     "GradedOrthoError",
     "GramSource",
     "LinearlyDependentInput",
-    "MonomialBasisSpec",
     "NoConvergence",
     "SchemaError",
     "TerminalIsotropicVector",
     "VerificationReport",
-    "WeightFunction",
     "build_explicit",
     "eigh",
     "fourier_gram",
     "gram_method_reference",
     "gram_schmidt_reference",
-    "hermitize",
     "level_normalizer",
     "monomial_gram",
-    "monomial_index",
     "orthonormalize_graded",
     "pseudo_orthonormalize_graded",
     "verify_table",

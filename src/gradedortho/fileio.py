@@ -24,6 +24,12 @@ tolerances: both follow from the problem file the digest names, so
 reader takes numbers and pairs alike, so files with every row as pairs,
 or with the ``input_levels``, ``tolerances`` or ``report.verify_tol``
 keys, as earlier versions wrote them, parse to the same arrays.
+
+A problem file is checked for its JSON types here; its values (a
+label, a box interval, the weight samples) are checked by the Gram
+builder that uses them, and a ValueError from it becomes a
+``SchemaError`` naming the mode.  A weight reaches the builder as None
+(``{"kind": "uniform"}``) or as the list of its sample values.
 """
 
 import hashlib
@@ -35,13 +41,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import SchemaError
-from .gram import (
-    MonomialBasisSpec,
-    WeightFunction,
-    build_explicit,
-    fourier_gram,
-    monomial_gram,
-)
+from .gram import build_explicit, fourier_gram, monomial_gram
 from .grading import GradedIndex
 from .ortho import DEFAULT_VERIFY_TOL
 from .spectral import DEFAULT_DEGENERACY_TOL
@@ -202,13 +202,14 @@ def matrix_to_json(matrix):
 
 
 def _parse_weight(obj, path):
+    """None for ``{"kind": "uniform"}``, else the list of sample values;
+    the Gram builder checks the samples."""
     kind = _require(obj, "kind", str, path)
     if kind == "uniform":
-        return WeightFunction.uniform()
+        return None
     if kind == "samples":
         values = _require(obj, "values", list, path)
-        numbers = [_number(v, f"{path}values[{i}]") for i, v in enumerate(values)]
-        return WeightFunction.samples(numbers)
+        return [_number(v, f"{path}values[{i}]") for i, v in enumerate(values)]
     raise SchemaError(f"field '{path}kind' must be 'uniform' or 'samples'")
 
 
@@ -254,20 +255,13 @@ def _build_source(mode, block):
                 _number(interval[1], f"monomial.box[{i}][1]"),
             )
         )
-    weight = WeightFunction.uniform()
+    weight = None
     if "weight" in block:
         weight = _parse_weight(_require(block, "weight", dict, "monomial."), "monomial.weight.")
     order = block.get("quadrature_order")
     if order is not None and (isinstance(order, bool) or not isinstance(order, int)):
         raise SchemaError("field 'monomial.quadrature_order' must be an integer")
-    spec = MonomialBasisSpec(
-        dimension=dimension,
-        max_degree=max_degree,
-        box=tuple(box),
-        weight=weight,
-        quadrature_order=order,
-    )
-    return monomial_gram(spec)
+    return monomial_gram(dimension, max_degree, box, weight, order)
 
 
 def _load_json(path):

@@ -1,12 +1,14 @@
 """Graded index sets: ordered levels of labelled basis elements."""
 
+from itertools import accumulate
+
 
 class GradedIndex:
     """Partition of a finite vector set into ordered, non-empty levels.
 
     Flat positions are level-major and preserve the within-level label
     order, so level k occupies the contiguous slice
-    ``[offsets[k], ends[k])``, where ``ends[k] = offsets[k] + sizes[k]``.  A level's id is its
+    ``[ends[k] - sizes[k], ends[k])``.  A level's id is its
     position k; output levels after an isotropic promotion keep the id
     of the input level holding their last vector.
     """
@@ -22,12 +24,8 @@ class GradedIndex:
                 raise ValueError(f"level {pos} has duplicate labels")
         self.levels = tuple(levels)
         self.sizes = tuple(len(level) for level in levels)
-        offsets = [0]
-        for size in self.sizes:
-            offsets.append(offsets[-1] + size)
-        self.offsets = tuple(offsets[:-1])
-        self.ends = tuple(offsets[1:])
-        self.total = offsets[-1]
+        self.ends = tuple(accumulate(self.sizes))
+        self.total = self.ends[-1]
 
     def __len__(self):
         return len(self.levels)
@@ -35,7 +33,3 @@ class GradedIndex:
     def __repr__(self):
         inner = ", ".join(f"{lid}:{list(level)}" for lid, level in enumerate(self.levels))
         return f"GradedIndex({inner})"
-
-    def level_slice(self, pos):
-        """Flat slice occupied by the level at list position ``pos``."""
-        return slice(self.offsets[pos], self.ends[pos])

@@ -5,6 +5,10 @@ A :class:`GramSource` pairs a :class:`~gradedortho.grading.GradedIndex`
 with the full Hermitian Gram matrix of the underlying vectors, blocks
 aligned with the grading.  All backends assemble the matrix eagerly and
 freeze it; the orthogonalizers never integrate anything themselves.
+
+The builders take plain values (a weight is None for the uniform one,
+or a 1-d sequence of samples) and check each where they use it, raising
+ValueError for a value no Gram matrix can be built from.
 """
 
 import math
@@ -22,67 +26,15 @@ TWO_PI = 2.0 * math.pi
 HERMITIZE_REJECT_FACTOR = 1e-12
 
 
-class WeightFunction:
-    """Positive weight, either uniform or sampled on a fixed grid.
-
-    Fourier sources sample on the uniform periodic grid over [0, 2pi);
-    monomial sources sample per tensor quadrature node (last axis
-    fastest).  Build one with :meth:`uniform` or :meth:`samples`.
-    """
-
-    def __init__(self, kind, values=None):
-        if kind not in ("uniform", "samples"):
-            raise ValueError(f"unknown weight kind {kind!r}")
-        self.kind = kind
-        self.values = values
-
-    @classmethod
-    def uniform(cls):
-        return cls("uniform")
-
-    @classmethod
-    def samples(cls, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("weight samples must be a non-empty 1-d array")
-        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-            raise ValueError("weight samples must all be finite and positive")
-        values = values.copy()
-        values.setflags(write=False)
-        return cls("samples", values)
-
-
-class MonomialBasisSpec:
-    """Monomials of total degree <= max_degree on a box, graded by degree.
-
-    ``box`` holds one finite ``(lo, hi)`` interval with lo < hi per axis;
-    ``quadrature_order`` defaults to max_degree + 1, the lowest order
-    at which the uniform weight's Gram entries are exact.
-    """
-
-    def __init__(self, dimension, max_degree, box=(), weight=None, quadrature_order=None):
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
-        box = tuple((float(lo), float(hi)) for lo, hi in box)
-        if len(box) != dimension:
-            raise ValueError(f"box has {len(box)} intervals for dimension {dimension}")
-        for lo, hi in box:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"invalid box interval [{lo}, {hi}]")
-        if quadrature_order is None:
-            quadrature_order = max_degree + 1
-        if quadrature_order < max_degree + 1:
-            raise ValueError(
-                f"quadrature order {quadrature_order} is below max_degree + 1 = "
-                f"{max_degree + 1}; Gram entries would not be exact"
-            )
-        self.dimension = dimension
-        self.max_degree = max_degree
-        self.box = box
-        self.weight = WeightFunction.uniform() if weight is None else weight
-        self.quadrature_order = quadrature_order
+def _weight_samples(values):
+    """A weight sampled on a fixed grid, as a float array: a non-empty
+    1-d sequence of finite, positive numbers."""
+    samples = np.asarray(values, dtype=np.float64)
+    if samples.ndim != 1 or samples.size == 0:
+        raise ValueError("weight samples must be a non-empty 1-d array")
+    if not np.all(np.isfinite(samples)) or np.any(samples <= 0.0):
+        raise ValueError("weight samples must all be finite and positive")
+    return samples
 
 
 class GramSource:
@@ -105,7 +57,8 @@ class GramSource:
 
 def build_explicit(index, matrix):
     """Wrap a user-supplied Hermitian matrix as a GramSource."""
-    h, adjustment = hermitize(matrix)
+    h = hermitize(matrix)
+    adjustment = max_abs(h - matrix)
     scale = max_abs(matrix)
     if adjustment > HERMITIZE_REJECT_FACTOR * max(scale, 1.0):
         raise ValueError(
@@ -130,23 +83,24 @@ def _fourier_harmonics(max_harmonic):
     return np.asarray(harmonics, dtype=np.int64)
 
 
-def fourier_gram(max_harmonic, weight):
+def fourier_gram(max_harmonic, weight=None):
     """Gram matrix of {exp(imx)} for |m| <= max_harmonic in L2([0,2pi], rho).
 
-    Entries are integrals of exp(i(m - m')x) rho(x), evaluated with the
-    periodic rectangle rule on the sample grid (exact for band-limited
-    weights once the grid has at least 4*max_harmonic + 1 points), all
-    moments at once by one real FFT of the samples.  The matrix is
-    exactly Toeplitz in the harmonic difference and exactly Hermitian by
-    construction.
+    ``weight`` is None for the uniform weight, or rho's positive samples
+    on the uniform periodic grid over [0, 2pi).  Entries are integrals
+    of exp(i(m - m')x) rho(x), evaluated with the periodic rectangle
+    rule on the sample grid (exact for band-limited weights once the
+    grid has at least 4*max_harmonic + 1 points), all moments at once
+    by one real FFT of the samples.  The matrix is exactly Toeplitz in
+    the harmonic difference and exactly Hermitian by construction.
     """
     index = fourier_index(max_harmonic)
     n_coeff = 2 * max_harmonic + 1
-    if weight.kind == "uniform":
+    if weight is None:
         moments = np.zeros(n_coeff, dtype=np.complex128)
         moments[0] = TWO_PI
     else:
-        samples = weight.values
+        samples = _weight_samples(weight)
         n_grid = samples.size
         if n_grid < 4 * max_harmonic + 1:
             raise ValueError(
@@ -211,18 +165,39 @@ def _gauss_legendre(order):
     return nodes, weights
 
 
-def monomial_gram(spec):
+def monomial_gram(dimension, max_degree, box, weight=None, quadrature_order=None):
     """Gram matrix of the graded monomial basis via tensor Gauss-Legendre.
 
-    With the uniform weight the rule is exact for all entries (total
-    degree per axis at most 2*max_degree <= 2*order - 1); sampled
-    weights are taken as given at the tensor nodes.
+    Monomials of total degree <= max_degree on ``box``, one finite
+    ``(lo, hi)`` interval with lo < hi per axis, graded by degree.
+    ``weight`` is None for the uniform weight, or its positive samples
+    per tensor quadrature node (last axis fastest), taken as given.
+    ``quadrature_order`` defaults to max_degree + 1, the lowest order at
+    which the uniform weight's rule is exact for all entries (total
+    degree per axis at most 2*max_degree <= 2*order - 1).
     """
-    index, exponents = monomial_index(spec.dimension, spec.max_degree)
-    nodes_1d, weights_1d = _gauss_legendre(spec.quadrature_order)
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    if len(box) != dimension:
+        raise ValueError(f"box has {len(box)} intervals for dimension {dimension}")
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"invalid box interval [{lo}, {hi}]")
+    if quadrature_order is None:
+        quadrature_order = max_degree + 1
+    if quadrature_order < max_degree + 1:
+        raise ValueError(
+            f"quadrature order {quadrature_order} is below max_degree + 1 = "
+            f"{max_degree + 1}; Gram entries would not be exact"
+        )
+    index, exponents = monomial_index(dimension, max_degree)
+    nodes_1d, weights_1d = _gauss_legendre(quadrature_order)
     axes_nodes = []
     axes_weights = []
-    for lo, hi in spec.box:
+    for lo, hi in box:
         center = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         axes_nodes.append(center + half * nodes_1d)
@@ -231,8 +206,8 @@ def monomial_gram(spec):
     points = np.stack([g.ravel() for g in grids], axis=0)
     wgrids = np.meshgrid(*axes_weights, indexing="ij")
     quad_weights = np.prod(np.stack([wg.ravel() for wg in wgrids], axis=0), axis=0)
-    if spec.weight.kind == "samples":
-        samples = spec.weight.values
+    if weight is not None:
+        samples = _weight_samples(weight)
         if samples.size != points.shape[1]:
             raise ValueError(
                 f"weight sampled at {samples.size} points but the tensor "
@@ -253,4 +228,4 @@ def monomial_gram(spec):
         gram = (values * quad_weights) @ values.T
     if not np.isfinite(gram).all():
         raise ValueError("Gram matrix has non-finite entries")
-    return GramSource(index, hermitize(gram)[0])
+    return GramSource(index, hermitize(gram))

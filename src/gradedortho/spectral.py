@@ -39,16 +39,8 @@ def _as_complex_square(a, who):
 
 
 def hermitize(a):
-    """Symmetrize to (a + a†)/2 with a real diagonal.
-
-    Returns the Hermitian matrix together with the largest entrywise
-    adjustment that was applied, so callers can reject inputs that were
-    not Hermitian to begin with.
-    """
-    a = _as_complex_square(a, "hermitize")
-    h = _hermitian_part(a)
-    adjustment = float(np.max(np.abs(h - a))) if a.size else 0.0
-    return h, adjustment
+    """Symmetrize a finite square matrix to (a + a†)/2 with a real diagonal."""
+    return _hermitian_part(_as_complex_square(a, "hermitize"))
 
 
 def _hermitian_part(a):

@@ -1,6 +1,7 @@
 import numpy as np
 
 import gradedortho as go
+from gradedortho.spectral import hermitize
 
 
 def relative_error(actual, expected):
@@ -16,7 +17,7 @@ def random_unitary(rng, n):
 def hermitian_from_spectrum(rng, eigenvalues):
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     u = random_unitary(rng, eigenvalues.size)
-    return go.hermitize((u * eigenvalues) @ u.conj().T)[0]
+    return hermitize((u * eigenvalues) @ u.conj().T)
 
 
 def random_spd(rng, n, cond=1e3):

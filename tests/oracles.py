@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradedortho import (
-    DEFAULT_DEGENERACY_TOL,
-    GradedOrthoError,
-    hermitize,
-    monomial_index,
-)
-from gradedortho.spectral import max_abs
+from gradedortho import DEFAULT_DEGENERACY_TOL, GradedOrthoError
+from gradedortho.gram import monomial_index
+from gradedortho.spectral import hermitize, max_abs
+
+
+def level_slice(index, k):
+    """Flat slice occupied by input level k of a graded index."""
+    return slice(index.ends[k] - index.sizes[k], index.ends[k])
 
 
 def cross_overlap(source, table, k, j):
@@ -35,7 +36,7 @@ def cross_overlap(source, table, k, j):
         raise ValueError(
             f"level {j} is not finished yet (frontier is {table.completed})"
         )
-    cols = source.index.level_slice(k)
+    cols = level_slice(source.index, k)
     return table.blocks[j].conj().T @ source.matrix[:, cols]
 
 
@@ -48,7 +49,7 @@ def residual_gram(gamma_k, corrections):
                 f"correction shape {delta.shape} does not match block {b.shape}"
             )
         b = b - delta
-    return hermitize(b)[0]
+    return hermitize(b)
 
 
 def mixing_block(overlap, normalizer):
@@ -75,14 +76,14 @@ def residual_gram_direct(source, table, k):
         )
     gram = source.matrix
     index = source.index
-    cols = index.level_slice(k)
+    cols = level_slice(index, k)
     h = np.zeros((index.total, index.sizes[k]), dtype=np.complex128)
     h[cols, :] = np.eye(index.sizes[k])
     for j in range(k):
         finished = table.blocks[j]
         coeffs = finished.conj().T @ (gram[:, cols])
         h = h - finished @ coeffs
-    return hermitize(h.conj().T @ gram @ h)[0]
+    return hermitize(h.conj().T @ gram @ h)
 
 
 def legendre_1d(max_degree, lo, hi):
@@ -154,7 +155,7 @@ def gram_schmidt_isotropic_obstruction(gram, degeneracy_tol=DEFAULT_DEGENERACY_T
     and not orthogonal to the second; returns the trace of the
     unsolvable equation.  Anything else raises NotACounterexample.
     """
-    gram, _ = hermitize(gram)
+    gram = hermitize(gram)
     if gram.shape != (2, 2):
         raise NotACounterexample(
             f"the demonstration needs a 2x2 Gram matrix, got {gram.shape}"

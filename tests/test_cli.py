@@ -828,6 +828,16 @@ def test_library_names_match_readme():
     assert not unknown
 
 
+def test_public_names_are_in_readme():
+    # the reverse of the test above: a public name README never names is
+    # one only tests use
+    readme = (PROBLEM_DIR.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`([A-Za-z_]\w*)", readme))
+    named |= set(re.findall(r"\bgo\.(\w+)", readme))
+    missing = set(gradedortho.__all__) - named - {"__version__"}
+    assert not missing
+
+
 def test_error_types_are_documented_or_mapped():
     # an exception class that neither README names nor the CLI maps to
     # an exit code is one only tests can tell apart

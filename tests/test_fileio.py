@@ -206,7 +206,7 @@ def test_zero_rows_are_exactly_the_rows_above_each_level(tmp_path, method):
     out = tmp_path / "result.json"
     assert main(["run", str(problem), "--output", str(out), "--method", method]) == EXIT_OK
     index = parse_problem(problem).source.index
-    level_ends = np.add(index.offsets, index.sizes).tolist()
+    level_ends = index.ends
     payload = json.loads(out.read_text(encoding="utf-8"))
     stop = 0
     for level in payload["levels"]:

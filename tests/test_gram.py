@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import gradedortho as go
+from gradedortho.gram import monomial_index
+from oracles import level_slice
 
 
 # --- GradedIndex -----------------------------------------------------------
@@ -12,8 +14,8 @@ def test_index_offsets_and_slices():
     idx = go.GradedIndex([["a", "b"], ["c"], ["d", "e", "f"]])
     assert idx.total == 6
     assert idx.sizes == (2, 1, 3)
-    assert idx.offsets == (0, 2, 3)
-    assert idx.level_slice(2) == slice(3, 6)
+    assert idx.ends == (2, 3, 6)
+    assert level_slice(idx, 2) == slice(3, 6)
 
 
 def test_index_rejects_empty_and_duplicate_levels():
@@ -69,11 +71,11 @@ def test_gram_source_matrix_is_frozen():
 
 def sampled_weight(n, fn):
     x = 2.0 * np.pi * np.arange(n) / n
-    return go.WeightFunction.samples(fn(x)), x
+    return fn(x), x
 
 
 def test_fourier_uniform_is_scaled_identity():
-    src = go.fourier_gram(1, go.WeightFunction.uniform())
+    src = go.fourier_gram(1)
     assert src.index.levels == (("0",), ("+", "-"))
     assert np.array_equal(src.matrix, 2.0 * np.pi * np.eye(3))
 
@@ -119,7 +121,7 @@ def test_fourier_gram_is_the_rectangle_rule(max_harmonic, n_grid):
     # the minimal grid 4M + 1 and M = 0 included; a sampled weight gives
     # an exactly Hermitian G
     values = np.random.default_rng(n_grid).uniform(0.2, 3.0, n_grid)
-    g = go.fourier_gram(max_harmonic, go.WeightFunction.samples(values)).matrix
+    g = go.fourier_gram(max_harmonic, values).matrix
     assert np.array_equal(g, g.conj().T)
     x = 2.0 * np.pi * np.arange(n_grid) / n_grid
     harmonics = np.array([0] + [h for k in range(1, max_harmonic + 1) for h in (k, -k)])
@@ -146,19 +148,26 @@ def test_fourier_positive_definite():
 
 def test_fourier_rejects_bad_weights():
     with pytest.raises(ValueError, match="weight samples must all be finite and positive"):
-        go.WeightFunction.samples([1.0, -0.5, 2.0])
+        go.fourier_gram(0, [1.0, -0.5, 2.0])
+    with pytest.raises(ValueError, match="weight samples must all be finite and positive"):
+        go.fourier_gram(1, [-1.0] * 5)  # enough points: only the signs are at fault
     with pytest.raises(ValueError, match="weight samples must be a non-empty 1-d array"):
-        go.WeightFunction.samples([])
-    weight = go.WeightFunction.samples(np.ones(8))
+        go.fourier_gram(0, [])
     with pytest.raises(ValueError, match="8 grid points cannot resolve harmonics up to 2; need at least 9"):
-        go.fourier_gram(2, weight)  # needs 4M+1 = 9 points
+        go.fourier_gram(2, np.ones(8))  # needs 4M+1 = 9 points
+
+
+def test_fourier_samples_as_list_tuple_or_array_agree():
+    values, _ = sampled_weight(9, lambda x: 2.0 + np.cos(x))
+    g = go.fourier_gram(2, values).matrix
+    assert np.array_equal(go.fourier_gram(2, values.tolist()).matrix, g)
+    assert np.array_equal(go.fourier_gram(2, tuple(values.tolist())).matrix, g)
 
 
 # --- monomial --------------------------------------------------------------
 
 def test_monomial_interval_closed_forms():
-    spec = go.MonomialBasisSpec(dimension=1, max_degree=2, box=[(-1.0, 1.0)])
-    g = go.monomial_gram(spec).matrix.real
+    g = go.monomial_gram(1, 2, [(-1.0, 1.0)]).matrix.real
     assert abs(g[0, 0] - 2.0) < 1e-14
     assert abs(g[1, 1] - 2.0 / 3.0) < 1e-14
     assert abs(g[0, 1]) < 1e-14
@@ -166,14 +175,13 @@ def test_monomial_interval_closed_forms():
 
 
 def test_monomial_level_labels_lexicographic():
-    idx, exponents = go.monomial_index(2, 2)
+    idx, exponents = monomial_index(2, 2)
     assert idx.levels == (("1",), ("x", "y"), ("x^2", "x*y", "y^2"))
     assert exponents == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
 def test_monomial_unit_interval_hilbert_entries():
-    spec = go.MonomialBasisSpec(dimension=1, max_degree=3, box=[(0.0, 1.0)])
-    g = go.monomial_gram(spec).matrix.real
+    g = go.monomial_gram(1, 3, [(0.0, 1.0)]).matrix.real
     for a in range(4):
         for b in range(4):
             assert abs(g[a, b] - 1.0 / (a + b + 1)) < 1e-14
@@ -181,8 +189,7 @@ def test_monomial_unit_interval_hilbert_entries():
 
 @pytest.mark.parametrize("degree", [4, 6, 8])
 def test_monomial_quadrature_exactness_1d(degree):
-    spec = go.MonomialBasisSpec(dimension=1, max_degree=degree, box=[(-1.0, 1.0)])
-    g = go.monomial_gram(spec).matrix.real
+    g = go.monomial_gram(1, degree, [(-1.0, 1.0)]).matrix.real
     for a in range(degree + 1):
         for b in range(degree + 1):
             p = a + b
@@ -191,10 +198,9 @@ def test_monomial_quadrature_exactness_1d(degree):
 
 
 def test_monomial_symmetric_box_parity_zeros():
-    spec = go.MonomialBasisSpec(dimension=2, max_degree=3, box=[(-1.0, 1.0), (-2.0, 2.0)])
-    src = go.monomial_gram(spec)
+    src = go.monomial_gram(2, 3, [(-1.0, 1.0), (-2.0, 2.0)])
     g = src.matrix.real
-    _, exponents = go.monomial_index(2, 3)
+    _, exponents = monomial_index(2, 3)
     for i, mi in enumerate(exponents):
         for j, mj in enumerate(exponents):
             if any((a + b) % 2 for a, b in zip(mi, mj)):
@@ -202,33 +208,42 @@ def test_monomial_symmetric_box_parity_zeros():
 
 
 def test_monomial_positive_definite():
-    spec = go.MonomialBasisSpec(dimension=2, max_degree=3, box=[(-1.0, 1.0), (0.0, 1.0)])
-    g = go.monomial_gram(spec).matrix
+    g = go.monomial_gram(2, 3, [(-1.0, 1.0), (0.0, 1.0)]).matrix
     assert go.eigh(g).values[-1] > 0.0
 
 
 def test_monomial_sampled_weight_matches_uniform_when_constant():
     order = 4
-    spec_u = go.MonomialBasisSpec(dimension=2, max_degree=2, box=[(-1.0, 1.0)] * 2,
-                                  quadrature_order=order)
-    weight = go.WeightFunction.samples(np.ones(order * order))
-    spec_s = go.MonomialBasisSpec(dimension=2, max_degree=2, box=[(-1.0, 1.0)] * 2,
-                                  weight=weight, quadrature_order=order)
-    assert np.array_equal(go.monomial_gram(spec_u).matrix, go.monomial_gram(spec_s).matrix)
+    uniform = go.monomial_gram(2, 2, [(-1.0, 1.0)] * 2, quadrature_order=order)
+    sampled = go.monomial_gram(2, 2, [(-1.0, 1.0)] * 2, weight=np.ones(order * order),
+                               quadrature_order=order)
+    assert np.array_equal(uniform.matrix, sampled.matrix)
 
 
 def test_monomial_rejects_low_order_and_bad_box():
     with pytest.raises(ValueError, match=r"quadrature order 3 is below max_degree \+ 1 = 5"):
-        go.MonomialBasisSpec(dimension=1, max_degree=4, box=[(-1.0, 1.0)], quadrature_order=3)
+        go.monomial_gram(1, 4, [(-1.0, 1.0)], quadrature_order=3)
     with pytest.raises(ValueError):
-        go.MonomialBasisSpec(dimension=1, max_degree=1, box=[(1.0, -1.0)])
+        go.monomial_gram(1, 1, [(1.0, -1.0)])
     with pytest.raises(ValueError, match="box has 1 intervals for dimension 2"):
-        go.MonomialBasisSpec(dimension=2, max_degree=1, box=[(-1.0, 1.0)])
+        go.monomial_gram(2, 1, [(-1.0, 1.0)])
 
 
 def test_monomial_sampled_weight_wrong_length():
-    weight = go.WeightFunction.samples(np.ones(5))
-    spec = go.MonomialBasisSpec(dimension=1, max_degree=2, box=[(-1.0, 1.0)],
-                                weight=weight, quadrature_order=4)
     with pytest.raises(ValueError, match="weight sampled at 5 points but the tensor grid has 4 nodes"):
-        go.monomial_gram(spec)
+        go.monomial_gram(1, 2, [(-1.0, 1.0)], weight=np.ones(5), quadrature_order=4)
+
+
+def test_monomial_rejects_negative_samples():
+    with pytest.raises(ValueError, match="weight samples must all be finite and positive"):
+        go.monomial_gram(1, 1, [(-1.0, 1.0)], weight=[-1.0, -1.0])
+    # the box is checked before the samples
+    with pytest.raises(ValueError, match=r"invalid box interval \[1.0, -1.0\]"):
+        go.monomial_gram(1, 1, [(1.0, -1.0)], weight=[-1.0, -1.0])
+
+
+def test_monomial_samples_as_list_tuple_or_array_agree():
+    samples = np.linspace(0.5, 2.0, 9)
+    g = go.monomial_gram(2, 2, [(-1.0, 1.0), (0.0, 2.0)], weight=samples).matrix
+    for same in (samples.tolist(), tuple(samples.tolist())):
+        assert np.array_equal(go.monomial_gram(2, 2, [(-1.0, 1.0), (0.0, 2.0)], weight=same).matrix, g)

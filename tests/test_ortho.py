@@ -10,10 +10,12 @@ import pytest
 import gradedortho as go
 from gradedortho import spectral
 from gradedortho.fileio import parse_problem
+from gradedortho.spectral import hermitize
 
 from conftest import random_graded_source, random_spd, relative_error
 from oracles import (
     cross_overlap,
+    level_slice,
     mixing_block,
     residual_gram,
     residual_gram_direct,
@@ -55,7 +57,7 @@ def test_cross_overlap_pair_case():
 
 
 def test_cross_overlap_fourier_uniform_vanishes():
-    src = go.fourier_gram(1, go.WeightFunction.uniform())
+    src = go.fourier_gram(1)
     table = go.orthonormalize_graded(src).partial(1)
     d = cross_overlap(src, table, 1, 0)
     assert np.max(np.abs(d)) < 1e-15
@@ -112,7 +114,7 @@ def test_residual_gram_matches_projection_norm():
     src = pair_source()
     table = go.orthonormalize_graded(src).partial(1)
     d = cross_overlap(src, table, 1, 0)
-    delta = go.hermitize(d.conj().T @ d)[0]
+    delta = hermitize(d.conj().T @ d)
     b = residual_gram(PAIR_GRAM[1:, 1:], [delta])
     assert abs(b[0, 0] - 1.0) < 1e-14
 
@@ -165,15 +167,14 @@ def test_identity_gram_gives_identity_table():
 
 
 def test_fourier_uniform_scalar_normalization():
-    src = go.fourier_gram(1, go.WeightFunction.uniform())
+    src = go.fourier_gram(1)
     table = go.orthonormalize_graded(src)
     scale = 1.0 / np.sqrt(2.0 * np.pi)
     assert np.allclose(table.matrix, scale * np.eye(3), atol=1e-15)
 
 
 def test_fourier_constant_level_real_positive():
-    weight = go.WeightFunction.samples(2.0 + np.cos(2 * np.pi * np.arange(64) / 64))
-    src = go.fourier_gram(4, weight)
+    src = go.fourier_gram(4, 2.0 + np.cos(2 * np.pi * np.arange(64) / 64))
     table = go.orthonormalize_graded(src)
     f0 = table.blocks[0][:, 0]
     assert f0[0].imag == 0.0
@@ -229,7 +230,7 @@ def test_gram_schmidt_blocks_match_block_recursion():
             partial = table.partial(k)
             q = table.normalizers[k]
             assembled = np.zeros_like(table.blocks[k])
-            assembled[src.index.level_slice(k), :] = q
+            assembled[level_slice(src.index, k), :] = q
             for j in range(k):
                 d = cross_overlap(src, partial, k, j)
                 assembled += table.blocks[j] @ mixing_block(d, q)
@@ -258,7 +259,7 @@ def pivoted_gram(pivots, seed=130):
     rng = np.random.default_rng(seed)
     n = len(pivots)
     factor = np.linalg.cholesky(random_spd(rng, n, cond=1e2))
-    return go.hermitize((factor * pivots) @ factor.conj().T)[0], factor
+    return hermitize((factor * pivots) @ factor.conj().T), factor
 
 
 @pytest.mark.parametrize("level_size", [1, 10])
@@ -268,7 +269,7 @@ def test_gram_schmidt_names_a_dependent_vector(bad, level_size):
     rng = np.random.default_rng(97)
     vectors = rng.normal(size=(160, 130)) + 1j * rng.normal(size=(160, 130))
     vectors[:, bad] = vectors[:, :bad] @ rng.normal(size=bad)
-    src = source_in_levels(go.hermitize(vectors.conj().T @ vectors)[0], level_size)
+    src = source_in_levels(hermitize(vectors.conj().T @ vectors), level_size)
     with pytest.raises(go.LinearlyDependentInput) as err:
         go.gram_schmidt_reference(src)
     assert err.value.level == bad // level_size
@@ -299,7 +300,7 @@ def test_gram_schmidt_names_a_negative_direction(bad, level_size):
         # Sources on which the inverse of the lower factor, by a pivoted
         # LU, leaves nonzeros below the diagonal of C.
         source_in_levels(random_spd(np.random.default_rng(130), 130, cond=1e8)),
-        go.monomial_gram(go.MonomialBasisSpec(3, 5, [(-2.0, 1.0), (0.0, 1.0), (1.0, 3.0)])),
+        go.monomial_gram(3, 5, [(-2.0, 1.0), (0.0, 1.0), (1.0, 3.0)]),
     ],
     ids=["singletons", "monomial"],
 )
@@ -388,7 +389,7 @@ def test_residual_gram_direct_identity_gram():
     table = go.orthonormalize_graded(src)
     for k in range(3):
         h = residual_gram_direct(src, table.partial(k), k)
-        sl = src.index.level_slice(k)
+        sl = level_slice(src.index, k)
         assert np.max(np.abs(h - src.matrix[sl, sl])) < 1e-15
 
 
@@ -400,8 +401,8 @@ def test_projection_oracle_matches_block_recursion():
         for k in range(len(src.index)):
             partial = table.partial(k)
             overlaps = [cross_overlap(src, partial, k, j) for j in range(k)]
-            deltas = [go.hermitize(d.conj().T @ d)[0] for d in overlaps]
-            sl = src.index.level_slice(k)
+            deltas = [hermitize(d.conj().T @ d) for d in overlaps]
+            sl = level_slice(src.index, k)
             b = residual_gram(src.matrix[sl, sl], deltas)
             h = residual_gram_direct(src, partial, k)
             assert np.max(np.abs(b - h)) <= 1e-10
@@ -614,7 +615,7 @@ def test_within_level_permutation_equivariance():
     pi = np.eye(idx.total)[flat, :]
     permuted_levels = [list(idx.levels[0]), [idx.levels[1][p] for p in perm], list(idx.levels[2])]
     src_p = go.build_explicit(
-        go.GradedIndex(permuted_levels), go.hermitize(pi @ gram @ pi.T)[0]
+        go.GradedIndex(permuted_levels), hermitize(pi @ gram @ pi.T)
     )
     table_p = go.orthonormalize_graded(src_p)
 
@@ -628,8 +629,7 @@ def test_within_level_permutation_equivariance():
 
 def test_fourier_conjugate_symmetry_preserved():
     x = 2.0 * np.pi * np.arange(64) / 64
-    weight = go.WeightFunction.samples(2.0 + np.cos(x))
-    src = go.fourier_gram(8, weight)
+    src = go.fourier_gram(8, 2.0 + np.cos(x))
     table = go.orthonormalize_graded(src)
     harmonics = [0] + [h for k in range(1, 9) for h in (k, -k)]
     mirror = [harmonics.index(-h) for h in harmonics]
@@ -640,9 +640,7 @@ def test_fourier_conjugate_symmetry_preserved():
 
 
 def test_legendre_regression():
-    spec = go.MonomialBasisSpec(dimension=1, max_degree=6, box=[(-1.0, 1.0)],
-                                quadrature_order=8)
-    src = go.monomial_gram(spec)
+    src = go.monomial_gram(1, 6, [(-1.0, 1.0)], quadrature_order=8)
     table = go.orthonormalize_graded(src)
     legendre = tensor_legendre_table(1, 6, [(-1.0, 1.0)])
     for k in range(7):
@@ -664,7 +662,7 @@ def test_legendre_regression():
     ],
 )
 def test_tensor_legendre_is_graded_and_gram_schmidt(dimension, max_degree, box, tol):
-    src = go.monomial_gram(go.MonomialBasisSpec(dimension, max_degree, box))
+    src = go.monomial_gram(dimension, max_degree, box)
     legendre = tensor_legendre_table(dimension, max_degree, box)
     for method in (go.orthonormalize_graded, go.gram_schmidt_reference):
         assert relative_error(method(src).matrix, legendre) <= tol, method.__name__
