@@ -32,23 +32,17 @@ from .ortho import (
     VerificationReport,
     gram_method_reference,
     gram_schmidt_reference,
-    level_normalizer,
     orthonormalize_graded,
     verify_table,
 )
 from .pseudo import pseudo_orthonormalize_graded
-from .spectral import (
-    DEFAULT_DEGENERACY_TOL,
-    EigenDecomposition,
-    eigh,
-)
+from .spectral import DEFAULT_DEGENERACY_TOL
 
 __all__ = [
     "__version__",
     "DEFAULT_DEGENERACY_TOL",
     "CoefficientTable",
     "DegenerateMetric",
-    "EigenDecomposition",
     "GradedIndex",
     "GradedOrthoError",
     "GramSource",
@@ -58,11 +52,9 @@ __all__ = [
     "TerminalIsotropicVector",
     "VerificationReport",
     "build_explicit",
-    "eigh",
     "fourier_gram",
     "gram_method_reference",
     "gram_schmidt_reference",
-    "level_normalizer",
     "monomial_gram",
     "orthonormalize_graded",
     "pseudo_orthonormalize_graded",

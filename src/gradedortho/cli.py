@@ -12,7 +12,8 @@ levels from the problem's grading and judges every merge.  ``verify``
 adds only what a file can get wrong on its own: its digest, its metric,
 its shapes, and level ids or labels other than the derived ones.
 
-Exit codes: 0 success, 2 parse/schema/usage error, 3 mathematical
+Exit codes: 0 success, 2 parse/schema/usage error (also a problem too
+large for memory), 3 mathematical
 failure (linear dependence, degenerate metric, terminal isotropic
 vector, an eigendecomposition that fails), 4 verification failure.
 """
@@ -29,6 +30,7 @@ from .errors import (
     GradedOrthoError,
     LinearlyDependentInput,
     NoConvergence,
+    SchemaError,
     TerminalIsotropicVector,
 )
 from .fileio import (
@@ -75,13 +77,19 @@ def _math_exit(err):
 
 def _run_method(problem, method):
     degeneracy_tol = problem.degeneracy_tol
-    if method == "graded":
-        if problem.metric == "pseudo":
-            return pseudo_orthonormalize_graded(problem.source, degeneracy_tol)
-        return orthonormalize_graded(problem.source, degeneracy_tol)
-    if method == "gram-schmidt":
-        return gram_schmidt_reference(problem.source, degeneracy_tol)
-    return gram_method_reference(problem.source, degeneracy_tol)
+    try:
+        if method == "graded":
+            if problem.metric == "pseudo":
+                return pseudo_orthonormalize_graded(problem.source, degeneracy_tol)
+            return orthonormalize_graded(problem.source, degeneracy_tol)
+        if method == "gram-schmidt":
+            return gram_schmidt_reference(problem.source, degeneracy_tol)
+        return gram_method_reference(problem.source, degeneracy_tol)
+    except ValueError as err:
+        # Input values the run cannot go on with: a projected block that
+        # overflows, or a promotion that would merge two levels sharing a
+        # label.
+        raise SchemaError(f"invalid '{problem.mode}' problem: {err}") from err
 
 
 def cmd_run(args):
@@ -92,12 +100,7 @@ def cmd_run(args):
             f"method '{args.method}' requires a euclidean metric; the "
             f"pseudo pipeline only supports 'graded'",
         )
-    try:
-        table = _run_method(problem, args.method)
-    except ValueError as err:
-        # Input values the run cannot go on with, such as a promotion
-        # that would merge two levels sharing a label.
-        return _fail(EXIT_SCHEMA, f"invalid '{problem.mode}' problem: {err}")
+    table = _run_method(problem, args.method)
     report = verify_table(problem.source, table, problem.verify_tol, problem.degeneracy_tol)
     output = args.output
     if output is None:
@@ -237,8 +240,8 @@ def main(argv=None):
     """Run one subcommand and map its errors to exit codes.
 
     A method's failure on a well-formed problem exits 3; any other
-    package error (a problem or result file it cannot use) and an
-    unreadable file exit 2.
+    package error (a problem or result file it cannot use), an
+    unreadable file and a problem too large for memory exit 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -248,6 +251,9 @@ def main(argv=None):
         return _math_exit(err)
     except (GradedOrthoError, OSError) as err:
         return _fail(EXIT_SCHEMA, str(err))
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        return _fail(EXIT_SCHEMA, f"the problem is too large for memory{detail}")
 
 
 def entry():

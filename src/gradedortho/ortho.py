@@ -161,13 +161,17 @@ def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signe
     brings max|b| below 2, and r is scaled by 2^-m after, so a block
     whose eigenvalues pass the float maximum normalizes too.  The
     spectrum is classified in those units, where the floor 1 is 4^-m.
+    A b with an entry that is not finite (a projection that overflowed)
+    is a ValueError naming the level.
     """
-    m = max(math.frexp(max_abs(b))[1] // 2, 0)
-    scale = math.ldexp(1.0, -2 * m)
-    dec = eigh(b * scale)
-    values = dec.values
-    n = len(values)
     what = "full Gram matrix" if level is None else f"level {level}: projected Gram block"
+    largest = max_abs(b)
+    if not math.isfinite(largest):
+        raise ValueError(f"{what} is not finite")
+    m = max(math.frexp(largest)[1] // 2, 0)
+    scale = math.ldexp(1.0, -2 * m)
+    values, vectors = eigh(b * scale)
+    n = len(values)
     if signed:
         if np.any(np.abs(values) <= degeneracy_tol * max_abs(values)):
             raise DegenerateMetric(
@@ -191,11 +195,11 @@ def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signe
     # 2^-m / sqrt(λ 4^-m) rounds as 1 / sqrt(λ) does: every step is exact
     # up to one rounding, and scaling by a power of two keeps it.
     if p in (0, n):
-        return _from_eigenbasis(dec, math.ldexp(1.0, -m) / np.sqrt(np.abs(values))), signs
+        return _from_eigenbasis(vectors, math.ldexp(1.0, -m) / np.sqrt(np.abs(values))), signs
     # values is descending, so positives already lead; flip the negative
     # block to get descending |eigenvalue| there as well.
     order = np.concatenate([np.arange(p), np.arange(n - 1, p - 1, -1)])
-    return dec.vectors[:, order] * (math.ldexp(1.0, -m) / np.sqrt(np.abs(values[order]))), signs
+    return vectors[:, order] * (math.ldexp(1.0, -m) / np.sqrt(np.abs(values[order]))), signs
 
 
 def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -266,20 +270,23 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
     # singleton leaves lo where it is, and the next level's block starts
     # with its column.
     lo = 0
-    for k in range(len(index)):
-        hi = index.ends[k]
-        b, sd = _projected_block(gram, c, signs, lo, hi)
-        if signed and _isotropic_singleton(gram[lo:hi, lo:hi], b, degeneracy_tol):
-            _check_promotion(index, k)
-            continue
-        r, s = level_normalizer(b, degeneracy_tol, k, signed)
-        if signed:
-            signs[lo:hi] = s
-        p = -sd @ r
-        c[lo:hi, lo:hi] = r
-        c[:lo, lo:hi] = c[:lo, :lo] @ p
-        stops.append(hi)
-        lo = hi
+    # A projection that overflows leaves a non-finite block, which
+    # level_normalizer reports by level; numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(index)):
+            hi = index.ends[k]
+            b, sd = _projected_block(gram, c, signs, lo, hi)
+            if signed and _isotropic_singleton(gram[lo:hi, lo:hi], b, degeneracy_tol):
+                _check_promotion(index, k)
+                continue
+            r, s = level_normalizer(b, degeneracy_tol, k, signed)
+            if signed:
+                signs[lo:hi] = s
+            p = -sd @ r
+            c[lo:hi, lo:hi] = r
+            c[:lo, lo:hi] = c[:lo, :lo] @ p
+            stops.append(hi)
+            lo = hi
     return CoefficientTable(index, c, stops, signs)
 
 
@@ -491,30 +498,33 @@ def verify_table(
     signs = table.signs
     spans = _column_levels(index, table.stops)
     target = np.eye(c.shape[1]) if signs is None else np.diag(signs)
-    max_residual = max_abs(c.conj().T @ gram @ c - target)
-    structural_ok = _structural_zeros_ok(index, c, spans)
-    mismatch = None
-    derived = len(spans)  # the blocks that are output levels of the source
-    for pos, (start, stop, first, last) in enumerate(spans):
-        if stop != index.ends[last]:
-            mismatch = "split an input level"
-        elif last > first:
-            mismatch = _merge_fault(index, first, last, signs is not None)
-            if mismatch is None and not _isotropic_singleton(
-                gram[start : start + 1, start : start + 1],
-                _projected_block(gram, c, signs, start, start + 1)[0],
-                degeneracy_tol,
-            ):
-                mismatch = (
-                    f"merge input level {first} into {last}, but its vector is not isotropic"
-                )
-        if mismatch is not None:
-            mismatch = f"levels[{pos}] columns {start}..{stop - 1} {mismatch}"
-            derived = pos
-            break
-    conditions = tuple(
-        zip((last for *_, last in spans), _condition_numbers(table.normalizers))
-    )
+    # Coefficients near the float range overflow C† G C; the residual
+    # then reads inf (or NaN) and fails, which needs no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_residual = max_abs(c.conj().T @ gram @ c - target)
+        structural_ok = _structural_zeros_ok(index, c, spans)
+        mismatch = None
+        derived = len(spans)  # the blocks that are output levels of the source
+        for pos, (start, stop, first, last) in enumerate(spans):
+            if stop != index.ends[last]:
+                mismatch = "split an input level"
+            elif last > first:
+                mismatch = _merge_fault(index, first, last, signs is not None)
+                if mismatch is None and not _isotropic_singleton(
+                    gram[start : start + 1, start : start + 1],
+                    _projected_block(gram, c, signs, start, start + 1)[0],
+                    degeneracy_tol,
+                ):
+                    mismatch = (
+                        f"merge input level {first} into {last}, but its vector is not isotropic"
+                    )
+            if mismatch is not None:
+                mismatch = f"levels[{pos}] columns {start}..{stop - 1} {mismatch}"
+                derived = pos
+                break
+        conditions = tuple(
+            zip((last for *_, last in spans), _condition_numbers(table.normalizers))
+        )
     passed = max_residual <= tolerance and mismatch is None and (
         structural_ok or (signs is None and _is_loewdin(c))
     )

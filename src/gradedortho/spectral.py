@@ -10,8 +10,6 @@ definite level block does not depend on it, the columns
 signature do.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import NoConvergence
@@ -20,13 +18,6 @@ DEFAULT_DEGENERACY_TOL = 1e-10
 # Acceptance bound of an eigendecomposition's reconstruction residual,
 # relative to dim * max|a_ij|.
 EIGH_RESIDUAL_TOL = 1e-11
-
-
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues in descending order; unit eigenvectors as columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _as_complex_square(a, who):
@@ -69,7 +60,7 @@ def eigh(a):
 
     Returns
     -------
-    EigenDecomposition
+    values, vectors : ndarray
         Real eigenvalues in descending order and a unitary eigenvector
         matrix with a fixed phase convention (the largest-magnitude
         component of each column is real positive).
@@ -90,8 +81,6 @@ def eigh(a):
     vectors = vectors[:, ::-1]
     if n:
         vectors = vectors * _phase_fixes(vectors)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
     # An eigenvalue that overflowed inside LAPACK makes the residual NaN,
     # which must fail the bound rather than slip past a ``>`` test.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -101,7 +90,7 @@ def eigh(a):
             f"eigendecomposition residual {residual:.3e} exceeds requested"
             f" tolerance"
         )
-    return EigenDecomposition(values=values, vectors=vectors)
+    return values, vectors
 
 
 def _phase_fixes(vectors):
@@ -115,5 +104,5 @@ def _phase_fixes(vectors):
     return fixes
 
 
-def _from_eigenbasis(dec, diag_values):
-    return _hermitian_part((dec.vectors * diag_values) @ dec.vectors.conj().T)
+def _from_eigenbasis(vectors, diag_values):
+    return _hermitian_part((vectors * diag_values) @ vectors.conj().T)

@@ -3,9 +3,12 @@
 import argparse
 import copy
 import gc
+import importlib
+import inspect
 import json
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -37,12 +40,17 @@ def write_json(path, payload):
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def run_python(*args, **overrides):
+def run_python(*args, preexec_fn=None, **overrides):
     """A fresh interpreter on the repository's sources, with extra environment."""
     env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -468,7 +476,8 @@ def explicit(levels, gram):
 
 
 # Valid JSON of the right types whose values no Gram source can be built
-# from, each with the text of the ValueError that rejects it.
+# from, or no level loop can go on with, each with the text of the
+# ValueError that rejects it.
 INVALID_VALUE_PROBLEMS = {
     "duplicate-label": (
         explicit([["a", "a"]], [[1.0, 0.0], [0.0, 1.0]]),
@@ -509,6 +518,12 @@ INVALID_VALUE_PROBLEMS = {
     ),
     "fourier-empty-samples": (fourier(0, []), "weight samples must be a non-empty 1-d array"),
     "fourier-gram-overflow": (fourier(0, [1e308, 1e308]), "Gram matrix has non-finite entries"),
+    # finite, but level 1's overlap with level 0's normalized vector is
+    # 1e200 / 1e-150, so its projected block overflows
+    "projection-overflow": (
+        explicit([["a"], ["b"]], [[1e-300, 1e200], [1e200, 1e308]]),
+        "level 1: projected Gram block is not finite",
+    ),
 }
 
 
@@ -602,6 +617,46 @@ def test_failed_eigendecomposition_exits_3(monkeypatch, tmp_path, capsys, comman
     [line] = capsys.readouterr().err.splitlines()
     assert line == "error: NoConvergence: eigendecomposition failed: Eigenvalues did not converge"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_verify_of_a_coefficient_near_the_float_range_fails_without_a_warning(
+    tmp_path, capsys
+):
+    problem = PROBLEM_DIR / "explicit_euclidean.json"
+    out = tmp_path / "big.result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    row = payload["levels"][-1]["coefficients"][0]
+    assert len(row[0]) == 2
+    row[0] = [1e300, 0.0]
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert "recomputed orthonormality residual: inf" in captured.out
+    assert captured.out.rstrip().endswith("verification: FAIL")
+    assert captured.err == ""
+
+
+def cap_address_space():
+    # 3 GiB holds the interpreter and numpy but no 100001 x 100001 array,
+    # whatever the machine's memory and overcommit policy
+    limit = 3 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_problem_too_large_for_memory_exits_2_with_one_line(tmp_path):
+    path = tmp_path / "large.json"
+    problem = {"max_harmonic": 50000, "weight": {"kind": "uniform"}}
+    write_json(path, {"mode": "fourier", "metric": "euclidean", "fourier": problem})
+    proc = run_python(
+        "-m", "gradedortho.cli", "run", str(path),
+        preexec_fn=cap_address_space, OPENBLAS_NUM_THREADS="1",
+    )
+    assert proc.returncode == EXIT_SCHEMA, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: the problem is too large for memory: ")
+    assert not (tmp_path / "large.result.json").exists()
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -836,6 +891,42 @@ def test_public_names_are_in_readme():
     named |= set(re.findall(r"\bgo\.(\w+)", readme))
     missing = set(gradedortho.__all__) - named - {"__version__"}
     assert not missing
+
+
+def test_readme_library_examples_run():
+    readme = (PROBLEM_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert blocks
+    namespace = {}
+    for number, block in enumerate(blocks):
+        exec(compile(block, f"README.md (Library use, block {number})", "exec"), namespace)
+    assert namespace["report"].passed
+
+
+# perfbench/layers.py reads its per-layer metrics from the spans of these
+# functions, and perfbench/spans.py wraps only the module-level functions
+# whose names have no leading underscore: a rename blanks a metric.
+BENCHMARK_TIMED = {
+    "fileio": ("parse_problem", "parse_result", "result_payload", "write_result"),
+    "ortho": (
+        "orthonormalize_graded",
+        "verify_table",
+        "gram_schmidt_reference",
+        "gram_method_reference",
+    ),
+    "pseudo": ("pseudo_orthonormalize_graded",),
+    "spectral": ("eigh",),
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(BENCHMARK_TIMED))
+def test_benchmark_timed_functions_keep_their_names(module_name):
+    module = importlib.import_module(f"gradedortho.{module_name}")
+    for name in BENCHMARK_TIMED[module_name]:
+        function = getattr(module, name, None)
+        assert inspect.isfunction(function), name
+        assert function.__module__ == module.__name__, name
 
 
 def test_error_types_are_documented_or_mapped():

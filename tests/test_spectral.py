@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import gradedortho as go
-from gradedortho.spectral import hermitize, max_abs
+from gradedortho.ortho import level_normalizer
+from gradedortho.spectral import eigh, hermitize, max_abs
 
 from conftest import hermitian_from_spectrum, random_spd
 
@@ -53,27 +54,27 @@ def test_hermitize_rejects_nan():
 # --- eigh ------------------------------------------------------------------
 
 def test_eigh_diagonal_case():
-    dec = go.eigh(np.diag([3.0, 1.0]).astype(complex))
-    assert np.allclose(dec.values, [3.0, 1.0])
-    assert np.allclose(dec.vectors, np.eye(2))
+    values, vectors = eigh(np.diag([3.0, 1.0]).astype(complex))
+    assert np.allclose(values, [3.0, 1.0])
+    assert np.allclose(vectors, np.eye(2))
 
 
 def test_eigh_symmetric_offdiagonal():
     a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    dec = go.eigh(a)
-    assert np.allclose(dec.values, eig2x2(a), atol=1e-14)
+    values, vectors = eigh(a)
+    assert np.allclose(values, eig2x2(a), atol=1e-14)
     s = 1.0 / np.sqrt(2.0)
-    assert np.allclose(np.abs(dec.vectors), [[s, s], [s, s]], atol=1e-14)
+    assert np.allclose(np.abs(vectors), [[s, s], [s, s]], atol=1e-14)
     # phase convention: largest-magnitude component real positive
-    assert np.allclose(dec.vectors[:, 0], [s, s], atol=1e-14)
-    assert np.allclose(dec.vectors[:, 1], [s, -s], atol=1e-14)
+    assert np.allclose(vectors[:, 0], [s, s], atol=1e-14)
+    assert np.allclose(vectors[:, 1], [s, -s], atol=1e-14)
 
 
 def test_eigh_complex_case_matches_oracle():
     a = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
-    dec = go.eigh(a)
-    assert np.allclose(dec.values, eig2x2(a), atol=1e-14)
-    assert np.allclose(dec.values, [3.0, 1.0])
+    values, _ = eigh(a)
+    assert np.allclose(values, eig2x2(a), atol=1e-14)
+    assert np.allclose(values, [3.0, 1.0])
 
 
 def test_eigh_maps_lapack_failure_to_no_convergence(monkeypatch):
@@ -82,7 +83,7 @@ def test_eigh_maps_lapack_failure_to_no_convergence(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(go.NoConvergence) as info:
-        go.eigh(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        eigh(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -90,19 +91,19 @@ def test_eigh_rejects_an_eigenvalue_that_overflows():
     # finite and Hermitian, but its eigenvalue 2.7e308 overflows inside
     # LAPACK, so the reconstruction residual is NaN
     with pytest.raises(go.NoConvergence, match="residual nan"):
-        go.eigh(np.array([[1.7e308, 1e308], [1e308, 1.7e308]]))
+        eigh(np.array([[1.7e308, 1e308], [1e308, 1.7e308]]))
 
 
 @pytest.mark.parametrize("n", [3, 8, 21, 64])
 def test_eigh_reconstruction_invariant(n):
     rng = np.random.default_rng(n)
     a = random_spd(rng, n, cond=1e6)
-    dec = go.eigh(a)
-    recon = (dec.vectors * dec.values) @ dec.vectors.conj().T
+    values, vectors = eigh(a)
+    recon = (vectors * values) @ vectors.conj().T
     assert np.max(np.abs(recon - a)) <= 1e-11 * n * np.max(np.abs(a))
-    unit = dec.vectors.conj().T @ dec.vectors
+    unit = vectors.conj().T @ vectors
     assert np.max(np.abs(unit - np.eye(n))) < 1e-13
-    assert np.all(np.diff(dec.values) <= 0)
+    assert np.all(np.diff(values) <= 0)
 
 
 def test_eigh_phases_match_the_column_by_column_rule():
@@ -115,49 +116,49 @@ def test_eigh_phases_match_the_column_by_column_rule():
         for col in expected.T:
             pivot = col[np.argmax(np.abs(col))]
             col *= pivot.conjugate() / abs(pivot)
-        assert np.max(np.abs(go.eigh(a).vectors - expected)) <= 4 * np.finfo(float).eps
+        assert np.max(np.abs(eigh(a)[1] - expected)) <= 4 * np.finfo(float).eps
 
 
 def test_eigh_of_an_empty_matrix():
-    dec = go.eigh(np.zeros((0, 0)))
-    assert dec.values.shape == (0,)
-    assert dec.vectors.shape == (0, 0)
+    values, vectors = eigh(np.zeros((0, 0)))
+    assert values.shape == (0,)
+    assert vectors.shape == (0, 0)
 
 
 def test_eigh_matches_lapack_eigenvalues():
     rng = np.random.default_rng(5)
     a = random_spd(rng, 12, cond=1e4)
-    dec = go.eigh(a)
+    values, _ = eigh(a)
     reference = np.linalg.eigvalsh(a)[::-1]
-    assert np.max(np.abs(dec.values - reference)) < 1e-10 * np.max(np.abs(reference))
+    assert np.max(np.abs(values - reference)) < 1e-10 * np.max(np.abs(reference))
 
 
 def test_eigh_degenerate_spectrum_still_unitary():
     rng = np.random.default_rng(17)
     a = hermitian_from_spectrum(rng, [2.0, 2.0, 2.0, 1.0])
-    dec = go.eigh(a)
-    unit = dec.vectors.conj().T @ dec.vectors
+    values, vectors = eigh(a)
+    unit = vectors.conj().T @ vectors
     assert np.max(np.abs(unit - np.eye(4))) < 1e-13
-    recon = (dec.vectors * dec.values) @ dec.vectors.conj().T
+    recon = (vectors * values) @ vectors.conj().T
     assert np.max(np.abs(recon - a)) < 1e-13
 
 
 # --- level_normalizer: inverse square root of a definite block --------------
 
 def test_inv_sqrt_identity():
-    r, signs = go.level_normalizer(np.eye(3))
+    r, signs = level_normalizer(np.eye(3))
     assert np.allclose(r, np.eye(3), atol=1e-14)
     assert list(signs) == [1, 1, 1]
 
 
 def test_inv_sqrt_diagonal():
-    q, _ = go.level_normalizer(np.diag([4.0, 9.0]).astype(complex))
+    q, _ = level_normalizer(np.diag([4.0, 9.0]).astype(complex))
     assert np.allclose(q, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
 
 
 def test_inv_sqrt_frozen_2x2():
     a = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-    q, _ = go.level_normalizer(a)
+    q, _ = level_normalizer(a)
     # hand eigendecomposition: eigenvalues 1.5 and 0.5
     expected = np.array([[1.115355, -0.298858], [-0.298858, 1.115355]])
     assert np.max(np.abs(q - expected)) < 1e-6
@@ -166,20 +167,20 @@ def test_inv_sqrt_frozen_2x2():
 
 def test_inv_sqrt_rejects_singular_and_indefinite():
     with pytest.raises(go.LinearlyDependentInput):
-        go.level_normalizer(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        level_normalizer(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(go.DegenerateMetric):
-        go.level_normalizer(np.diag([1.0, -1.0]))
+        level_normalizer(np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("n,cond", [(4, 10.0), (16, 1e3), (40, 1e6), (64, 1e6)])
 def test_inv_sqrt_defining_relation_random_spd(n, cond):
     rng = np.random.default_rng(int(n + cond))
     a = random_spd(rng, n, cond=cond)
-    q, _ = go.level_normalizer(a)
+    q, _ = level_normalizer(a)
     assert np.max(np.abs(q @ a @ q - np.eye(n))) <= 1e-10
     # result is itself Hermitian positive definite
     assert np.array_equal(q, q.conj().T)
-    assert go.eigh(q).values[-1] > 0
+    assert eigh(q)[0][-1] > 0
 
 
 def test_inv_sqrt_permutation_equivariance():
@@ -188,8 +189,8 @@ def test_inv_sqrt_permutation_equivariance():
     a = random_spd(rng, n, cond=50.0)
     perm = rng.permutation(n)
     pi = np.eye(n)[:, perm]
-    lhs, _ = go.level_normalizer(hermitize(pi.T @ a @ pi))
-    rhs = pi.T @ go.level_normalizer(a)[0] @ pi
+    lhs, _ = level_normalizer(hermitize(pi.T @ a @ pi))
+    rhs = pi.T @ level_normalizer(a)[0] @ pi
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -200,32 +201,32 @@ def signature(signs):
 
 
 def test_signature_split_minkowski_diag():
-    _, signs = go.level_normalizer(np.diag([1.0, -1.0]).astype(complex), signed=True)
+    _, signs = level_normalizer(np.diag([1.0, -1.0]).astype(complex), signed=True)
     assert signature(signs) == (1, 1)
 
 
 def test_signature_split_offdiagonal():
     a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    _, signs = go.level_normalizer(a, signed=True)
+    _, signs = level_normalizer(a, signed=True)
     assert signature(signs) == (1, 1)
-    assert np.allclose(go.eigh(a).values, [1.0, -1.0])
+    assert np.allclose(eigh(a)[0], [1.0, -1.0])
 
 
 def test_signature_split_positive_diag():
-    _, signs = go.level_normalizer(np.diag([2.0, 3.0, 5.0]).astype(complex), signed=True)
+    _, signs = level_normalizer(np.diag([2.0, 3.0, 5.0]).astype(complex), signed=True)
     assert signature(signs) == (3, 0)
 
 
 def test_signature_split_rejects_degenerate():
     with pytest.raises(go.DegenerateMetric):
-        go.level_normalizer(np.diag([1.0, 0.0]).astype(complex), signed=True)
+        level_normalizer(np.diag([1.0, 0.0]).astype(complex), signed=True)
 
 
 def test_signature_matches_lapack_count():
     rng = np.random.default_rng(31)
     w = np.array([4.0, 2.5, 1.0, -0.5, -3.0])
     a = hermitian_from_spectrum(rng, w)
-    p, q = signature(go.level_normalizer(a, signed=True)[1])
+    p, q = signature(level_normalizer(a, signed=True)[1])
     reference = np.linalg.eigvalsh(a)
     assert p == int(np.sum(reference > 0)) and q == int(np.sum(reference < 0))
 
@@ -233,24 +234,24 @@ def test_signature_matches_lapack_count():
 # --- level_normalizer: congruence to diag(+1.., -1..) -----------------------
 
 def test_pseudo_normalizer_minkowski_identity():
-    r, signs = go.level_normalizer(np.diag([1.0, -1.0]).astype(complex), signed=True)
+    r, signs = level_normalizer(np.diag([1.0, -1.0]).astype(complex), signed=True)
     assert np.allclose(r, np.eye(2), atol=1e-14)
     assert list(signs) == [1, -1]
 
 
 def test_pseudo_normalizer_euclidean_reduces_to_inv_sqrt():
     a = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-    r, signs = go.level_normalizer(a, signed=True)
+    r, signs = level_normalizer(a, signed=True)
     assert list(signs) == [1, 1]
-    assert np.array_equal(r, go.level_normalizer(a, signed=False)[0])
-    r2, signs2 = go.level_normalizer(np.eye(2), signed=True)
+    assert np.array_equal(r, level_normalizer(a, signed=False)[0])
+    r2, signs2 = level_normalizer(np.eye(2), signed=True)
     assert np.allclose(r2, np.eye(2), atol=1e-14)
     assert list(signs2) == [1, 1]
 
 
 def test_pseudo_normalizer_offdiagonal_case():
     a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    r, signs = go.level_normalizer(a, signed=True)
+    r, signs = level_normalizer(a, signed=True)
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(r[:, 0], [s, s], atol=1e-14)
     assert np.allclose(r[:, 1], [s, -s], atol=1e-14)
@@ -264,7 +265,7 @@ def test_pseudo_normalizer_defining_relation_random():
         w = rng.uniform(0.1, 10.0, size=6) * rng.choice([-1.0, 1.0], size=6)
         w[0], w[-1] = abs(w[0]), -abs(w[-1])
         a = hermitian_from_spectrum(rng, w)
-        r, signs = go.level_normalizer(a, signed=True)
+        r, signs = level_normalizer(a, signed=True)
         target = np.diag(signs.astype(complex))
         assert np.max(np.abs(r.conj().T @ a @ r - target)) < 1e-12
         assert list(signs) == sorted(signs, reverse=True)
@@ -272,7 +273,7 @@ def test_pseudo_normalizer_defining_relation_random():
 
 def test_pseudo_normalizer_all_negative():
     a = np.diag([-2.0, -0.5]).astype(complex)
-    r, signs = go.level_normalizer(a, signed=True)
+    r, signs = level_normalizer(a, signed=True)
     assert list(signs) == [-1, -1]
     assert np.max(np.abs(r.conj().T @ a @ r + np.eye(2))) < 1e-14
 
@@ -280,7 +281,7 @@ def test_pseudo_normalizer_all_negative():
 def test_deterministic_outputs():
     rng = np.random.default_rng(55)
     a = random_spd(rng, 10, cond=1e3)
-    d1, d2 = go.eigh(a), go.eigh(a)
-    assert np.array_equal(d1.values, d2.values)
-    assert np.array_equal(d1.vectors, d2.vectors)
-    assert np.array_equal(go.level_normalizer(a)[0], go.level_normalizer(a)[0])
+    (values1, vectors1), (values2, vectors2) = eigh(a), eigh(a)
+    assert np.array_equal(values1, values2)
+    assert np.array_equal(vectors1, vectors2)
+    assert np.array_equal(level_normalizer(a)[0], level_normalizer(a)[0])
