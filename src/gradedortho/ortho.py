@@ -47,12 +47,18 @@ class CoefficientTable:
     singleton into the level after it.  ``blocks``, ``normalizers`` and
     ``partial`` are views of ``matrix``.
 
-    ``matrix`` must have ``index.total`` rows and at most as many
-    columns, ``stops`` must strictly increase up to its column count and
-    ``signs`` hold one entry per column (ValueError otherwise).
+    ``matrix`` and ``signs`` may be any array-like and are kept as numpy
+    arrays (int64 signs); an ndarray matrix and int64 signs are not copied.
+    ``matrix`` must be two-dimensional with ``index.total`` rows and at
+    most as many columns, ``stops`` must strictly increase up to its
+    column count and ``signs`` hold one +1 or -1 per column (ValueError
+    otherwise).
     """
 
     def __init__(self, index, matrix, stops, signs=None):
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2:
+            raise ValueError(f"the matrix must be two-dimensional, got shape {matrix.shape}")
         rows, cols = matrix.shape
         stops = tuple(stops)
         if rows != index.total:
@@ -62,8 +68,14 @@ class CoefficientTable:
         bounds = (0, *stops)
         if bounds[-1] != cols or any(a >= b for a, b in zip(bounds, stops)):
             raise ValueError(f"column stops {list(stops)} must strictly increase to {cols}")
-        if signs is not None and len(signs) != cols:
-            raise ValueError(f"{len(signs)} signs for {cols} coefficient columns")
+        if signs is not None:
+            signs = np.asarray(signs)
+            if signs.shape != (cols,):
+                raise ValueError(f"{signs.size} signs for {cols} coefficient columns")
+            bad = signs[(signs != 1) & (signs != -1)]
+            if bad.size:
+                raise ValueError(f"sign {bad[0]} is neither +1 nor -1")
+            signs = signs.astype(np.int64, copy=False)
         self.index = index
         self.matrix = matrix
         self.stops = stops
@@ -251,18 +263,17 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
     """The graded level loop of both metrics.
 
     Each level is projected against all finished levels with the signs
-    S of the finished vectors (all +1 for the Euclidean metric, where
-    S is skipped because multiplying by it changes no value) and
+    S of the finished vectors (all +1 for the Euclidean metric) and
     normalized symmetrically by :func:`level_normalizer`.  Only the
     signed metric promotes a lone isotropic vector into the following
-    level and keeps the signs of its output vectors.  The table returned
-    is the loop's own state: C, the column where each output level ends
-    and the finished signs.
+    level and hands its signs to the table.  The table returned is the
+    loop's own state: C, the column where each output level ends and,
+    for the signed metric, the finished signs.
     """
     gram = source.matrix
     index = source.index
     c = np.zeros((index.total, index.total), dtype=np.complex128)
-    signs = np.ones(index.total, dtype=np.int64) if signed else None
+    signs = np.ones(index.total, dtype=np.int64)
     stops = []
     # Promotion only ever merges a singleton into the next level, so the
     # level at hand is the row range [lo, hi) and the finished output
@@ -279,30 +290,28 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
             if signed and _isotropic_singleton(gram[lo:hi, lo:hi], b, degeneracy_tol):
                 _check_promotion(index, k)
                 continue
-            r, s = level_normalizer(b, degeneracy_tol, k, signed)
-            if signed:
-                signs[lo:hi] = s
+            r, signs[lo:hi] = level_normalizer(b, degeneracy_tol, k, signed)
             p = -sd @ r
             c[lo:hi, lo:hi] = r
             c[:lo, lo:hi] = c[:lo, :lo] @ p
             stops.append(hi)
             lo = hi
-    return CoefficientTable(index, c, stops, signs)
+    return CoefficientTable(index, c, stops, signs if signed else None)
 
 
 def _projected_block(gram, c, signs, lo, hi):
     """(Γ - D†SD, SD) for the input rows [lo, hi) against the finished
     columns c[:lo, :lo], with Γ their Gram block and D = C† G[:lo, lo:hi].
 
-    ``signs`` holds the finished vectors' signs; None stands for all +1,
-    whose product changes no value.  D is formed from the k x lo panel of
-    G, so the finished block is never conjugated as a whole; the result
-    is left for the normalizer to symmetrize (inside ``eigh``).  The level
-    loop and :func:`verify_table`'s re-decided promotions both call this,
-    so they decide from the same bits.
+    ``signs`` holds the finished vectors' signs, all +1 for the Euclidean
+    metric.  D is formed from the k x lo panel of G, so the finished block
+    is never conjugated as a whole; the result is left for the normalizer
+    to symmetrize (inside ``eigh``).  The level loop and
+    :func:`verify_table`'s re-decided promotions both call this, so they
+    decide from the same bits.
     """
     d = (gram[:lo, lo:hi].conj().T @ c[:lo, :lo]).conj().T
-    sd = d if signs is None else signs[:lo, None] * d
+    sd = signs[:lo, None] * d
     return gram[lo:hi, lo:hi] - d.conj().T @ sd, sd
 
 
@@ -399,24 +408,6 @@ def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     return CoefficientTable(source.index, c, source.index.ends)
 
 
-def _condition_numbers(matrices):
-    """σmax/σmin of each square matrix, inf where σmin is zero.
-
-    One batched singular-value call per distinct shape.  Working on the
-    matrices themselves rather than on r†r neither squares the condition
-    number nor overflows on entries near the float range.
-    """
-    conditions = [0.0] * len(matrices)
-    by_shape = {}
-    for pos, m in enumerate(matrices):
-        by_shape.setdefault(m.shape, []).append(pos)
-    for positions in by_shape.values():
-        s = np.linalg.svd(np.stack([matrices[p] for p in positions]), compute_uv=False)
-        for p, values in zip(positions, s.tolist()):
-            conditions[p] = values[0] / values[-1] if values[-1] > 0.0 else float("inf")
-    return conditions
-
-
 def _column_levels(index, stops):
     """(start, stop, first, last) per output level: its flat column range
     and the input levels holding its first and its last column."""
@@ -433,19 +424,6 @@ def _output_levels(index, stops):
     labels = tuple(chain.from_iterable(index.levels))
     return tuple(
         (last, labels[start:stop]) for start, stop, _, last in _column_levels(index, stops)
-    )
-
-
-def _structural_zeros_ok(index, c, spans):
-    """True when no output level has a nonzero entry on the rows of a
-    higher level.
-
-    Every row at or after the end of the input level holding a level's
-    last column must be exactly zero, so a promoted output level ends
-    where the last input level it merged ends.
-    """
-    return not any(
-        np.any(c[index.ends[last] :, start:stop] != 0.0) for start, stop, _, last in spans
     )
 
 
@@ -502,10 +480,21 @@ def verify_table(
     # then reads inf (or NaN) and fails, which needs no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         max_residual = max_abs(c.conj().T @ gram @ c - target)
-        structural_ok = _structural_zeros_ok(index, c, spans)
+        structural_ok = True
+        conditions = []
         mismatch = None
         derived = len(spans)  # the blocks that are output levels of the source
         for pos, (start, stop, first, last) in enumerate(spans):
+            # Rows at or after the end of the input level holding the
+            # block's last column must be exactly zero, so a promoted
+            # output level ends where the last input level it merged ends.
+            structural_ok = structural_ok and not np.any(c[index.ends[last] :, start:stop])
+            # σmax/σmin of the normalizer itself rather than of r†r neither
+            # squares the condition number nor overflows near the float range.
+            s = np.linalg.svd(c[start:stop, start:stop], compute_uv=False).tolist()
+            conditions.append((last, s[0] / s[-1] if s[-1] > 0.0 else math.inf))
+            if mismatch is not None:
+                continue
             if stop != index.ends[last]:
                 mismatch = "split an input level"
             elif last > first:
@@ -521,16 +510,12 @@ def verify_table(
             if mismatch is not None:
                 mismatch = f"levels[{pos}] columns {start}..{stop - 1} {mismatch}"
                 derived = pos
-                break
-        conditions = tuple(
-            zip((last for *_, last in spans), _condition_numbers(table.normalizers))
-        )
     passed = max_residual <= tolerance and mismatch is None and (
         structural_ok or (signs is None and _is_loewdin(c))
     )
     return VerificationReport(
         max_residual=max_residual,
-        condition_numbers=conditions,
+        condition_numbers=tuple(conditions),
         structural_ok=structural_ok,
         output_levels=_output_levels(index, table.stops)[:derived],
         levels_mismatch=mismatch,

@@ -1,7 +1,9 @@
 """Dense Hermitian spectral operations.
 
-Everything downstream (graded orthonormalization, the CLI) goes
-through ``hermitize`` and ``eigh`` here.  Eigendecompositions use
+The Gram builders symmetrize through ``hermitize``; the one caller of
+``eigh`` is :func:`gradedortho.ortho.level_normalizer`, which
+normalizes every level block and the Gram method's full Gram matrix.
+The CLI uses ``max_abs`` alone.  Eigendecompositions use
 LAPACK through ``numpy.linalg.eigh``; the package only fixes the order
 (descending) and the phases of the eigenvectors.  Inside a degenerate
 eigenspace the basis is LAPACK's: the Hermitian normalizer of a

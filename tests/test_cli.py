@@ -1,6 +1,7 @@
 """CLI subcommands: round trips, exit codes, determinism, schema rejection."""
 
 import argparse
+import ast
 import copy
 import gc
 import importlib
@@ -725,6 +726,26 @@ def test_compare_imports_no_scipy():
     proc = run_python("-c", COMPARE_WITHOUT_SCIPY, str(problem))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_imports_only_declared_dependencies():
+    # scipy, mpmath and hypothesis are installed for the tests, so a
+    # package import of one of them would pass every other test
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(SRC).parent
+    with open(root / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in dependencies}
+    imported = set()
+    for path in sorted((Path(SRC) / "gradedortho").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    assert {"numpy", "orjson"} <= third_party  # the walk sees the package's imports
+    assert third_party <= declared, f"undeclared imports: {sorted(third_party - declared)}"
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

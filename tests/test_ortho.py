@@ -458,16 +458,28 @@ def test_verify_rejects_a_table_of_another_source():
         (np.eye(2), [], None, r"column stops \[\] must strictly increase to 2"),
         (np.eye(2)[:, :1], [1, 2], None, r"column stops \[1, 2\] must strictly increase to 1"),
         (np.eye(2), [1, 2], np.ones(1, dtype=np.int64), "1 signs for 2 coefficient columns"),
+        (np.ones(2), [2], None, r"the matrix must be two-dimensional, got shape \(2,\)"),
     ],
     ids=[
         "rows", "columns", "repeated-stop", "decreasing-stops", "empty-level",
-        "short-stops", "no-stops", "stops-past-columns", "signs",
+        "short-stops", "no-stops", "stops-past-columns", "signs", "one-dimensional-matrix",
     ],
 )
 def test_table_rejects_a_wrong_shape(matrix, stops, signs, message):
     idx = go.GradedIndex([["a"], ["b"]])
     with pytest.raises(ValueError, match=f"^{message}$"):
         go.CoefficientTable(idx, matrix, stops, signs)
+
+
+@pytest.mark.parametrize(
+    "signs, bad",
+    [([1, 2], "2"), ([0, -1], "0"), ([-1.0, 1.5], "1.5")],
+    ids=["two", "zero", "fraction"],
+)
+def test_table_rejects_a_sign_other_than_plus_or_minus_one(signs, bad):
+    idx = go.GradedIndex([["a"], ["b"]])
+    with pytest.raises(ValueError, match=f"^sign {bad} is neither \\+1 nor -1$"):
+        go.CoefficientTable(idx, np.eye(2), [1, 2], signs)
 
 
 # Every exemplar through the signed loop, the euclidean ones also through
@@ -494,6 +506,23 @@ def test_table_parts_are_views_of_the_loops_matrix(path, signed):
         assert np.shares_memory(table.partial(1).signs, table.signs)
 
 
+def test_verify_judges_every_block_after_a_level_mismatch():
+    # block 0 merges input levels 0 and 1, which no Euclidean run does;
+    # the blocks after it still count for the structural zeros and the
+    # condition numbers
+    src = identity_source((1, 1, 1, 1))
+    matrix = np.eye(4, dtype=complex)
+    matrix[3, 2] = 0.5  # a level-3 row of the level-2 block
+    report = go.verify_table(src, go.CoefficientTable(src.index, matrix, [2, 3, 4]))
+    assert report.levels_mismatch == (
+        "levels[0] columns 0..1 merge input levels 0..1, which no run does"
+    )
+    assert report.output_levels == ()
+    assert not report.structural_ok
+    assert [lid for lid, _ in report.condition_numbers] == [1, 2, 3]
+    assert not report.passed
+
+
 def test_verify_condition_numbers_sane():
     src = pair_source()
     table = go.orthonormalize_graded(src)
@@ -512,7 +541,7 @@ def exemplar_table(path):
 
 @pytest.mark.parametrize("path", EXEMPLARS, ids=lambda p: p.stem)
 def test_verify_condition_numbers_match_per_level_oracles(path):
-    # the batched singular values against each level's own svd and
+    # each level's singular-value condition number against numpy's svd and
     # against sqrt(lambda_max / lambda_min) of r^dagger r
     source, table = exemplar_table(path)
     report = go.verify_table(source, table)

@@ -12,7 +12,6 @@ import gradedortho as go
 from gradedortho import ortho
 from gradedortho.cli import main
 from gradedortho.fileio import parse_problem, result_payload, write_result
-from gradedortho.ortho import _column_levels, _structural_zeros_ok
 from gradedortho.spectral import hermitize
 
 from conftest import random_indefinite_source, random_spd, relative_error
@@ -148,7 +147,33 @@ def test_promotion_keeps_filtration_zeros():
     # the merged columns end with level 1, so row 2 alone must be zero
     broken = table.matrix.copy()
     broken[2, 0] = 1e-12
-    assert not _structural_zeros_ok(idx, broken, _column_levels(idx, table.stops))
+    rebuilt = go.CoefficientTable(idx, broken, table.stops, table.signs)
+    assert not go.verify_table(src, rebuilt, 1e-12).structural_ok
+
+
+def test_table_built_from_lists_verifies_and_writes_the_array_tables_payload(tmp_path):
+    # the constructor keeps a nested-list matrix, list stops and list signs
+    # as arrays, so a promoted table built from them verifies like its run
+    path = tmp_path / "promotion.json"
+    levels = [["a"], ["b"], ["c"]]
+    gram = [[0.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+    path.write_text(
+        json.dumps(
+            {"mode": "explicit", "metric": "pseudo", "explicit": {"levels": levels, "gram": gram}}
+        )
+    )
+    problem = parse_problem(path)
+    table = go.pseudo_orthonormalize_graded(problem.source)
+    assert table.promotions == [(0, "a", 1)]
+    listed = go.CoefficientTable(
+        table.index, table.matrix.tolist(), list(table.stops), table.signs.tolist()
+    )
+    payloads = []
+    for t in (table, listed):
+        report = go.verify_table(problem.source, t, problem.verify_tol, problem.degeneracy_tol)
+        assert report.passed
+        payloads.append(result_payload(problem, t, report, "graded"))
+    assert payloads[0] == payloads[1]
 
 
 def test_partial_of_signed_table_keeps_signs_and_output_levels():
