@@ -21,12 +21,7 @@ from .errors import (
     TerminalIsotropicVector,
 )
 from .grading import GradedIndex
-from .gram import (
-    GramSource,
-    build_explicit,
-    fourier_gram,
-    monomial_gram,
-)
+from .gram import GramSource, fourier_gram, monomial_gram
 from .ortho import (
     CoefficientTable,
     VerificationReport,
@@ -51,7 +46,6 @@ __all__ = [
     "SchemaError",
     "TerminalIsotropicVector",
     "VerificationReport",
-    "build_explicit",
     "fourier_gram",
     "gram_method_reference",
     "gram_schmidt_reference",

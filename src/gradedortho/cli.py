@@ -70,8 +70,7 @@ def _fail(code, message):
 
 
 def _math_exit(err):
-    level = getattr(err, "level", None)
-    where = f" (level {level})" if level is not None else ""
+    where = f" (level {err.level})" if err.level is not None else ""
     return _fail(EXIT_MATH, f"{type(err).__name__}{where}: {err}")
 
 

@@ -2,7 +2,12 @@
 
 
 class GradedOrthoError(Exception):
-    """Base class for all errors raised by gradedortho."""
+    """Base class for all errors raised by gradedortho; ``level`` names
+    the level it concerns, or is None."""
+
+    def __init__(self, message, level=None):
+        super().__init__(message)
+        self.level = level
 
 
 class NoConvergence(GradedOrthoError):
@@ -10,23 +15,16 @@ class NoConvergence(GradedOrthoError):
 
 
 class DegenerateMetric(GradedOrthoError):
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
+    """Raised when a metric block is not positive definite or is degenerate."""
 
 
 class LinearlyDependentInput(GradedOrthoError):
     """Raised when a level's projected Gram block is numerically singular."""
 
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
-
 
 class TerminalIsotropicVector(GradedOrthoError):
     def __init__(self, message, level=None, label=None):
-        super().__init__(message)
-        self.level = level
+        super().__init__(message, level)
         self.label = label
 
 

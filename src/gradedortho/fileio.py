@@ -27,9 +27,11 @@ keys, as earlier versions wrote them, parse to the same arrays.
 
 A problem file is checked for its JSON types here; its values (a
 label, a box interval, the weight samples) are checked by the Gram
-builder that uses them, and a ValueError from it becomes a
-``SchemaError`` naming the mode.  A weight reaches the builder as None
-(``{"kind": "uniform"}``) or as the list of its sample values.
+builder that uses them, and an explicit matrix goes as it stands to
+``GramSource``, which checks it as it checks every Gram matrix.  A
+ValueError from either becomes a ``SchemaError`` naming the mode.  A
+weight reaches the builder as None (``{"kind": "uniform"}``) or as the
+list of its sample values.
 """
 
 import hashlib
@@ -41,7 +43,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import SchemaError
-from .gram import build_explicit, fourier_gram, monomial_gram
+from .gram import GramSource, fourier_gram, monomial_gram
 from .grading import GradedIndex
 from .ortho import DEFAULT_VERIFY_TOL
 from .spectral import DEFAULT_DEGENERACY_TOL
@@ -237,7 +239,7 @@ def _build_source(mode, block):
             rows=index.total,
             cols=index.total,
         )
-        return build_explicit(index, gram)
+        return GramSource(index, gram)
     if mode == "fourier":
         max_harmonic = _require(block, "max_harmonic", int, "fourier.")
         weight = _parse_weight(_require(block, "weight", dict, "fourier."), "fourier.weight.")

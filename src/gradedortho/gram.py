@@ -3,8 +3,12 @@ multivariate monomial bases on box domains.
 
 A :class:`GramSource` pairs a :class:`~gradedortho.grading.GradedIndex`
 with the full Hermitian Gram matrix of the underlying vectors, blocks
-aligned with the grading.  All backends assemble the matrix eagerly and
-freeze it; the orthogonalizers never integrate anything themselves.
+aligned with the grading.  It is the one constructor of a Gram matrix:
+an explicit matrix is passed to it as it stands, and the Fourier and
+monomial builders assemble theirs eagerly and hand it over.  It checks
+the shape and finiteness, refuses a matrix that is not Hermitian,
+symmetrizes away roundoff and freezes the result; the orthogonalizers
+never integrate anything themselves.
 
 The builders take plain values (a weight is None for the uniform one,
 or a 1-d sequence of samples) and check each where they use it, raising
@@ -16,13 +20,13 @@ import math
 import numpy as np
 
 from .grading import GradedIndex
-from .spectral import hermitize, max_abs
+from .spectral import _hermitian_part, max_abs
 
 TWO_PI = 2.0 * math.pi
 
-# An explicit matrix whose symmetrization moves an entry by more than
-# this (relative to the largest magnitude) is rejected rather than
-# silently repaired.
+# A Gram matrix whose symmetrization moves an entry by more than this
+# (relative to the largest magnitude) is rejected rather than silently
+# repaired.
 HERMITIZE_REJECT_FACTOR = 1e-12
 
 
@@ -38,7 +42,14 @@ def _weight_samples(values):
 
 
 class GramSource:
-    """A graded index plus the frozen Gram matrix it induces."""
+    """A graded index plus the frozen Hermitian Gram matrix it induces.
+
+    The one place a Gram matrix is checked: it must be N x N for the
+    index's N elements and finite, and symmetrizing it to (G + G†)/2
+    with a real diagonal may move no entry by more than
+    ``HERMITIZE_REJECT_FACTOR`` times max(max|G_ij|, 1).  The source
+    keeps that symmetrized copy, read-only.
+    """
 
     def __init__(self, index, matrix):
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -49,38 +60,29 @@ class GramSource:
             )
         if not np.isfinite(matrix).all():
             raise ValueError("Gram matrix has non-finite entries")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
+        h = _hermitian_part(matrix)
+        adjustment = max_abs(h - matrix)
+        scale = max_abs(matrix)
+        if adjustment > HERMITIZE_REJECT_FACTOR * max(scale, 1.0):
+            raise ValueError(
+                f"matrix is not Hermitian: symmetrization moved an entry by "
+                f"{adjustment:.3e} (max magnitude {scale:.3e})"
+            )
+        h.setflags(write=False)
         self.index = index
-        self.matrix = matrix
+        self.matrix = h
 
 
-def build_explicit(index, matrix):
-    """Wrap a user-supplied Hermitian matrix as a GramSource."""
-    h = hermitize(matrix)
-    adjustment = max_abs(h - matrix)
-    scale = max_abs(matrix)
-    if adjustment > HERMITIZE_REJECT_FACTOR * max(scale, 1.0):
-        raise ValueError(
-            f"matrix is not Hermitian: symmetrization moved an entry by "
-            f"{adjustment:.3e} (max magnitude {scale:.3e})"
-        )
-    return GramSource(index, h)
-
-
-def fourier_index(max_harmonic):
-    """Level 0 holds the constant; level k holds the +k and -k harmonics."""
+def _fourier_ordering(max_harmonic):
+    """The graded index and the harmonic of each element: level 0 holds
+    the constant, level k the +k and -k harmonics."""
     if max_harmonic < 0:
         raise ValueError("max_harmonic must be non-negative")
     levels = [["0"]] + [["+", "-"] for _ in range(max_harmonic)]
-    return GradedIndex(levels)
-
-
-def _fourier_harmonics(max_harmonic):
     harmonics = [0]
     for k in range(1, max_harmonic + 1):
         harmonics.extend([k, -k])
-    return np.asarray(harmonics, dtype=np.int64)
+    return GradedIndex(levels), np.asarray(harmonics, dtype=np.int64)
 
 
 def fourier_gram(max_harmonic, weight=None):
@@ -94,7 +96,7 @@ def fourier_gram(max_harmonic, weight=None):
     by one real FFT of the samples.  The matrix is exactly Toeplitz in
     the harmonic difference and exactly Hermitian by construction.
     """
-    index = fourier_index(max_harmonic)
+    index, harmonics = _fourier_ordering(max_harmonic)
     n_coeff = 2 * max_harmonic + 1
     if weight is None:
         moments = np.zeros(n_coeff, dtype=np.complex128)
@@ -113,7 +115,6 @@ def fourier_gram(max_harmonic, weight=None):
         # Hermitian.  GramSource rejects moments that left the float range.
         with np.errstate(over="ignore", invalid="ignore"):
             moments = (TWO_PI / n_grid) * np.conj(np.fft.rfft(samples)[:n_coeff])
-    harmonics = _fourier_harmonics(max_harmonic)
     # moment of every difference s = -2M..2M at position s + 2M
     by_difference = np.concatenate([np.conj(moments[:0:-1]), moments])
     gram = by_difference[harmonics[:, None] - harmonics[None, :] + 2 * max_harmonic]
@@ -216,8 +217,8 @@ def monomial_gram(dimension, max_degree, box, weight=None, quadrature_order=None
         quad_weights = quad_weights * samples
     n_terms = len(exponents)
     values = np.empty((n_terms, points.shape[1]))
-    # Powers of a wide box can leave the float range; the finiteness
-    # check below names that, instead of one warning per numpy step.
+    # Powers of a wide box can leave the float range; GramSource's
+    # finiteness check names that, instead of one warning per numpy step.
     with np.errstate(over="ignore", invalid="ignore"):
         for t, m in enumerate(exponents):
             v = np.ones(points.shape[1])
@@ -226,6 +227,4 @@ def monomial_gram(dimension, max_degree, box, weight=None, quadrature_order=None
                     v = v * points[axis] ** e
             values[t] = v
         gram = (values * quad_weights) @ values.T
-    if not np.isfinite(gram).all():
-        raise ValueError("Gram matrix has non-finite entries")
-    return GramSource(index, hermitize(gram))
+    return GramSource(index, gram)

@@ -490,9 +490,15 @@ def verify_table(
             # output level ends where the last input level it merged ends.
             structural_ok = structural_ok and not np.any(c[index.ends[last] :, start:stop])
             # σmax/σmin of the normalizer itself rather than of r†r neither
-            # squares the condition number nor overflows near the float range.
-            s = np.linalg.svd(c[start:stop, start:stop], compute_uv=False).tolist()
-            conditions.append((last, s[0] / s[-1] if s[-1] > 0.0 else math.inf))
+            # squares the condition number nor overflows near the float
+            # range.  A block with a NaN or inf entry reads inf without the
+            # SVD, which does not converge on NaN.
+            block = c[start:stop, start:stop]
+            cond = math.inf
+            if np.isfinite(block).all():
+                s = np.linalg.svd(block, compute_uv=False).tolist()
+                cond = s[0] / s[-1] if s[-1] > 0.0 else math.inf
+            conditions.append((last, cond))
             if mismatch is not None:
                 continue
             if stop != index.ends[last]:

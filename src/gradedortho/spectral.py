@@ -1,9 +1,10 @@
 """Dense Hermitian spectral operations.
 
-The Gram builders symmetrize through ``hermitize``; the one caller of
-``eigh`` is :func:`gradedortho.ortho.level_normalizer`, which
-normalizes every level block and the Gram method's full Gram matrix.
-The CLI uses ``max_abs`` alone.  Eigendecompositions use
+:class:`gradedortho.gram.GramSource` symmetrizes every Gram matrix
+through ``_hermitian_part``; the one caller of ``eigh`` is
+:func:`gradedortho.ortho.level_normalizer`, which normalizes every level
+block and the Gram method's full Gram matrix and refuses a block that is
+not finite.  The CLI uses ``max_abs`` alone.  Eigendecompositions use
 LAPACK through ``numpy.linalg.eigh``; the package only fixes the order
 (descending) and the phases of the eigenvectors.  Inside a degenerate
 eigenspace the basis is LAPACK's: the Hermitian normalizer of a
@@ -20,20 +21,6 @@ DEFAULT_DEGENERACY_TOL = 1e-10
 # Acceptance bound of an eigendecomposition's reconstruction residual,
 # relative to dim * max|a_ij|.
 EIGH_RESIDUAL_TOL = 1e-11
-
-
-def _as_complex_square(a, who):
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{who} requires a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{who}: matrix contains non-finite entries")
-    return a
-
-
-def hermitize(a):
-    """Symmetrize a finite square matrix to (a + a†)/2 with a real diagonal."""
-    return _hermitian_part(_as_complex_square(a, "hermitize"))
 
 
 def _hermitian_part(a):
@@ -73,7 +60,7 @@ def eigh(a):
         When LAPACK fails to converge or the reconstruction residual
         exceeds ``EIGH_RESIDUAL_TOL``.
     """
-    h = _hermitian_part(_as_complex_square(a, "eigh"))
+    h = _hermitian_part(np.asarray(a, dtype=np.complex128))
     n = h.shape[0]
     try:
         values, vectors = np.linalg.eigh(h)

@@ -1,11 +1,19 @@
 import numpy as np
 
 import gradedortho as go
-from gradedortho.spectral import hermitize
 
 
 def relative_error(actual, expected):
     return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+def hermitian(a):
+    """(a + a†)/2 with a real diagonal, halved before the sum so entries
+    near the float maximum do not overflow."""
+    a = np.asarray(a, dtype=np.complex128)
+    h = 0.5 * a + 0.5 * a.conj().T
+    np.fill_diagonal(h, h.diagonal().real)
+    return h
 
 
 def random_unitary(rng, n):
@@ -17,7 +25,7 @@ def random_unitary(rng, n):
 def hermitian_from_spectrum(rng, eigenvalues):
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     u = random_unitary(rng, eigenvalues.size)
-    return hermitize((u * eigenvalues) @ u.conj().T)
+    return hermitian((u * eigenvalues) @ u.conj().T)
 
 
 def random_spd(rng, n, cond=1e3):
@@ -54,7 +62,7 @@ def random_graded_source(rng, n_levels=None, cond=1e3, max_size=5, max_total=40)
     sizes = random_level_sizes(rng, n_levels, max_size, max_total)
     index = index_from_sizes(sizes)
     gram = random_spd(rng, index.total, cond)
-    return go.build_explicit(index, gram)
+    return go.GramSource(index, gram)
 
 
 def random_indefinite_source(rng, n_levels=None, max_size=4, max_total=20):
@@ -77,4 +85,4 @@ def random_indefinite_source(rng, n_levels=None, max_size=4, max_total=20):
     signs = rng.choice([-1.0, 1.0], size=total)
     signs[0], signs[-1] = 1.0, -1.0
     gram = hermitian_from_spectrum(rng, magnitudes * signs)
-    return go.build_explicit(index, gram)
+    return go.GramSource(index, gram)

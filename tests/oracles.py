@@ -15,7 +15,9 @@ import numpy as np
 
 from gradedortho import DEFAULT_DEGENERACY_TOL, GradedOrthoError
 from gradedortho.gram import monomial_index
-from gradedortho.spectral import hermitize, max_abs
+from gradedortho.spectral import max_abs
+
+from conftest import hermitian
 
 
 def level_slice(index, k):
@@ -49,7 +51,7 @@ def residual_gram(gamma_k, corrections):
                 f"correction shape {delta.shape} does not match block {b.shape}"
             )
         b = b - delta
-    return hermitize(b)
+    return hermitian(b)
 
 
 def mixing_block(overlap, normalizer):
@@ -83,7 +85,7 @@ def residual_gram_direct(source, table, k):
         finished = table.blocks[j]
         coeffs = finished.conj().T @ (gram[:, cols])
         h = h - finished @ coeffs
-    return hermitize(h.conj().T @ gram @ h)
+    return hermitian(h.conj().T @ gram @ h)
 
 
 def legendre_1d(max_degree, lo, hi):
@@ -155,7 +157,7 @@ def gram_schmidt_isotropic_obstruction(gram, degeneracy_tol=DEFAULT_DEGENERACY_T
     and not orthogonal to the second; returns the trace of the
     unsolvable equation.  Anything else raises NotACounterexample.
     """
-    gram = hermitize(gram)
+    gram = hermitian(gram)
     if gram.shape != (2, 2):
         raise NotACounterexample(
             f"the demonstration needs a 2x2 Gram matrix, got {gram.shape}"

@@ -13,9 +13,9 @@ import pytest
 import gradedortho as go
 from gradedortho.cli import EXIT_OK, main
 from gradedortho.ortho import level_normalizer
-from gradedortho.spectral import hermitize
 
 from conftest import (
+    hermitian,
     index_from_sizes,
     random_graded_source,
     random_indefinite_source,
@@ -69,7 +69,7 @@ def test_c02_projected_gram_oracle(suite_corpus):
         for k in range(len(src.index)):
             partial = table.partial(k)
             overlaps = [cross_overlap(src, partial, k, j) for j in range(k)]
-            deltas = [hermitize(d.conj().T @ d) for d in overlaps]
+            deltas = [hermitian(d.conj().T @ d) for d in overlaps]
             sl = level_slice(src.index, k)
             block = residual_gram(src.matrix[sl, sl], deltas)
             oracle = residual_gram_direct(src, partial, k)
@@ -88,7 +88,7 @@ def test_c03_gram_schmidt_degeneration():
     for _ in range(50):
         n = int(rng.integers(3, 13))
         idx = index_from_sizes([1] * n)
-        src = go.build_explicit(idx, random_spd(rng, n, cond=1e4))
+        src = go.GramSource(idx, random_spd(rng, n, cond=1e4))
         graded = go.orthonormalize_graded(src).matrix
         reference = go.gram_schmidt_reference(src).matrix
         worst = max(worst, float(np.max(np.abs(graded - reference))))
@@ -106,7 +106,7 @@ def test_c04_gram_method_degeneration():
     for _ in range(50):
         n = int(rng.integers(2, 11))
         idx = index_from_sizes([n])
-        src = go.build_explicit(idx, random_spd(rng, n, cond=1e4))
+        src = go.GramSource(idx, random_spd(rng, n, cond=1e4))
         table = go.orthonormalize_graded(src)
         normalizer, _ = level_normalizer(src.matrix)
         worst = max(worst, float(np.max(np.abs(table.normalizers[0] - normalizer))))
@@ -180,12 +180,12 @@ def test_c07_pseudo_orthonormalization():
 
 def test_c08_isotropic_promotion():
     idx = go.GradedIndex([["a"], ["b"]])
-    src = go.build_explicit(idx, np.array([[0.0, 1.0], [1.0, 2.0]], dtype=complex))
+    src = go.GramSource(idx, np.array([[0.0, 1.0], [1.0, 2.0]], dtype=complex))
     table = go.pseudo_orthonormalize_graded(src)
     promoted = table.promotions == [(0, "a", 1)]
     residual = go.verify_table(src, table, 1e-12).max_residual
     reversed_idx = go.GradedIndex([["b"], ["a"]])
-    reversed_src = go.build_explicit(
+    reversed_src = go.GramSource(
         reversed_idx, np.array([[2.0, 1.0], [1.0, 0.0]], dtype=complex)
     )
     raised = False
@@ -228,15 +228,15 @@ def test_c10_within_level_equivariance():
     sizes = (2, 3, 2)
     idx = index_from_sizes(list(sizes))
     gram = random_spd(rng, idx.total, cond=1e3)
-    src = go.build_explicit(idx, gram)
+    src = go.GramSource(idx, gram)
     table = go.orthonormalize_graded(src)
     perm = [2, 0, 1]
     flat = list(range(idx.total))
     flat[2:5] = [2 + p for p in perm]
     pi = np.eye(idx.total)[flat, :]
     levels = [list(idx.levels[0]), [idx.levels[1][p] for p in perm], list(idx.levels[2])]
-    src_p = go.build_explicit(
-        go.GradedIndex(levels), hermitize(pi @ gram @ pi.T)
+    src_p = go.GramSource(
+        go.GradedIndex(levels), hermitian(pi @ gram @ pi.T)
     )
     table_p = go.orthonormalize_graded(src_p)
     worst = 0.0
@@ -278,7 +278,7 @@ def test_c12_scale_sanity():
     sizes = [10] * 10  # total dimension 100
     idx = index_from_sizes(sizes)
     gram = random_spd(rng, 100, cond=1e4)
-    src = go.build_explicit(idx, gram)
+    src = go.GramSource(idx, gram)
     start = time.perf_counter()
     table = go.orthonormalize_graded(src)
     residual = go.verify_table(src, table, 1e-9).max_residual

@@ -896,7 +896,7 @@ def test_library_names_match_readme():
     documented = set(re.findall(r"`([A-Za-z_]\w*)`", section))
     documented |= set(re.findall(r"\bgo\.(\w+)", readme))
     index = gradedortho.GradedIndex([["a"]])
-    table = orthonormalize_graded(gradedortho.build_explicit(index, np.eye(1)))
+    table = orthonormalize_graded(gradedortho.GramSource(index, np.eye(1)))
     unknown = {
         name for name in documented
         if name not in gradedortho.__all__ and not hasattr(table, name)
@@ -948,6 +948,45 @@ def test_benchmark_timed_functions_keep_their_names(module_name):
         function = getattr(module, name, None)
         assert inspect.isfunction(function), name
         assert function.__module__ == module.__name__, name
+
+
+def test_benchmark_traced_modules_import():
+    # perfbench/spans.py imports gradedortho.<name> for each name in its
+    # NAMESPACES when it installs the tracer: a deleted or renamed module
+    # would crash `perfbench/run.py --trace 1`, and fails here first.
+    tree = ast.parse((Path(SRC).parent / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    assigned = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+
+    def value(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return value(node.left) + value(node.right)
+        if isinstance(node, ast.Name):
+            return value(assigned[node.id])
+        return ast.literal_eval(node)
+
+    names = value(assigned["NAMESPACES"])
+    assert {"cli", "gram", "spectral"} <= set(names)
+    for name in names:
+        importlib.import_module(f"gradedortho.{name}")
+
+
+def test_every_package_error_carries_a_level():
+    # cli._math_exit reads err.level on every method error
+    for cls in (
+        gradedortho.DegenerateMetric,
+        gradedortho.LinearlyDependentInput,
+        gradedortho.NoConvergence,
+        gradedortho.SchemaError,
+        gradedortho.TerminalIsotropicVector,
+    ):
+        assert cls("message").level is None
+        assert cls("message", level=2).level == 2
+        assert str(cls("message", level=2)) == "message"
+    assert gradedortho.TerminalIsotropicVector("message", 1, "x").label == "x"
 
 
 def test_error_types_are_documented_or_mapped():

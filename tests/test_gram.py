@@ -33,39 +33,85 @@ def test_index_allows_same_label_on_different_levels():
     assert idx.total == 4
 
 
-# --- explicit --------------------------------------------------------------
+# --- explicit: GramSource -------------------------------------------------
 
 def test_build_explicit_identity():
     idx = go.GradedIndex([["a"], ["b"]])
-    src = go.build_explicit(idx, np.eye(2))
+    src = go.GramSource(idx, np.eye(2))
+    assert src.matrix.dtype == np.complex128
     assert np.array_equal(src.matrix, np.eye(2))
 
 
 def test_build_explicit_returns_given_hermitian():
+    # an exactly Hermitian matrix keeps every bit
     idx = go.GradedIndex([["a", "b"], ["c"]])
     h = np.array([[2.0, 1.0j, 0.0], [-1.0j, 3.0, 0.5], [0.0, 0.5, 1.0]])
-    src = go.build_explicit(idx, h)
+    src = go.GramSource(idx, h)
     assert np.array_equal(src.matrix, h)
+
+
+def test_gram_source_averages_offdiagonal_within_band():
+    # roundoff-sized asymmetry is symmetrized away, not refused
+    a = np.array([[0.0, 1.0], [1.0 + 1e-15j, 0.0]])
+    h = go.GramSource(go.GradedIndex([["a", "b"]]), a).matrix
+    assert h[0, 1] == np.conj(h[1, 0])
+    assert np.max(np.abs(h - a)) == pytest.approx(5e-16, rel=0.5)
 
 
 def test_build_explicit_rejects_non_hermitian():
     idx = go.GradedIndex([["a"], ["b"]])
     with pytest.raises(ValueError, match="matrix is not Hermitian: symmetrization moved"):
-        go.build_explicit(idx, np.array([[1.0, 0.5], [0.4, 1.0]]))
+        go.GramSource(idx, np.array([[1.0, 0.5], [0.4, 1.0]]))
+
+
+def test_gram_source_rejects_non_hermitian_readme_example():
+    # README's example with one entry changed: before GramSource checked
+    # the Hermitian property, this built a source whose table FAILed
+    # verification with residual 1.1 and no error naming the cause.
+    idx = go.GradedIndex([["a", "b"], ["c"]])
+    m = np.array([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 1.0]])
+    m[0, 2] = 0.9
+    with pytest.raises(
+        ValueError, match=r"matrix is not Hermitian: symmetrization moved an entry by 4\.000e-01"
+    ):
+        go.GramSource(idx, m)
 
 
 def test_build_explicit_rejects_dimension_mismatch():
     idx = go.GradedIndex([["a"], ["b"]])
     with pytest.raises(ValueError, match=r"Gram matrix shape \(3, 3\) does not match the 2 "):
-        go.build_explicit(idx, np.eye(3))
-    with pytest.raises(ValueError, match=r"hermitize requires a square matrix, got shape \(2, 3\)"):
-        go.build_explicit(idx, np.ones((2, 3)))
+        go.GramSource(idx, np.eye(3))
+    with pytest.raises(ValueError, match=r"Gram matrix shape \(2, 3\) does not match the 2 "):
+        go.GramSource(idx, np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_source_rejects_non_finite_entries(bad):
+    # refused before any arithmetic, so no numpy warning comes first
+    m = np.eye(2)
+    m[0, 1] = bad
+    with pytest.raises(ValueError, match="^Gram matrix has non-finite entries$"):
+        go.GramSource(go.GradedIndex([["a", "b"]]), m)
+
+
+def test_gram_source_keeps_entries_near_the_float_maximum():
+    big = np.finfo(float).max
+    idx = go.GradedIndex([["a", "b"]])
+    h = np.array([[big, -big * 1j], [big * 1j, big]])
+    assert np.array_equal(go.GramSource(idx, h).matrix, h)
+    # and measures a non-Hermitian one there without overflowing
+    with pytest.raises(ValueError, match=r"moved an entry by 1\.798e\+308"):
+        go.GramSource(idx, np.array([[big, big], [-big, big]]))
 
 
 def test_gram_source_matrix_is_frozen():
-    src = go.build_explicit(go.GradedIndex([["a"]]), np.eye(1))
+    m = np.eye(1, dtype=np.complex128)
+    src = go.GramSource(go.GradedIndex([["a"]]), m)
     with pytest.raises(ValueError):
         src.matrix[0, 0] = 2.0
+    # the source froze its own copy, not the caller's array
+    m[0, 0] = 3.0
+    assert src.matrix[0, 0] == 1.0
 
 
 # --- fourier ---------------------------------------------------------------

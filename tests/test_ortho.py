@@ -1,6 +1,7 @@
 """The graded orthonormalization core and its reference methods."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -11,9 +12,9 @@ import gradedortho as go
 from gradedortho import spectral
 from gradedortho.fileio import parse_problem
 from gradedortho.ortho import level_normalizer
-from gradedortho.spectral import eigh, hermitize
+from gradedortho.spectral import eigh
 
-from conftest import random_graded_source, random_spd, relative_error
+from conftest import hermitian, random_graded_source, random_spd, relative_error
 from oracles import (
     cross_overlap,
     level_slice,
@@ -28,13 +29,13 @@ EXEMPLARS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*
 
 
 def pair_source():
-    return go.build_explicit(go.GradedIndex([["a"], ["b"]]), PAIR_GRAM)
+    return go.GramSource(go.GradedIndex([["a"], ["b"]]), PAIR_GRAM)
 
 
 def identity_source(sizes=(2, 1, 2)):
     levels = [[f"l{k}.{i}" for i in range(s)] for k, s in enumerate(sizes)]
     idx = go.GradedIndex(levels)
-    return go.build_explicit(idx, np.eye(idx.total))
+    return go.GramSource(idx, np.eye(idx.total))
 
 
 # --- cross_overlap ----------------------------------------------------------
@@ -115,7 +116,7 @@ def test_residual_gram_matches_projection_norm():
     src = pair_source()
     table = go.orthonormalize_graded(src).partial(1)
     d = cross_overlap(src, table, 1, 0)
-    delta = hermitize(d.conj().T @ d)
+    delta = hermitian(d.conj().T @ d)
     b = residual_gram(PAIR_GRAM[1:, 1:], [delta])
     assert abs(b[0, 0] - 1.0) < 1e-14
 
@@ -188,7 +189,7 @@ def test_fourier_constant_level_real_positive():
 
 def test_linear_dependence_names_level():
     idx = go.GradedIndex([["a"], ["b"]])
-    src = go.build_explicit(idx, np.array([[1.0, 1.0], [1.0, 1.0]]))
+    src = go.GramSource(idx, np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(go.LinearlyDependentInput) as info:
         go.orthonormalize_graded(src)
     assert info.value.level == 1
@@ -196,7 +197,7 @@ def test_linear_dependence_names_level():
 
 def test_indefinite_metric_rejected_in_euclidean_mode():
     idx = go.GradedIndex([["a", "b"]])
-    src = go.build_explicit(idx, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    src = go.GramSource(idx, np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(go.DegenerateMetric):
         go.orthonormalize_graded(src)
 
@@ -243,7 +244,7 @@ def test_gram_schmidt_blocks_match_block_recursion():
 
 def test_gram_schmidt_detects_dependence():
     idx = go.GradedIndex([["a"], ["b"]])
-    src = go.build_explicit(idx, np.array([[1.0, 1.0], [1.0, 1.0]]))
+    src = go.GramSource(idx, np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(go.LinearlyDependentInput):
         go.gram_schmidt_reference(src)
 
@@ -253,7 +254,7 @@ def source_in_levels(gram, level_size=1):
     n = gram.shape[0]
     labels = [f"v{i}" for i in range(n)]
     idx = go.GradedIndex([labels[i : i + level_size] for i in range(0, n, level_size)])
-    return go.build_explicit(idx, gram)
+    return go.GramSource(idx, gram)
 
 
 def pivoted_gram(pivots, seed=130):
@@ -263,7 +264,7 @@ def pivoted_gram(pivots, seed=130):
     rng = np.random.default_rng(seed)
     n = len(pivots)
     factor = np.linalg.cholesky(random_spd(rng, n, cond=1e2))
-    return hermitize((factor * pivots) @ factor.conj().T), factor
+    return hermitian((factor * pivots) @ factor.conj().T), factor
 
 
 @pytest.mark.parametrize("level_size", [1, 10])
@@ -273,7 +274,7 @@ def test_gram_schmidt_names_a_dependent_vector(bad, level_size):
     rng = np.random.default_rng(97)
     vectors = rng.normal(size=(160, 130)) + 1j * rng.normal(size=(160, 130))
     vectors[:, bad] = vectors[:, :bad] @ rng.normal(size=bad)
-    src = source_in_levels(hermitize(vectors.conj().T @ vectors), level_size)
+    src = source_in_levels(hermitian(vectors.conj().T @ vectors), level_size)
     with pytest.raises(go.LinearlyDependentInput) as err:
         go.gram_schmidt_reference(src)
     assert err.value.level == bad // level_size
@@ -319,7 +320,7 @@ def test_singleton_levels_degenerate_to_gram_schmidt():
     for _ in range(5):
         n = int(rng.integers(3, 10))
         idx = go.GradedIndex([[f"v{i}"] for i in range(n)])
-        src = go.build_explicit(idx, random_spd(rng, n, cond=1e4))
+        src = go.GramSource(idx, random_spd(rng, n, cond=1e4))
         graded = go.orthonormalize_graded(src)
         reference = go.gram_schmidt_reference(src)
         assert np.max(np.abs(graded.matrix - reference.matrix)) < 1e-10
@@ -330,7 +331,7 @@ def test_gram_method_reference_examples():
     assert np.allclose(go.gram_method_reference(src).matrix, np.eye(5), atol=1e-14)
     idx = go.GradedIndex([["a", "b"]])
     g = np.array([[1.0, 0.5], [0.5, 1.0]])
-    src2 = go.build_explicit(idx, g)
+    src2 = go.GramSource(idx, g)
     table = go.gram_method_reference(src2)
     assert np.array_equal(table.matrix, level_normalizer(g)[0])
 
@@ -340,7 +341,7 @@ def test_single_level_degenerates_to_gram_method():
     for _ in range(5):
         n = int(rng.integers(2, 9))
         idx = go.GradedIndex([[f"v{i}" for i in range(n)]])
-        src = go.build_explicit(idx, random_spd(rng, n, cond=1e3))
+        src = go.GramSource(idx, random_spd(rng, n, cond=1e3))
         graded = go.orthonormalize_graded(src)
         reference = go.gram_method_reference(src)
         assert np.max(np.abs(graded.matrix - reference.matrix)) < 1e-12
@@ -350,7 +351,7 @@ def test_single_level_degenerates_to_gram_method():
 
 def test_gram_method_ignores_grading():
     rng = np.random.default_rng(7)
-    src = go.build_explicit(
+    src = go.GramSource(
         go.GradedIndex([["a", "b"], ["c"]]), random_spd(rng, 3, cond=10.0)
     )
     table = go.gram_method_reference(src)
@@ -369,7 +370,7 @@ def test_references_satisfy_orthonormality():
 def test_methods_genuinely_differ_on_multielement_levels():
     rng = np.random.default_rng(31)
     idx = go.GradedIndex([["a", "b"], ["c", "d"]])
-    src = go.build_explicit(idx, random_spd(rng, 4, cond=50.0))
+    src = go.GramSource(idx, random_spd(rng, 4, cond=50.0))
     graded = go.orthonormalize_graded(src).matrix
     gs = go.gram_schmidt_reference(src).matrix
     assert np.max(np.abs(graded - gs)) > 1e-3
@@ -405,7 +406,7 @@ def test_projection_oracle_matches_block_recursion():
         for k in range(len(src.index)):
             partial = table.partial(k)
             overlaps = [cross_overlap(src, partial, k, j) for j in range(k)]
-            deltas = [hermitize(d.conj().T @ d) for d in overlaps]
+            deltas = [hermitian(d.conj().T @ d) for d in overlaps]
             sl = level_slice(src.index, k)
             b = residual_gram(src.matrix[sl, sl], deltas)
             h = residual_gram_direct(src, partial, k)
@@ -532,6 +533,18 @@ def test_verify_condition_numbers_sane():
         assert cond == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_verify_reads_a_non_finite_normalizer_as_infinitely_conditioned(entry):
+    # LAPACK's SVD does not converge on a NaN block; the table FAILs
+    # with condition number inf instead of raising LinAlgError
+    idx = go.GradedIndex([["a"], ["b"]])
+    m = np.eye(2)
+    m[0, 0] = entry
+    report = go.verify_table(go.GramSource(idx, np.eye(2)), go.CoefficientTable(idx, m, [1, 2]))
+    assert report.condition_numbers == ((0, math.inf), (1, 1.0))
+    assert not report.passed
+
+
 def exemplar_table(path):
     problem = parse_problem(path)
     if problem.metric == "pseudo":
@@ -622,7 +635,7 @@ def test_verify_waives_no_zeros_of_other_hermitian_tables(c, signs):
     # both tables are exactly Hermitian, meet C† G C = diag(signs) and
     # mix the two levels; neither is the Gram method's G^(-1/2)
     metric = np.diag([1.0, 1.0 if signs is None else -1.0])
-    src = go.build_explicit(go.GradedIndex([["a"], ["b"]]), metric)
+    src = go.GramSource(go.GradedIndex([["a"], ["b"]]), metric)
     table = go.CoefficientTable(src.index, c, [1, 2], signs)
     report = go.verify_table(src, table)
     assert np.array_equal(c, c.conj().T)
@@ -638,7 +651,7 @@ def test_within_level_permutation_equivariance():
     sizes = (2, 3, 2)
     idx = go.GradedIndex([[f"l{k}.{i}" for i in range(s)] for k, s in enumerate(sizes)])
     gram = random_spd(rng, idx.total, cond=100.0)
-    src = go.build_explicit(idx, gram)
+    src = go.GramSource(idx, gram)
     table = go.orthonormalize_graded(src)
 
     perm = [1, 2, 0]  # reorder the middle level's labels
@@ -646,8 +659,8 @@ def test_within_level_permutation_equivariance():
     flat[2:5] = [2 + p for p in perm]
     pi = np.eye(idx.total)[flat, :]
     permuted_levels = [list(idx.levels[0]), [idx.levels[1][p] for p in perm], list(idx.levels[2])]
-    src_p = go.build_explicit(
-        go.GradedIndex(permuted_levels), hermitize(pi @ gram @ pi.T)
+    src_p = go.GramSource(
+        go.GradedIndex(permuted_levels), hermitian(pi @ gram @ pi.T)
     )
     table_p = go.orthonormalize_graded(src_p)
 

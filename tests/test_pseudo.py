@@ -12,9 +12,8 @@ import gradedortho as go
 from gradedortho import ortho
 from gradedortho.cli import main
 from gradedortho.fileio import parse_problem, result_payload, write_result
-from gradedortho.spectral import hermitize
 
-from conftest import random_indefinite_source, random_spd, relative_error
+from conftest import hermitian, random_indefinite_source, random_spd, relative_error
 from oracles import (
     NotACounterexample,
     cross_overlap,
@@ -61,7 +60,7 @@ def test_lone_isotropic_respects_scale():
 def test_positive_definite_reduces_to_euclidean_exactly():
     rng = np.random.default_rng(61)
     idx = go.GradedIndex([["a", "b"], ["c", "d", "e"], ["f"]])
-    src = go.build_explicit(idx, random_spd(rng, 6, cond=1e3))
+    src = go.GramSource(idx, random_spd(rng, 6, cond=1e3))
     euclid = go.orthonormalize_graded(src)
     signed = go.pseudo_orthonormalize_graded(src)
     assert np.array_equal(euclid.matrix, signed.matrix)
@@ -76,7 +75,7 @@ def test_positive_definite_reduces_to_euclidean_exactly():
 def test_single_level_minkowski_plane():
     idx = go.GradedIndex([["a", "b"]])
     g = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    src = go.build_explicit(idx, g)
+    src = go.GramSource(idx, g)
     table = go.pseudo_orthonormalize_graded(src)
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(table.blocks[0][:, 0], [s, s], atol=1e-14)
@@ -87,7 +86,7 @@ def test_single_level_minkowski_plane():
 
 def test_isotropic_leader_promoted():
     idx = go.GradedIndex([["a"], ["b"]])
-    src = go.build_explicit(idx, PROMOTION_GRAM)
+    src = go.GramSource(idx, PROMOTION_GRAM)
     table = go.pseudo_orthonormalize_graded(src)
     assert table.promotions == [(0, "a", 1)]
     assert table.output_levels() == ((1, ("a", "b")),)
@@ -99,7 +98,7 @@ def test_isotropic_leader_promoted():
 
 
 def test_euclidean_loop_never_promotes():
-    src = go.build_explicit(go.GradedIndex([["a"], ["b"]]), PROMOTION_GRAM)
+    src = go.GramSource(go.GradedIndex([["a"], ["b"]]), PROMOTION_GRAM)
     with pytest.raises(go.LinearlyDependentInput) as info:
         go.orthonormalize_graded(src)
     assert info.value.level == 0
@@ -108,7 +107,7 @@ def test_euclidean_loop_never_promotes():
 
 def test_trailing_isotropic_vector_is_terminal():
     idx = go.GradedIndex([["b"], ["a"]])
-    src = go.build_explicit(idx, np.array([[2.0, 1.0], [1.0, 0.0]], dtype=complex))
+    src = go.GramSource(idx, np.array([[2.0, 1.0], [1.0, 0.0]], dtype=complex))
     with pytest.raises(go.TerminalIsotropicVector) as info:
         go.pseudo_orthonormalize_graded(src)
     assert info.value.level == 1
@@ -117,7 +116,7 @@ def test_trailing_isotropic_vector_is_terminal():
 
 def test_single_isotropic_vector_is_terminal():
     idx = go.GradedIndex([["a"]])
-    src = go.build_explicit(idx, np.array([[0.0]], dtype=complex))
+    src = go.GramSource(idx, np.array([[0.0]], dtype=complex))
     with pytest.raises(go.TerminalIsotropicVector):
         go.pseudo_orthonormalize_graded(src)
 
@@ -134,7 +133,7 @@ def test_promotion_keeps_filtration_zeros():
         dtype=complex,
     )
     idx = go.GradedIndex([["a"], ["b"], ["c"]])
-    src = go.build_explicit(idx, g)
+    src = go.GramSource(idx, g)
     table = go.pseudo_orthonormalize_graded(src)
     assert table.promotions == [(0, "a", 1)]
     assert [lid for lid, _ in table.output_levels()] == [1, 2]
@@ -181,7 +180,7 @@ def test_partial_of_signed_table_keeps_signs_and_output_levels():
         [[0.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0]],
         dtype=complex,
     )
-    src = go.build_explicit(go.GradedIndex([["a"], ["b"], ["c", "d"]]), g)
+    src = go.GramSource(go.GradedIndex([["a"], ["b"], ["c", "d"]]), g)
     table = go.pseudo_orthonormalize_graded(src)
     assert [lid for lid, _ in table.output_levels()] == [1, 2]
     for k in range(1, table.completed + 1):
@@ -198,9 +197,9 @@ def test_partial_keeps_only_promotions_into_kept_levels():
     rng = np.random.default_rng(505)
     idx = go.GradedIndex([["a", "b"], ["c"], ["d", "e"], ["f"], ["g", "h", "i"]])
     a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    g = hermitize(a + a.conj().T)
+    g = hermitian(a + a.conj().T)
     g[2, 2] = g[5, 5] = 0.0
-    src = go.build_explicit(idx, g)
+    src = go.GramSource(idx, g)
     table = go.pseudo_orthonormalize_graded(src)
     kept = [[], [(1, "c", 2)], [(1, "c", 2), (3, "f", 4)]]
     for k in range(1, table.completed + 1):
@@ -216,7 +215,7 @@ def test_partial_keeps_only_promotions_into_kept_levels():
 def test_degenerate_multielement_level_rejected():
     # level 1 projects to a degenerate block: violates the hypothesis
     idx = go.GradedIndex([["a", "b"]])
-    src = go.build_explicit(idx, np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
+    src = go.GramSource(idx, np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
     with pytest.raises(go.DegenerateMetric) as info:
         go.pseudo_orthonormalize_graded(src)
     assert info.value.level == 0
@@ -243,9 +242,9 @@ def test_signed_oracle_matches_block_recursion_with_promotion():
     idx = go.GradedIndex([["a", "b"], ["c"], ["d", "e"], ["f"], ["g", "h", "i"]])
     for _ in range(5):
         a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        g = hermitize(a + a.conj().T)
+        g = hermitian(a + a.conj().T)
         g[2, 2] = g[5, 5] = 0.0
-        src = go.build_explicit(idx, g)
+        src = go.GramSource(idx, g)
         table = go.pseudo_orthonormalize_graded(src)
         assert table.promotions == [(1, "c", 2), (3, "f", 4)]
         assert table.stops == (2, 5, 9)
@@ -265,22 +264,22 @@ def test_signed_projection_reduces_to_plain_when_all_positive():
     # with every finished sign +1 the signed correction equals the
     # euclidean one on the same overlaps
     rng = np.random.default_rng(8)
-    src = go.build_explicit(
+    src = go.GramSource(
         go.GradedIndex([["a", "b"], ["c", "d"]]), random_spd(rng, 4, cond=10.0)
     )
     table = go.orthonormalize_graded(src)
     partial = table.partial(1)
     d = cross_overlap(src, partial, 1, 0)
-    plain = hermitize(d.conj().T @ d)
+    plain = hermitian(d.conj().T @ d)
     signs = np.ones(2, dtype=np.int64)
-    signed = hermitize(d.conj().T @ (signs[:, None] * d))
+    signed = hermitian(d.conj().T @ (signs[:, None] * d))
     assert np.array_equal(plain, signed)
 
 
 def test_signed_table_verifies_against_signed_target():
     idx = go.GradedIndex([["a", "b"]])
     g = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    src = go.build_explicit(idx, g)
+    src = go.GramSource(idx, g)
     table = go.pseudo_orthonormalize_graded(src)
     report = go.verify_table(src, table, 1e-12)
     assert report.passed

@@ -6,9 +6,9 @@ import pytest
 
 import gradedortho as go
 from gradedortho.ortho import level_normalizer
-from gradedortho.spectral import eigh, hermitize, max_abs
+from gradedortho.spectral import eigh, max_abs
 
-from conftest import hermitian_from_spectrum, random_spd
+from conftest import hermitian, hermitian_from_spectrum, random_spd
 
 
 def eig2x2(a):
@@ -19,36 +19,24 @@ def eig2x2(a):
     return tr / 2.0 + disc, tr / 2.0 - disc
 
 
-# --- hermitize -------------------------------------------------------------
+# --- symmetrization (GramSource, through _hermitian_part) -------------------
 
 def test_hermitize_identity_untouched():
-    h = hermitize(np.eye(2))
+    h = go.GramSource(go.GradedIndex([["a", "b"]]), np.eye(2)).matrix
     assert np.array_equal(h, np.eye(2))
     assert max_abs(h - np.eye(2)) == 0.0
 
 
-def test_hermitize_averages_offdiagonal():
-    a = np.array([[0.0, 1.0], [1.0 + 1e-15j, 0.0]])
-    h = hermitize(a)
-    assert h[0, 1] == np.conj(h[1, 0])
-    assert max_abs(h - a) == pytest.approx(5e-16, rel=0.5)
-
-
 def test_hermitize_keeps_hermitian_input():
     a = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
-    h = hermitize(a)
+    h = go.GramSource(go.GradedIndex([["a"], ["b"]]), a).matrix
     assert np.array_equal(h, a)
     assert max_abs(h - a) == 0.0
 
 
 def test_hermitize_rejects_rectangular():
-    with pytest.raises(ValueError, match=r"hermitize requires a square matrix, got shape \(2, 3\)"):
-        hermitize(np.ones((2, 3)))
-
-
-def test_hermitize_rejects_nan():
-    with pytest.raises(ValueError):
-        hermitize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"Gram matrix shape \(2, 3\) does not match the 2 indexed elements"):
+        go.GramSource(go.GradedIndex([["a", "b"]]), np.ones((2, 3)))
 
 
 # --- eigh ------------------------------------------------------------------
@@ -112,7 +100,7 @@ def test_eigh_phases_match_the_column_by_column_rule():
     rng = np.random.default_rng(23)
     for n in (1, 2, 5, 17):
         a = random_spd(rng, n, cond=1e3)
-        expected = np.linalg.eigh(hermitize(a))[1][:, ::-1].copy()
+        expected = np.linalg.eigh(hermitian(a))[1][:, ::-1].copy()
         for col in expected.T:
             pivot = col[np.argmax(np.abs(col))]
             col *= pivot.conjugate() / abs(pivot)
@@ -189,7 +177,7 @@ def test_inv_sqrt_permutation_equivariance():
     a = random_spd(rng, n, cond=50.0)
     perm = rng.permutation(n)
     pi = np.eye(n)[:, perm]
-    lhs, _ = level_normalizer(hermitize(pi.T @ a @ pi))
+    lhs, _ = level_normalizer(hermitian(pi.T @ a @ pi))
     rhs = pi.T @ level_normalizer(a)[0] @ pi
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
