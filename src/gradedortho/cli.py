@@ -10,7 +10,9 @@ the one rule of :func:`gradedortho.ortho.verify_table`, never through
 the method a result file names; that rule also derives the output
 levels from the problem's grading and judges every merge.  ``verify``
 adds only what a file can get wrong on its own: its digest, its metric,
-its shapes, and level ids or labels other than the derived ones.
+its shapes, and level ids or labels other than the derived ones.  Both
+print that verdict as one block from :func:`_print_verdict`; ``verify``
+adds the residual the result file recorded.
 
 Exit codes: 0 success, 2 parse/schema/usage error (also a problem too
 large for memory), 3 mathematical
@@ -91,6 +93,26 @@ def _run_method(problem, method):
         raise SchemaError(f"invalid '{problem.mode}' problem: {err}") from err
 
 
+def _print_verdict(report, mismatch, recorded=None):
+    """Print the verdict block of ``run`` and ``verify``; return 0 on PASS, else 4.
+
+    ``mismatch`` names the first level entry that is no output level
+    (None when all are), and ``recorded`` is the residual a result file
+    carries (None prints no line for it).
+    """
+    print(f"recomputed orthonormality residual: {report.max_residual:.6e}")
+    if recorded is not None:
+        print(f"residual recorded in result file:   {float(recorded):.6e}")
+    print(f"tolerance: {report.tolerance:.1e}")
+    for lid, cond in report.condition_numbers:
+        print(f"level {lid}: normalizer condition number {cond:.6e}")
+    print(f"output levels: {'ok' if mismatch is None else f'mismatch ({mismatch})'}")
+    print(f"structural grading zeros: {'ok' if report.structural_ok else 'violated'}")
+    passed = report.passed and mismatch is None
+    print("verification: " + ("PASS" if passed else "FAIL"))
+    return EXIT_OK if passed else EXIT_VERIFY
+
+
 def cmd_run(args):
     problem = parse_problem(args.input)
     if problem.metric == "pseudo" and args.method != "graded":
@@ -111,11 +133,10 @@ def cmd_run(args):
     except OSError as err:
         return _fail(EXIT_SCHEMA, f"cannot write result file: {err}")
     print(f"wrote {output}")
-    for line in report.lines():
-        print(line)
+    code = _print_verdict(report, report.levels_mismatch)
     for from_level, label, to_level in table.promotions:
         print(f"promoted '{label}' from level {from_level} to level {to_level}")
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return code
 
 
 def _levels_mismatch(result, report):
@@ -168,21 +189,9 @@ def cmd_verify(args):
     signs = None if result.signs is None else np.concatenate(result.signs)
     table = CoefficientTable(index, np.hstack(result.blocks), stops, signs)
     report = verify_table(problem.source, table, problem.verify_tol, problem.degeneracy_tol)
-    mismatch = _levels_mismatch(result, report)
-    embedded = result.report.get("max_residual")
-    print(f"recomputed orthonormality residual: {report.max_residual:.6e}")
-    if embedded is not None:
-        print(f"residual recorded in result file:   {float(embedded):.6e}")
-    print(f"tolerance: {problem.verify_tol:.1e}")
-    for line in report.condition_lines():
-        print(line)
-    print(f"output levels: {'ok' if mismatch is None else f'mismatch ({mismatch})'}")
-    print(f"structural grading zeros: {'ok' if report.structural_ok else 'violated'}")
-    if report.passed and mismatch is None:
-        print("verification: PASS")
-        return EXIT_OK
-    print("verification: FAIL")
-    return EXIT_VERIFY
+    return _print_verdict(
+        report, _levels_mismatch(result, report), result.report.get("max_residual")
+    )
 
 
 def cmd_compare(args):

@@ -85,6 +85,13 @@ def _require(obj, field, kind, path):
     return value
 
 
+def _choice(payload, field, options):
+    value = _require(payload, field, str, "")
+    if value not in options:
+        raise SchemaError(f"field '{field}' must be one of {options}")
+    return value
+
+
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"field '{where}' must be a number")
@@ -132,12 +139,12 @@ _NUMBER_TYPES = {int, float}
 def _bulk_matrix(obj, rows, cols):
     """The whole matrix in a few C-level passes, or None if in any doubt.
 
-    Accepts exactly what :func:`_walk_matrix` accepts, with bit-identical
-    values (the (re, im) float pairs are viewed as complex, so -0.0
-    survives); anything else is left to the walk, which raises.  Rows of
-    plain numbers (the zero rows a result writes) fill their real parts
-    in one write; the other rows are read as pairs, entry by entry only
-    where a row mixes numbers into pairs.
+    Takes rows that hold only numbers or only [re, im] pairs, as ``run``
+    writes them, with the values :func:`_walk_matrix` gives, bit for bit
+    (the (re, im) float pairs are viewed as complex, so -0.0 survives).
+    Anything else, a row mixing numbers and pairs included, is left to
+    the walk, which reads it or raises.  Rows of plain numbers (the zero
+    rows a result writes) fill their real parts in one write.
     """
     if type(obj) is not list or not obj or set(map(type, obj)) != {list}:
         return None
@@ -148,15 +155,9 @@ def _bulk_matrix(obj, rows, cols):
         return None
     paired = list(map(list.__instancecheck__, map(itemgetter(0), obj)))
     plain = list(chain.from_iterable(compress(obj, map(not_, paired))))
-    if not set(map(type, plain)) <= _NUMBER_TYPES:
-        # A row led by a number holds a pair (or junk): read every row as pairs.
-        paired, plain = [True] * len(obj), []
     pairs = list(chain.from_iterable(compress(obj, paired)))
-    kinds = set(map(type, pairs))
-    if not kinds <= _NUMBER_TYPES | {list}:
+    if not set(map(type, plain)) <= _NUMBER_TYPES or not set(map(type, pairs)) <= {list}:
         return None
-    if kinds != {list}:
-        pairs = [e if type(e) is list else [e, 0.0] for e in pairs]
     if pairs and set(map(len, pairs)) != {2}:
         return None
     parts = list(chain.from_iterable(pairs))
@@ -290,12 +291,8 @@ def parse_problem(path):
     payload, raw = _load_json(path)
     digest = hashlib.sha256(raw).hexdigest()
     del raw  # the text of a large Gram matrix need not outlive its hash
-    mode = _require(payload, "mode", str, "")
-    if mode not in MODES:
-        raise SchemaError(f"field 'mode' must be one of {MODES}")
-    metric = _require(payload, "metric", str, "")
-    if metric not in METRICS:
-        raise SchemaError(f"field 'metric' must be one of {METRICS}")
+    mode = _choice(payload, "mode", MODES)
+    metric = _choice(payload, "metric", METRICS)
     for other in MODES:
         if other != mode and other in payload:
             raise SchemaError(
@@ -395,12 +392,8 @@ def parse_result(path):
     payload = _load_json(path)[0]  # the bytes are dropped: only a problem is hashed
     digest_obj = _require(payload, "input_digest", dict, "")
     digest_hex = _require(digest_obj, "hex", str, "input_digest.")
-    metric = _require(payload, "metric", str, "")
-    if metric not in METRICS:
-        raise SchemaError(f"field 'metric' must be one of {METRICS}")
-    method = _require(payload, "method", str, "")
-    if method not in METHODS:
-        raise SchemaError(f"field 'method' must be one of {METHODS}")
+    metric = _choice(payload, "metric", METRICS)
+    method = _choice(payload, "method", METHODS)
     if metric == "pseudo" and method != "graded":
         # As in `run`: only the graded loop handles an indefinite metric.
         raise SchemaError("field 'method' must be 'graded' in a pseudo result")

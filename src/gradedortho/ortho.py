@@ -10,7 +10,8 @@ lower levels have been projected out, so the result is orthonormal
 across and within levels while each output vector stays inside the span
 of its own and lower levels.  The references are dense LAPACK calls:
 Gram-Schmidt is the inverse of the upper Cholesky factor of G, the Gram
-method G^(-1/2) from one ``eigh``.
+method G^(-1/2) from one ``eigh``.  :func:`verify_table` judges any
+table and returns its verdict as data; only the command line prints it.
 """
 
 import math
@@ -82,10 +83,6 @@ class CoefficientTable:
         self.signs = signs
 
     @property
-    def completed(self):
-        return len(self.stops)
-
-    @property
     def blocks(self):
         """Each output level's coefficient columns."""
         return [self.matrix[:, a:b] for a, b in zip((0, *self.stops), self.stops)]
@@ -115,9 +112,9 @@ class CoefficientTable:
 
     def partial(self, upto):
         """View of the first ``upto`` completed levels."""
-        if not 0 <= upto <= self.completed:
+        if not 0 <= upto <= len(self.stops):
             raise ValueError(
-                f"cannot keep {upto} levels: {self.completed} levels are completed"
+                f"cannot keep {upto} levels: {len(self.stops)} levels are completed"
             )
         stop = (0, *self.stops)[upto]
         signs = None if self.signs is None else self.signs[:stop]
@@ -127,6 +124,8 @@ class CoefficientTable:
 class VerificationReport(NamedTuple):
     """Orthonormality residual, grading verdict and per-level diagnostics.
 
+    Data only: ``condition_numbers`` holds (level id, σmax/σmin) per
+    block and ``tolerance`` the residual bound the verdict used.
     ``output_levels`` holds the (level id, labels) the source's grading
     gives each table block, up to the first block it gives none, which
     ``levels_mismatch`` names (None when every block has one).
@@ -139,24 +138,6 @@ class VerificationReport(NamedTuple):
     levels_mismatch: str | None
     tolerance: float
     passed: bool
-
-    def lines(self):
-        out = [
-            f"max orthonormality residual: {self.max_residual:.6e} "
-            f"(tolerance {self.tolerance:.1e})",
-            f"structural grading zeros: {'ok' if self.structural_ok else 'violated'}",
-        ]
-        if self.levels_mismatch is not None:
-            out.append(f"output levels: mismatch ({self.levels_mismatch})")
-        out += self.condition_lines()
-        out.append("verification: " + ("PASS" if self.passed else "FAIL"))
-        return out
-
-    def condition_lines(self):
-        return [
-            f"level {lid}: normalizer condition number {cond:.6e}"
-            for lid, cond in self.condition_numbers
-        ]
 
 
 def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signed=False):

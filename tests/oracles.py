@@ -34,9 +34,9 @@ def cross_overlap(source, table, k, j):
     """
     if j >= k:
         raise ValueError(f"level {j} is not below level {k}")
-    if j >= table.completed:
+    if j >= len(table.stops):
         raise ValueError(
-            f"level {j} is not finished yet (frontier is {table.completed})"
+            f"level {j} is not finished yet (frontier is {len(table.stops)})"
         )
     cols = level_slice(source.index, k)
     return table.blocks[j].conj().T @ source.matrix[:, cols]
@@ -72,9 +72,9 @@ def residual_gram_direct(source, table, k):
     the full Gram matrix; serves as the independent oracle for
     :func:`residual_gram`.
     """
-    if k > table.completed:
+    if k > len(table.stops):
         raise ValueError(
-            f"levels below {k} are not all finished (frontier {table.completed})"
+            f"levels below {k} are not all finished (frontier {len(table.stops)})"
         )
     gram = source.matrix
     index = source.index

@@ -93,6 +93,23 @@ def test_round_trip_every_exemplar(problem, tmp_path, capsys):
         assert expected in capsys.readouterr().out, method
 
 
+@pytest.mark.parametrize("problem", EXEMPLARS, ids=lambda p: p.stem)
+def test_run_prints_the_verdict_block_of_verify(problem, tmp_path, capsys):
+    # after `wrote`, run prints verify's block without the recorded
+    # residual, then its promotions
+    euclidean = parse_problem(problem).metric == "euclidean"
+    for method in METHODS if euclidean else ["graded"]:
+        out = tmp_path / f"{method}.json"
+        code = main(["run", str(problem), "--output", str(out), "--method", method])
+        wrote, *lines = capsys.readouterr().out.splitlines()
+        assert main(["verify", str(problem), str(out)]) == code
+        verified = capsys.readouterr().out.splitlines()
+        block = [line for line in verified if not line.startswith("residual recorded in")]
+        assert wrote == f"wrote {out}"
+        assert lines[: len(block)] == block, method
+        assert all(line.startswith("promoted ") for line in lines[len(block) :])
+
+
 def leaves(obj):
     """Keys and values of a JSON tree in document order, each float as its bits."""
     if type(obj) is dict:
@@ -210,6 +227,7 @@ def test_verify_rejects_digest_mismatch(tmp_path, pair_problem, capsys):
 def test_verify_flags_corrupted_coefficients(tmp_path, pair_problem, capsys):
     out = tmp_path / "result.json"
     assert main(["run", str(pair_problem), "--output", str(out)]) == EXIT_OK
+    capsys.readouterr()
     payload = json.loads(out.read_text())
     payload["levels"][0]["coefficients"][0][0][0] += 0.1
     write_json(out, payload)
@@ -586,7 +604,7 @@ def test_gram_near_the_float_range_runs_and_verifies(tmp_path, metric):
     out = str(tmp_path / "huge.result.json")
     proc = run_python("-m", "gradedortho.cli", "run", str(path), "--output", out)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-    assert "max orthonormality residual: 0.000000e+00" in proc.stdout
+    assert "recomputed orthonormality residual: 0.000000e+00" in proc.stdout
     proc = run_python("-m", "gradedortho.cli", "verify", str(path), out)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
@@ -948,6 +966,22 @@ def test_benchmark_timed_functions_keep_their_names(module_name):
         function = getattr(module, name, None)
         assert inspect.isfunction(function), name
         assert function.__module__ == module.__name__, name
+
+
+def test_benchmark_negative_check_exits_0(tmp_path):
+    # perfbench/negative_check.py runs the CLI on a benchmark workload and
+    # reads its result files with the benchmark's checker; it works under
+    # its working directory, so it gets one with the sources linked in.
+    (tmp_path / "src").symlink_to(SRC)
+    script = Path(SRC).parent / "perfbench" / "negative_check.py"
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_benchmark_traced_modules_import():

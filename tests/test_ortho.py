@@ -77,8 +77,8 @@ def test_cross_overlap_level_not_ready():
 
 def test_partial_rejects_levels_out_of_range():
     table = go.orthonormalize_graded(identity_source())
-    assert table.partial(0).completed == 0
-    for upto in (-1, table.completed + 1):
+    assert table.partial(0).stops == ()
+    for upto in (-1, len(table.stops) + 1):
         with pytest.raises(ValueError, match=f"cannot keep {upto} levels: 3 levels are completed"):
             table.partial(upto)
 
@@ -501,7 +501,7 @@ def test_table_parts_are_views_of_the_loops_matrix(path, signed):
     assert (table.signs is None) is not signed
     assert not signed or (table.signs.dtype == np.int64 and len(table.signs) == table.stops[-1])
     parts = table.blocks + table.normalizers
-    parts += [table.partial(k).matrix for k in range(table.completed + 1)]
+    parts += [table.partial(k).matrix for k in range(len(table.stops) + 1)]
     assert all(np.shares_memory(part, table.matrix) for part in parts if part.size)
     if signed:
         assert np.shares_memory(table.partial(1).signs, table.signs)
