@@ -15,7 +15,9 @@ or a 1-d sequence of samples) and check each where they use it, raising
 ValueError for a value no Gram matrix can be built from.
 """
 
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -121,40 +123,25 @@ def fourier_gram(max_harmonic, weight=None):
     return GramSource(index, gram)
 
 
-def _variable_names(dimension):
-    if dimension <= 3:
-        return ("x", "y", "z")[:dimension]
-    return tuple(f"x{i + 1}" for i in range(dimension))
-
-
-def monomial_label(exponents, names):
-    parts = []
-    for name, e in zip(names, exponents):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
-def _degree_multi_indices(dimension, degree):
-    # Descending lexicographic order: x^2 before x*y before y^2.
-    if dimension == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in _degree_multi_indices(dimension - 1, degree - first):
-            yield (first,) + rest
-
-
 def monomial_index(dimension, max_degree):
-    names = _variable_names(dimension)
+    """The graded index of the monomials of total degree <= max_degree and
+    their exponent tuples.  Each degree's sorted axis multisets, in
+    ``combinations_with_replacement`` order, are its exponents in
+    descending lexicographic order: x^2 before x*y before y^2."""
+    if dimension <= 3:
+        names = ("x", "y", "z")[:dimension]
+    else:
+        names = [f"x{i + 1}" for i in range(dimension)]
     levels = []
     exponents = []
     for degree in range(max_degree + 1):
-        members = list(_degree_multi_indices(dimension, degree))
-        levels.append([monomial_label(m, names) for m in members])
-        exponents.extend(members)
+        level = []
+        for axes in itertools.combinations_with_replacement(range(dimension), degree):
+            m = tuple(axes.count(i) for i in range(dimension))
+            factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e]
+            level.append("*".join(factors) or "1")
+            exponents.append(m)
+        levels.append(level)
     return GradedIndex(levels), exponents
 
 
@@ -196,35 +183,26 @@ def monomial_gram(dimension, max_degree, box, weight=None, quadrature_order=None
         )
     index, exponents = monomial_index(dimension, max_degree)
     nodes_1d, weights_1d = _gauss_legendre(quadrature_order)
-    axes_nodes = []
-    axes_weights = []
-    for lo, hi in box:
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        axes_nodes.append(center + half * nodes_1d)
-        axes_weights.append(half * weights_1d)
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=0)
-    wgrids = np.meshgrid(*axes_weights, indexing="ij")
-    quad_weights = np.prod(np.stack([wg.ravel() for wg in wgrids], axis=0), axis=0)
-    if weight is not None:
-        samples = _weight_samples(weight)
-        if samples.size != points.shape[1]:
-            raise ValueError(
-                f"weight sampled at {samples.size} points but the tensor "
-                f"grid has {points.shape[1]} nodes"
-            )
-        quad_weights = quad_weights * samples
-    n_terms = len(exponents)
-    values = np.empty((n_terms, points.shape[1]))
-    # Powers of a wide box can leave the float range; GramSource's
-    # finiteness check names that, instead of one warning per numpy step.
+    halves = [0.5 * (hi - lo) for lo, hi in box]
+    # A box wider than the float range, or powers of a wide box, can
+    # leave it; GramSource's finiteness check names that, instead of one
+    # warning per numpy step.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, m in enumerate(exponents):
-            v = np.ones(points.shape[1])
-            for axis, e in enumerate(m):
-                if e:
-                    v = v * points[axis] ** e
-            values[t] = v
+        axes_nodes = [0.5 * (lo + hi) + half * nodes_1d for (lo, hi), half in zip(box, halves)]
+        # Tensor nodes, last axis fastest: the outer product of the
+        # per-axis factors, taken left to right.
+        quad_weights = reduce(np.multiply.outer, [half * weights_1d for half in halves]).ravel()
+        if weight is not None:
+            samples = _weight_samples(weight)
+            if samples.size != quad_weights.size:
+                raise ValueError(
+                    f"weight sampled at {samples.size} points but the tensor "
+                    f"grid has {quad_weights.size} nodes"
+                )
+            quad_weights = quad_weights * samples
+        values = np.array([
+            reduce(np.multiply.outer, [x ** e for x, e in zip(axes_nodes, m)]).ravel()
+            for m in exponents
+        ])
         gram = (values * quad_weights) @ values.T
     return GramSource(index, gram)

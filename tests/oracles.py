@@ -4,7 +4,11 @@ The level loop forms every level in one pass over the finished
 coefficient matrix; the per-pair helpers recompute the same quantities
 one lower level at a time, straight from the Gram matrix and the
 finished blocks.  :func:`tensor_legendre_table` is the closed-form
-answer for monomials under the uniform weight on a box.
+answer for monomials under the uniform weight on a box, and
+:func:`graded_table_mp` the graded table of any Euclidean Gram matrix,
+worked out in 40-digit arithmetic.  :func:`monomial_gram_by_nodes`
+assembles the monomial Gram matrix node by node, a second construction
+that ``monomial_gram``'s outer products of 1-D powers match bitwise.
 :func:`gram_schmidt_isotropic_obstruction` shows why the signed loop
 promotes a lone isotropic vector instead of projecting against it.
 """
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gradedortho import DEFAULT_DEGENERACY_TOL, GradedOrthoError
-from gradedortho.gram import monomial_index
+from gradedortho.gram import GramSource, _gauss_legendre, monomial_index
 from gradedortho.spectral import max_abs
 
 from conftest import hermitian
@@ -129,6 +133,62 @@ def tensor_legendre_table(dimension, max_degree, box):
         e = exponents[:, axis]
         table *= legendre_1d(max_degree, lo, hi)[np.ix_(e, e)]
     return table.T
+
+
+def monomial_gram_by_nodes(dimension, max_degree, box, weight=None, quadrature_order=None):
+    """The monomial Gram matrix from values at every tensor node: the
+    nodes from ``np.meshgrid``, each basis row the product over axes of
+    that axis's coordinate to its exponent, axes of exponent 0 skipped,
+    then one weighted product.  ``monomial_gram`` must agree bitwise."""
+    index, exponents = monomial_index(dimension, max_degree)
+    nodes_1d, weights_1d = _gauss_legendre(quadrature_order or max_degree + 1)
+    axes_nodes = []
+    axes_weights = []
+    for lo, hi in box:
+        center = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        axes_nodes.append(center + half * nodes_1d)
+        axes_weights.append(half * weights_1d)
+    grids = np.meshgrid(*axes_nodes, indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=0)
+    wgrids = np.meshgrid(*axes_weights, indexing="ij")
+    quad_weights = np.prod(np.stack([wg.ravel() for wg in wgrids], axis=0), axis=0)
+    if weight is not None:
+        quad_weights = quad_weights * np.asarray(weight, dtype=np.float64)
+    values = np.empty((len(exponents), points.shape[1]))
+    for t, m in enumerate(exponents):
+        v = np.ones(points.shape[1])
+        for axis, e in enumerate(m):
+            if e:
+                v = v * points[axis] ** e
+        values[t] = v
+    return GramSource(index, (values * quad_weights) @ values.T)
+
+
+def graded_table_mp(source, dps=40):
+    """The graded table of a Euclidean source, exact for its float64 G
+    up to the final rounding.
+
+    In ``dps``-digit arithmetic: factor G = R†R with R upper triangular,
+    take R⁻¹, and for each level the unitary polar factor U_k of R⁻¹'s
+    diagonal block B (U_k = B (B†B)^(-1/2)).  C = R⁻¹·blockdiag(U_k†) is
+    block upper triangular and G-orthonormal, and its diagonal blocks
+    B U_k† are Hermitian positive definite, so it is the unique graded
+    table (the argument of :func:`tensor_legendre_table`).
+    """
+    import mpmath as mp
+
+    index = source.index
+    with mp.workdps(dps):
+        r_inv = mp.inverse(mp.cholesky(mp.matrix(source.matrix.tolist())).H)
+        polar = mp.zeros(index.total, index.total)
+        for k in range(len(index.sizes)):
+            s = level_slice(index, k)
+            b = r_inv[s.start:s.stop, s.start:s.stop]
+            e, q = mp.eighe(b.H * b)
+            inv_sqrt = q * mp.diag([1 / mp.sqrt(x) for x in e]) * q.H
+            polar[s.start:s.stop, s.start:s.stop] = (b * inv_sqrt).H
+        return np.array((r_inv * polar).tolist(), dtype=np.complex128)
 
 
 class NotACounterexample(GradedOrthoError):

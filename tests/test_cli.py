@@ -526,6 +526,11 @@ INVALID_VALUE_PROBLEMS = {
         monomial(1, 160, [[0.0, 100.0]]),
         "Gram matrix has non-finite entries",
     ),
+    # hi - lo passes the float maximum, so the nodes hold inf and NaN
+    "monomial-box-width-overflow": (
+        monomial(1, 2, [[-1e308, 1e308]]),
+        "Gram matrix has non-finite entries",
+    ),
     "fourier-negative-harmonic": (fourier(-1, [1.0]), "max_harmonic must be non-negative"),
     "fourier-too-few-samples": (
         fourier(2, [1.0, 1.0, 1.0]),

@@ -1,17 +1,23 @@
 """Graded indices and the three Gram matrix backends."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import gradedortho as go
-from gradedortho.gram import monomial_index
+from gradedortho.gram import _fourier_ordering, monomial_index
 from gradedortho.spectral import eigh
-from oracles import level_slice
+from oracles import level_slice, monomial_gram_by_nodes
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 # --- GradedIndex -----------------------------------------------------------
 
-def test_index_offsets_and_slices():
+def test_index_sizes_ends_and_total():
     idx = go.GradedIndex([["a", "b"], ["c"], ["d", "e", "f"]])
     assert idx.total == 6
     assert idx.sizes == (2, 1, 3)
@@ -35,14 +41,14 @@ def test_index_allows_same_label_on_different_levels():
 
 # --- explicit: GramSource -------------------------------------------------
 
-def test_build_explicit_identity():
+def test_gram_source_stores_a_real_identity_as_complex():
     idx = go.GradedIndex([["a"], ["b"]])
     src = go.GramSource(idx, np.eye(2))
     assert src.matrix.dtype == np.complex128
     assert np.array_equal(src.matrix, np.eye(2))
 
 
-def test_build_explicit_returns_given_hermitian():
+def test_gram_source_keeps_a_hermitian_matrix_bitwise():
     # an exactly Hermitian matrix keeps every bit
     idx = go.GradedIndex([["a", "b"], ["c"]])
     h = np.array([[2.0, 1.0j, 0.0], [-1.0j, 3.0, 0.5], [0.0, 0.5, 1.0]])
@@ -58,7 +64,7 @@ def test_gram_source_averages_offdiagonal_within_band():
     assert np.max(np.abs(h - a)) == pytest.approx(5e-16, rel=0.5)
 
 
-def test_build_explicit_rejects_non_hermitian():
+def test_gram_source_rejects_non_hermitian():
     idx = go.GradedIndex([["a"], ["b"]])
     with pytest.raises(ValueError, match="matrix is not Hermitian: symmetrization moved"):
         go.GramSource(idx, np.array([[1.0, 0.5], [0.4, 1.0]]))
@@ -77,7 +83,7 @@ def test_gram_source_rejects_non_hermitian_readme_example():
         go.GramSource(idx, m)
 
 
-def test_build_explicit_rejects_dimension_mismatch():
+def test_gram_source_rejects_a_shape_mismatch():
     idx = go.GradedIndex([["a"], ["b"]])
     with pytest.raises(ValueError, match=r"Gram matrix shape \(3, 3\) does not match the 2 "):
         go.GramSource(idx, np.eye(3))
@@ -187,6 +193,23 @@ def test_fourier_real_weight_conjugate_pairing():
             assert abs(g[pos[hi], pos[hj]] - np.conj(g[pos[-hi], pos[-hj]])) < 1e-12
 
 
+def test_fourier_gram_is_the_sample_matrix_product():
+    # E[j, m] = sqrt(2pi w_j / n) exp(-i m x_j), columns in the index's
+    # harmonic order, gives E^dagger E = G; exp(+i m x) gives the
+    # transposed G, which differs for a weight with sine terms
+    n = 81
+    weight, x = sampled_weight(n, lambda x: 2.0 + np.cos(x) + 0.5 * np.sin(x) + 0.3 * np.sin(2 * x))
+    g = go.fourier_gram(20, weight).matrix
+    _, harmonics = _fourier_ordering(20)
+
+    def sample_gram(sign):
+        e = np.sqrt(2.0 * np.pi * weight / n)[:, None] * np.exp(sign * 1j * np.outer(x, harmonics))
+        return e.conj().T @ e
+
+    assert np.max(np.abs(sample_gram(-1) - g)) <= 1e-13 * np.max(np.abs(g))  # measured 2.2e-14
+    assert np.max(np.abs(sample_gram(+1) - g)) > 1.0  # measured pi
+
+
 def test_fourier_positive_definite():
     weight, _ = sampled_weight(64, lambda x: 2.0 + np.cos(x))
     g = go.fourier_gram(8, weight).matrix
@@ -225,6 +248,59 @@ def test_monomial_level_labels_lexicographic():
     idx, exponents = monomial_index(2, 2)
     assert idx.levels == (("1",), ("x", "y"), ("x^2", "x*y", "y^2"))
     assert exponents == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def test_monomial_index_orders_each_degree_descending_lexicographic():
+    for dimension in range(1, 6):
+        if dimension <= 3:
+            names = ("x", "y", "z")[:dimension]
+        else:
+            names = tuple(f"x{i + 1}" for i in range(dimension))
+        for max_degree in range(7):
+            idx, exponents = monomial_index(dimension, max_degree)
+            assert len(idx.levels) == max_degree + 1
+            for degree, labels in enumerate(idx.levels):
+                level = exponents[level_slice(idx, degree)]
+                assert len(level) == math.comb(dimension + degree - 1, degree)
+                assert all(len(m) == dimension and sum(m) == degree for m in level)
+                assert all(a > b for a, b in zip(level, level[1:]))
+                assert labels == tuple(
+                    "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e) or "1"
+                    for m in level
+                )
+    idx, _ = monomial_index(4, 2)
+    assert idx.levels[1] == ("x1", "x2", "x3", "x4")
+    assert idx.levels[2][:5] == ("x1^2", "x1*x2", "x1*x3", "x1*x4", "x2^2")
+
+
+def monomial_exemplar(name):
+    spec = json.loads((PROBLEMS / name).read_text())["monomial"]
+    weight = spec.get("weight", {"kind": "uniform"})
+    samples = weight["values"] if weight["kind"] == "samples" else None
+    return spec["dimension"], spec["max_degree"], spec["box"], samples, spec.get("quadrature_order")
+
+
+def sampled(dimension, max_degree, box, order=None):
+    n_nodes = (order or max_degree + 1) ** dimension
+    samples = np.random.default_rng(n_nodes).uniform(0.2, 3.0, n_nodes)
+    return dimension, max_degree, box, samples, order
+
+
+@pytest.mark.parametrize(
+    "args",
+    [monomial_exemplar("monomial_euclidean.json"), monomial_exemplar("monomial_pseudo.json")]
+    + [(d, 3, [(-1.0, 1.0)] * d, None, None) for d in range(1, 6)]
+    + [
+        sampled(2, 6, [(0.0, 1.0)] * 2),
+        sampled(3, 4, [(-1.0, 2.0), (0.0, 1.0), (0.0, 3.0)], order=6),
+        (4, 2, [(-0.3, 1.7), (-1.0, 3.0), (2.0, 5.0), (-4.0, -1.5)], None, 5),
+        (2, 3, [(-1.0, 1.0), (-2.0, 2.0)], None, 7),
+    ],
+    ids=["euclidean-exemplar", "pseudo-exemplar"] + [f"d{d}" for d in range(1, 6)]
+    + ["sampled-unit-square", "sampled-asymmetric-box-order-6", "asymmetric-box-order-5", "order-7"],
+)
+def test_monomial_gram_is_bitwise_the_node_by_node_rule(args):
+    assert np.array_equal(go.monomial_gram(*args).matrix, monomial_gram_by_nodes(*args).matrix)
 
 
 def test_monomial_unit_interval_hilbert_entries():
