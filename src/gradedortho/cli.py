@@ -72,8 +72,8 @@ def _fail(code, message):
 
 
 def _math_exit(err):
-    where = f" (level {err.level})" if err.level is not None else ""
-    return _fail(EXIT_MATH, f"{type(err).__name__}{where}: {err}")
+    # The message names the level it concerns, so the line does not again.
+    return _fail(EXIT_MATH, f"{type(err).__name__}: {err}")
 
 
 def _run_method(problem, method):

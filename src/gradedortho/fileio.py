@@ -20,10 +20,16 @@ zeros above a level, in ``graded`` and ``gram-schmidt`` results) is
 written as plain integer ``0`` entries, every other row as ``[re, im]``
 pairs.  Results carry no copy of the input grading or of the
 tolerances: both follow from the problem file the digest names, so
-``verify`` judges a result with its problem's ``verify_tol``.  The
-reader takes numbers and pairs alike, so files with every row as pairs,
-or with the ``input_levels``, ``tolerances`` or ``report.verify_tol``
-keys, as earlier versions wrote them, parse to the same arrays.
+``verify`` judges a result with its problem's ``verify_tol``.
+
+Every matrix, of a problem or of a result, is read by one conversion:
+each entry becomes an (re, im) pair, a number x the pair (x, 0), and
+all the parts become one float64 array viewed as complex.  So numbers
+and pairs may mix in any row, and files with every row as pairs, or
+with the ``input_levels``, ``tolerances`` or ``report.verify_tol``
+keys, as earlier versions wrote them, parse to the same arrays.  Only a
+matrix that conversion refuses is walked entry by entry, in row-major
+order, for the first fault to name.
 
 A problem file is checked for its JSON types here; its values (a
 label, a box interval, the weight samples) are checked by the Gram
@@ -35,8 +41,7 @@ list of its sample values.
 """
 
 import hashlib
-from itertools import chain, compress
-from operator import itemgetter, not_
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -92,8 +97,12 @@ def _choice(payload, field, options):
     return value
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def _number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # Exact types: a JSON true/false is a bool, which Python counts as an int.
+    if type(value) not in _NUMBER_TYPES:
         raise SchemaError(f"field '{where}' must be a number")
     try:
         value = float(value)
@@ -104,47 +113,38 @@ def _number(value, where):
     return value
 
 
-def _entry_to_complex(entry, where):
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(_number(entry, where), 0.0)
-    if isinstance(entry, list) and len(entry) == 2:
-        return complex(_number(entry[0], where), _number(entry[1], where))
-    raise SchemaError(f"entry at '{where}' must be a number or an [re, im] pair")
-
-
-def _walk_matrix(obj, path, rows, cols):
-    """Entry-by-entry parse; its errors name the first offending entry."""
-    if not isinstance(obj, list) or not obj:
+def _raise_matrix_fault(obj, path, rows, cols):
+    """Raise the SchemaError naming the first fault of a matrix, checking
+    its shape and then its entries, row by row, in row-major order."""
+    if type(obj) is not list or not obj:
         raise SchemaError(f"field '{path}' must be a non-empty matrix")
     if rows is not None and len(obj) != rows:
         raise SchemaError(f"field '{path}' must have {rows} rows")
-    width = None
-    data = []
     for i, row in enumerate(obj):
-        if not isinstance(row, list) or not row:
+        if type(row) is not list or not row:
             raise SchemaError(f"row '{path}[{i}]' must be a non-empty array")
-        if width is None:
-            width = len(row)
-            if cols is not None and width != cols:
-                raise SchemaError(f"field '{path}' must have {cols} columns")
-        elif len(row) != width:
+        if i == 0 and cols is not None and len(row) != cols:
+            raise SchemaError(f"field '{path}' must have {cols} columns")
+        if len(row) != len(obj[0]):
             raise SchemaError(f"row '{path}[{i}]' has inconsistent length")
-        data.append([_entry_to_complex(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)])
-    return np.asarray(data, dtype=np.complex128)
+        for j, entry in enumerate(row):
+            where = f"{path}[{i}][{j}]"
+            if type(entry) is list and len(entry) == 2:
+                _number(entry[0], where)
+                _number(entry[1], where)
+            elif type(entry) in _NUMBER_TYPES:
+                _number(entry, where)
+            else:
+                raise SchemaError(f"entry at '{where}' must be a number or an [re, im] pair")
 
 
-_NUMBER_TYPES = {int, float}
+def _matrix_values(obj, rows, cols):
+    """The matrix as a complex array, or None if it is not a matrix of
+    finite numbers and [re, im] pairs with the given row and column counts.
 
-
-def _bulk_matrix(obj, rows, cols):
-    """The whole matrix in a few C-level passes, or None if in any doubt.
-
-    Takes rows that hold only numbers or only [re, im] pairs, as ``run``
-    writes them, with the values :func:`_walk_matrix` gives, bit for bit
-    (the (re, im) float pairs are viewed as complex, so -0.0 survives).
-    Anything else, a row mixing numbers and pairs included, is left to
-    the walk, which reads it or raises.  Rows of plain numbers (the zero
-    rows a result writes) fill their real parts in one write.
+    Each entry becomes an (re, im) pair, a number x the pair (x, 0), and
+    all the parts go into one float64 array viewed as complex, so -0.0
+    survives.
     """
     if type(obj) is not list or not obj or set(map(type, obj)) != {list}:
         return None
@@ -153,39 +153,29 @@ def _bulk_matrix(obj, rows, cols):
         return None
     if rows not in (None, len(obj)) or cols not in (None, width):
         return None
-    paired = list(map(list.__instancecheck__, map(itemgetter(0), obj)))
-    plain = list(chain.from_iterable(compress(obj, map(not_, paired))))
-    pairs = list(chain.from_iterable(compress(obj, paired)))
-    if not set(map(type, plain)) <= _NUMBER_TYPES or not set(map(type, pairs)) <= {list}:
-        return None
-    if pairs and set(map(len, pairs)) != {2}:
-        return None
+    pairs = [e if type(e) is list else (e, 0) for e in chain.from_iterable(obj)]
     parts = list(chain.from_iterable(pairs))
-    if not set(map(type, parts)) <= _NUMBER_TYPES:
+    if set(map(len, pairs)) != {2} or not set(map(type, parts)) <= _NUMBER_TYPES:
         return None
     try:
-        parts = np.array(parts, dtype=np.float64).reshape(-1, width, 2)
-        plain = np.array(plain, dtype=np.float64).reshape(-1, width)
-    except OverflowError:
+        values = np.array(parts, dtype=np.float64)
+    except OverflowError:  # an integer past the float range
         return None
-    if not (np.isfinite(parts).all() and np.isfinite(plain).all()):
+    if not np.isfinite(values).all():
         return None
-    if plain.size:
-        values = np.zeros((len(obj), width, 2))
-        paired = np.array(paired)
-        values[paired] = parts
-        values[~paired, :, 0] = plain
-    else:
-        values = parts
     return values.view(np.complex128).reshape(len(obj), width)
 
 
 def parse_matrix(obj, path, rows=None, cols=None):
-    """A JSON matrix of numbers or [re, im] pairs as a complex array."""
-    matrix = _bulk_matrix(obj, rows, cols)
-    if matrix is None:
-        matrix = _walk_matrix(obj, path, rows, cols)
-    return matrix
+    """A JSON matrix of numbers or [re, im] pairs as a complex array.
+
+    A matrix that :func:`_matrix_values` refuses is handed to
+    :func:`_raise_matrix_fault`, which names its first fault.
+    """
+    values = _matrix_values(obj, rows, cols)
+    if values is None:
+        _raise_matrix_fault(obj, path, rows, cols)
+    return values
 
 
 def matrix_to_json(matrix):

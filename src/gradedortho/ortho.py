@@ -148,7 +148,9 @@ def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signe
     Euclidean (``signed`` false): λmin <= tol·λmax is DegenerateMetric
     when λmin < -tol·max(|λmax|, 1), else LinearlyDependentInput.
     Signed: any |λ| <= tol·max|λ| is DegenerateMetric.  Errors carry
-    ``level``; None names the block as the full Gram matrix.
+    ``level``; None names the block as the full Gram matrix.  Their
+    message gives the ratio the test read (λmin/λmax, or min|λ|/max|λ|
+    when signed) next to ``degeneracy_tol``.
 
     ``eigh`` sees b times the exact power of four 4^-m, m >= 0, that
     brings max|b| below 2, and r is scaled by 2^-m after, so a block
@@ -166,21 +168,32 @@ def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signe
     values, vectors = eigh(b * scale)
     n = len(values)
     if signed:
-        if np.any(np.abs(values) <= degeneracy_tol * max_abs(values)):
+        top = max_abs(values)
+        if np.any(np.abs(values) <= degeneracy_tol * top):
+            ratio = np.min(np.abs(values)) / top if top else 0.0
             raise DegenerateMetric(
-                f"{what} is degenerate; the metric violates the nondegeneracy hypothesis",
+                f"{what} is degenerate (min/max |eigenvalue| {ratio:.3e} against "
+                f"degeneracy_tol {degeneracy_tol:.1e}); the metric violates the "
+                f"nondegeneracy hypothesis",
                 level=level,
             )
     elif n and (values[0] <= 0.0 or values[-1] <= degeneracy_tol * values[0]):
-        w_min = float(values[-1])
-        if w_min < -degeneracy_tol * max(abs(float(values[0])), scale):
+        w_min, w_max = float(values[-1]), float(values[0])
+        spread = "no positive eigenvalue"
+        if w_max > 0.0:
+            spread = (
+                f"min/max eigenvalue {w_min / w_max:.3e} against "
+                f"degeneracy_tol {degeneracy_tol:.1e}"
+            )
+        if w_min < -degeneracy_tol * max(abs(w_max), scale):
             raise DegenerateMetric(
-                f"{what} has eigenvalue {w_min / scale:.6e}; the metric is not positive definite",
+                f"{what} has eigenvalue {w_min / scale:.6e} ({spread}); "
+                f"the metric is not positive definite",
                 level=level,
             )
         raise LinearlyDependentInput(
-            f"{what} is numerically singular (smallest eigenvalue {w_min / scale:.6e}); "
-            f"the input vectors are not linearly independent",
+            f"{what} is numerically singular (smallest eigenvalue {w_min / scale:.6e}, "
+            f"{spread}); the input vectors are not linearly independent",
             level=level,
         )
     p = int(np.count_nonzero(values > 0.0))
@@ -341,8 +354,10 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
 
     L_ii² is vector i's squared norm once the earlier ones are projected
     out.  At most tol·max(G_ii, 1) fails: DegenerateMetric below minus
-    that band, else LinearlyDependentInput.  LAPACK does not say which
-    pivot failed, so only then are leading blocks bisected for the first.
+    that band, else LinearlyDependentInput; the message names the level
+    and gives the reduced squared norm next to the band.  LAPACK does not
+    say which pivot failed, so only then are leading blocks bisected for
+    the first.
     """
     gram = source.matrix
     index = source.index
@@ -366,14 +381,18 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     i = good
     norm_sq = float(gram[i, i].real - np.sum(np.abs(np.linalg.solve(head, gram[:i, i])) ** 2))
     level = int(np.searchsorted(index.ends, i, side="right"))
+    where = f"level {level}: vector {i}"
+    band = f"the band +/-{bands[i]:.6e} (degeneracy_tol * max(G_ii, 1))"
     if norm_sq < -bands[i]:
         raise DegenerateMetric(
-            f"vector {i} has squared norm {norm_sq:.6e} during "
-            f"Gram-Schmidt; the metric is not positive definite",
+            f"{where} has reduced squared norm {norm_sq:.6e} during Gram-Schmidt, "
+            f"below {band}; the metric is not positive definite",
             level=level,
         )
     raise LinearlyDependentInput(
-        f"vector {i} became numerically null during Gram-Schmidt", level=level
+        f"{where} became numerically null during Gram-Schmidt: reduced squared norm "
+        f"{norm_sq:.6e}, {band}",
+        level=level,
     )
 
 

@@ -9,6 +9,9 @@ answer for monomials under the uniform weight on a box, and
 worked out in 40-digit arithmetic.  :func:`monomial_gram_by_nodes`
 assembles the monomial Gram matrix node by node, a second construction
 that ``monomial_gram``'s outer products of 1-D powers match bitwise.
+:func:`matrix_by_entries` reads a JSON matrix one entry at a time, the
+reader ``parse_matrix``'s one conversion matches bit for bit and
+message for message.
 :func:`gram_schmidt_isotropic_obstruction` shows why the signed loop
 promotes a lone isotropic vector instead of projecting against it.
 """
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gradedortho import DEFAULT_DEGENERACY_TOL, GradedOrthoError
+from gradedortho.errors import SchemaError
 from gradedortho.gram import GramSource, _gauss_legendre, monomial_index
 from gradedortho.spectral import max_abs
 
@@ -163,6 +167,49 @@ def monomial_gram_by_nodes(dimension, max_degree, box, weight=None, quadrature_o
                 v = v * points[axis] ** e
         values[t] = v
     return GramSource(index, (values * quad_weights) @ values.T)
+
+
+def _entry_part(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"field '{where}' must be a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = float("inf")
+    if not np.isfinite(value):
+        raise SchemaError(f"field '{where}' must be finite")
+    return value
+
+
+def _entry_to_complex(entry, where):
+    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+        return complex(_entry_part(entry, where), 0.0)
+    if isinstance(entry, list) and len(entry) == 2:
+        return complex(_entry_part(entry[0], where), _entry_part(entry[1], where))
+    raise SchemaError(f"entry at '{where}' must be a number or an [re, im] pair")
+
+
+def matrix_by_entries(obj, path, rows=None, cols=None):
+    """A JSON matrix of numbers and [re, im] pairs read entry by entry,
+    each entry its own ``complex``; the errors name the first offending
+    row or entry, in row-major order."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"field '{path}' must be a non-empty matrix")
+    if rows is not None and len(obj) != rows:
+        raise SchemaError(f"field '{path}' must have {rows} rows")
+    width = None
+    data = []
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or not row:
+            raise SchemaError(f"row '{path}[{i}]' must be a non-empty array")
+        if width is None:
+            width = len(row)
+            if cols is not None and width != cols:
+                raise SchemaError(f"field '{path}' must have {cols} columns")
+        elif len(row) != width:
+            raise SchemaError(f"row '{path}[{i}]' has inconsistent length")
+        data.append([_entry_to_complex(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)])
+    return np.asarray(data, dtype=np.complex128)
 
 
 def graded_table_mp(source, dps=40):

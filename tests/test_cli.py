@@ -871,9 +871,10 @@ def test_promotion_into_a_level_with_the_same_label_exits_2(tmp_path):
     proc = run_python("-m", "gradedortho.cli", "run", str(path))
     assert proc.returncode == EXIT_SCHEMA
     assert "Traceback" not in proc.stderr
-    [line] = proc.stderr.splitlines()
-    assert line.startswith("error: invalid 'explicit' problem: ")
-    assert "'x'" in line and "level 0" in line and "level 1" in line
+    assert proc.stderr == (
+        "error: invalid 'explicit' problem: promoting isotropic 'x' from level 0 into "
+        "level 1 would repeat the label 'x' in one output level\n"
+    )
     assert not (tmp_path / "clash.result.json").exists()
 
 
@@ -1014,7 +1015,7 @@ def test_benchmark_traced_modules_import():
 
 
 def test_every_package_error_carries_a_level():
-    # cli._math_exit reads err.level on every method error
+    # library callers read err.level; the message names the level itself
     for cls in (
         gradedortho.DegenerateMetric,
         gradedortho.LinearlyDependentInput,
@@ -1395,3 +1396,175 @@ def test_run_and_verify_give_one_verdict(tmp_path, capsys, method):
     verified = capsys.readouterr().out
     for line in ("structural grading zeros: ", "verification: "):
         assert ran.split(line)[1].split("\n")[0] == verified.split(line)[1].split("\n")[0]
+
+
+# case: (metric, levels, gram, method, the one stderr line of `run`)
+METHOD_ERROR_LINES = {
+    "graded-dependent": (
+        "euclidean", [["a", "b"]], [[1.0, 0.0], [0.0, 1e-11]], "graded",
+        "LinearlyDependentInput: level 0: projected Gram block is numerically singular "
+        "(smallest eigenvalue 1.000000e-11, min/max eigenvalue 1.000e-11 against "
+        "degeneracy_tol 1.0e-10); the input vectors are not linearly independent",
+    ),
+    "graded-null-level": (
+        "euclidean", [["a"], ["b"]], [[1.0, 1.0], [1.0, 1.0]], "graded",
+        "LinearlyDependentInput: level 1: projected Gram block is numerically singular "
+        "(smallest eigenvalue 0.000000e+00, no positive eigenvalue); the input vectors "
+        "are not linearly independent",
+    ),
+    "gram-indefinite": (
+        "euclidean", [["a"], ["b"]], [[1.0, 2.0], [2.0, 1.0]], "gram",
+        "DegenerateMetric: full Gram matrix has eigenvalue -1.000000e+00 (min/max "
+        "eigenvalue -3.333e-01 against degeneracy_tol 1.0e-10); the metric is not "
+        "positive definite",
+    ),
+    "gram-schmidt-null": (
+        "euclidean", [["a"], ["b"]], [[1.0, 1.0], [1.0, 1.0]], "gram-schmidt",
+        "LinearlyDependentInput: level 1: vector 1 became numerically null during "
+        "Gram-Schmidt: reduced squared norm 0.000000e+00, the band +/-1.000000e-10 "
+        "(degeneracy_tol * max(G_ii, 1))",
+    ),
+    "gram-schmidt-negative": (
+        "euclidean", [["a"], ["b"]], [[1.0, 2.0], [2.0, 1.0]], "gram-schmidt",
+        "DegenerateMetric: level 1: vector 1 has reduced squared norm -3.000000e+00 "
+        "during Gram-Schmidt, below the band +/-1.000000e-10 (degeneracy_tol * "
+        "max(G_ii, 1)); the metric is not positive definite",
+    ),
+    "signed-degenerate": (
+        "pseudo", [["a", "b"]], [[1.0, 0.0], [0.0, -1e-11]], "graded",
+        "DegenerateMetric: level 0: projected Gram block is degenerate (min/max "
+        "|eigenvalue| 1.000e-11 against degeneracy_tol 1.0e-10); the metric violates "
+        "the nondegeneracy hypothesis",
+    ),
+    "terminal-isotropic": (
+        "pseudo", [["b"], ["a"]], [[2.0, 1.0], [1.0, 0.0]], "graded",
+        "TerminalIsotropicVector: level 1: lone isotropic vector 'a' has no following "
+        "level to join",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(METHOD_ERROR_LINES))
+def test_method_error_line_names_the_level_once_and_the_margin(tmp_path, capsys, case):
+    metric, levels, gram, method, line = METHOD_ERROR_LINES[case]
+    path = tmp_path / "failing.json"
+    write_json(path, {"mode": "explicit", "metric": metric,
+                      "explicit": {"levels": levels, "gram": gram}})
+    assert main(["run", str(path), "--method", method]) == EXIT_MATH
+    err = capsys.readouterr().err
+    assert err == f"error: {line}\n"
+    assert len(re.findall(r"\blevel \d", err)) == (0 if "full Gram" in err else 1)
+
+
+def problem_with(**blocks):
+    """The explicit Euclidean pair problem, with top-level keys replaced."""
+    payload = explicit([["a"], ["b"]], [[1.0, 0.5], [0.5, 1.0]])
+    payload.update(blocks)
+    return payload
+
+
+# Problem files of the right JSON syntax that `run` refuses before any
+# arithmetic: case -> (file contents, the text after "error: ").
+SCHEMA_EXIT_PROBLEMS = {
+    "weight-kind": (
+        {"mode": "fourier", "metric": "euclidean",
+         "fourier": {"max_harmonic": 1, "weight": {"kind": "gaussian"}}},
+        "field 'fourier.weight.kind' must be 'uniform' or 'samples'",
+    ),
+    "box-interval-length": (
+        monomial(2, 1, [[0.0, 1.0], [0.0]]),
+        "interval 'monomial.box[1]' must be [lo, hi]",
+    ),
+    "box-interval-number": (
+        monomial(1, 1, [0.5]),
+        "interval 'monomial.box[0]' must be [lo, hi]",
+    ),
+    "quadrature-order-float": (
+        monomial(1, 2, [[0.0, 1.0]], quadrature_order=3.0),
+        "field 'monomial.quadrature_order' must be an integer",
+    ),
+    "quadrature-order-bool": (
+        monomial(1, 2, [[0.0, 1.0]], quadrature_order=True),
+        "field 'monomial.quadrature_order' must be an integer",
+    ),
+    "top-level-array": ([problem_with()], "{path}: top level must be a JSON object"),
+    "degeneracy-tol-string": (
+        problem_with(tolerances={"degeneracy_tol": "1e-10"}),
+        "field 'tolerances.degeneracy_tol' must be a number",
+    ),
+    "degeneracy-tol-zero": (
+        problem_with(tolerances={"degeneracy_tol": 0.0}), "tolerances must be positive"
+    ),
+    "verify-tol-negative": (
+        problem_with(tolerances={"verify_tol": -1e-9}), "tolerances must be positive"
+    ),
+    "levels-empty": (explicit([], [[1.0]]), "field 'explicit.levels' must be a non-empty array"),
+    "level-empty": (
+        explicit([[], ["a"]], [[1.0]]),
+        "level 'explicit.levels[0]' must be a non-empty array of labels",
+    ),
+    "level-string": (
+        explicit(["a"], [[1.0]]),
+        "level 'explicit.levels[0]' must be a non-empty array of labels",
+    ),
+    "label-number": (
+        explicit([["a"], ["b", 2]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "labels in 'explicit.levels[1]' must be strings",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_EXIT_PROBLEMS))
+def test_run_names_the_schema_fault_of_a_problem(tmp_path, capsys, case):
+    payload, message = SCHEMA_EXIT_PROBLEMS[case]
+    path = tmp_path / "problem.json"
+    write_json(path, payload)
+    assert main(["run", str(path)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not (tmp_path / "problem.result.json").exists()
+
+
+def test_problem_degeneracy_tol_is_the_one_run_judges_with(tmp_path, capsys):
+    # eigenvalues 1 and 0.5: independent by default, dependent under 0.6
+    path = tmp_path / "problem.json"
+    write_json(path, explicit([["a", "b"]], [[1.0, 0.0], [0.0, 0.5]]))
+    assert main(["run", str(path), "--output", str(tmp_path / "out.json")]) == EXIT_OK
+    write_json(path, {**explicit([["a", "b"]], [[1.0, 0.0], [0.0, 0.5]]),
+                      "tolerances": {"degeneracy_tol": 0.6}})
+    assert parse_problem(path).degeneracy_tol == 0.6
+    capsys.readouterr()
+    assert main(["run", str(path), "--output", str(tmp_path / "out.json")]) == EXIT_MATH
+    assert "min/max eigenvalue 5.000e-01 against degeneracy_tol 6.0e-01" in capsys.readouterr().err
+
+
+# Edits of a fourier_pseudo result (levels of 1, 2 and 2 columns) that
+# `verify` refuses: case -> (edit of the payload, the text after "error: ").
+SCHEMA_EXIT_RESULTS = {
+    "no-levels": (lambda payload: payload["levels"].clear(), "result has no levels"),
+    "missing-level": (
+        lambda payload: payload["levels"].pop(),
+        "result provides 3 output vectors for 5 inputs",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_EXIT_RESULTS))
+def test_verify_names_the_schema_fault_of_a_result(tmp_path, capsys, case):
+    edit, message = SCHEMA_EXIT_RESULTS[case]
+    problem = PROBLEM_DIR / "fourier_pseudo.json"
+    out = tmp_path / "result.json"
+    assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    edit(payload)
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out)]) == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_pyproject_version_is_the_package_version():
+    # both are kept by hand; the result files carry the package's
+    text = (PROBLEM_DIR.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n")[1].split("\n[")[0]
+    [version] = re.findall(r'^version = "([^"]+)"$', project, flags=re.M)
+    assert version == gradedortho.__version__

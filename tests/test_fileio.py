@@ -1,6 +1,7 @@
-"""Result and matrix I/O: compact text, bulk parsing, bit-exact round trips."""
+"""Result and matrix I/O: compact text, the one matrix reader, bit-exact round trips."""
 
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,6 @@ import pytest
 from gradedortho.cli import EXIT_OK, main
 from gradedortho.errors import SchemaError
 from gradedortho.fileio import (
-    _bulk_matrix,
-    _walk_matrix,
     matrix_to_json,
     parse_matrix,
     parse_problem,
@@ -20,6 +19,7 @@ from gradedortho.fileio import (
 )
 from gradedortho.ortho import orthonormalize_graded, verify_table
 from gradedortho.pseudo import pseudo_orthonormalize_graded
+from oracles import matrix_by_entries
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEM_DIR = ROOT / "problems"
@@ -130,11 +130,11 @@ def test_bulk_parse_accepts_mixed_numbers_and_pairs():
         [complex(3, 4), complex(5.5, 0), complex(0, 1e308)],
     ])
     assert same_bits(got, want)
-    assert same_bits(got, _walk_matrix(obj, "m", 2, 3))
-    # rows that mix numbers and pairs are left to the walk
-    assert _bulk_matrix(obj, 2, 3) is None
+    assert same_bits(got, matrix_by_entries(obj, "m", 2, 3))
     plain = [[1, 2.0], [-0.0, 5e-324]]
-    assert same_bits(_bulk_matrix(plain, None, None), _walk_matrix(plain, "m", None, None))
+    got = parse_matrix(plain, "m")
+    assert same_bits(got, np.array([[1, 2], [complex(-0.0, 0), 5e-324]]))
+    assert same_bits(got, matrix_by_entries(plain, "m"))
 
 
 @pytest.mark.parametrize(
@@ -148,7 +148,56 @@ def test_bulk_parse_accepts_mixed_numbers_and_pairs():
     ids=["pair-led", "number-led"],
 )
 def test_bulk_parse_reads_rows_that_mix_numbers_and_pairs(obj):
-    assert same_bits(parse_matrix(obj, "m", len(obj)), _walk_matrix(obj, "m", None, None))
+    got = parse_matrix(obj, "m", len(obj))
+    assert same_bits(got, matrix_by_entries(obj, "m"))
+    want = [[complex(*e) if type(e) is list else complex(e, 0.0) for e in row] for row in obj]
+    assert same_bits(got, np.array(want))
+
+
+# Entries and rows that no matrix may hold, or that sit at the edge of
+# the float range: integers just inside and just past it, signed zeros.
+EDGE_ENTRIES = [
+    True, None, "1", {}, [], [1], [1, 2, 3], [True, 0], [0, None], [[1, 2], 0],
+    float("nan"), float("inf"), -float("inf"), [10**400, 0], [0, float("nan")],
+    10**400, -(2**1024), 2**1024 - 2**970, 2**1024 - 2**971, -(2**1024 - 2**971),
+    2**64 + 1, 2**70 + 12345, -0.0, [-0.0, -0.0], 5e-324,
+]
+
+
+def test_one_conversion_agrees_with_the_entry_reader_on_edited_matrices():
+    # Random matrices with random faults: every outcome, an array or an
+    # error, is the entry reader's, so no refused matrix goes unnamed.
+    rng = random.Random(26)
+    refused = 0
+    for _ in range(3000):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        obj = [
+            [rng.choice([rng.uniform(-5, 5), rng.randint(-3, 3), [rng.uniform(-1, 1), -0.0]])
+             for _ in range(m)]
+            for _ in range(n)
+        ]
+        for _ in range(rng.randint(0, 3)):
+            row = obj[rng.randrange(n)]
+            kind = rng.random()
+            if kind < 0.7 and type(row) is list and row:
+                row[rng.randrange(len(row))] = rng.choice(EDGE_ENTRIES)
+            elif kind < 0.8 and type(row) is list and row:
+                row.pop()
+            elif kind < 0.9 and type(row) is list:
+                row.append(1.0)
+            else:
+                obj[rng.randrange(n)] = rng.choice([1.0, None, "x", []])
+        rows, cols = rng.choice([None, n, n + 1]), rng.choice([None, m, m + 1])
+        try:
+            want = matrix_by_entries(obj, "m", rows, cols)
+        except SchemaError as err:
+            refused += 1
+            with pytest.raises(SchemaError) as caught:
+                parse_matrix(obj, "m", rows, cols)
+            assert str(caught.value) == str(err), obj
+        else:
+            assert same_bits(parse_matrix(obj, "m", rows, cols), want), obj
+    assert 1000 < refused < 2900
 
 
 @pytest.mark.parametrize(

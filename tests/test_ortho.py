@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -284,8 +285,18 @@ def test_gram_schmidt_names_a_dependent_vector(bad, level_size):
     src = source_in_levels(hermitian(vectors.conj().T @ vectors), level_size)
     with pytest.raises(go.LinearlyDependentInput) as err:
         go.gram_schmidt_reference(src)
-    assert err.value.level == bad // level_size
-    assert str(err.value) == f"vector {bad} became numerically null during Gram-Schmidt"
+    level = bad // level_size
+    assert err.value.level == level
+    prefix = f"level {level}: vector {bad} became numerically null during Gram-Schmidt: "
+    message = str(err.value)
+    assert message.startswith(prefix)
+    # the reduced squared norm lies within the band it is reported with
+    norm_sq, band = re.fullmatch(
+        r"reduced squared norm (\S+), the band \+/-(\S+) \(degeneracy_tol \* max\(G_ii, 1\)\)",
+        message[len(prefix):],
+    ).groups()
+    assert float(band) == float(f"{1e-10 * max(src.matrix[bad, bad].real, 1.0):.6e}")
+    assert abs(float(norm_sq)) <= float(band)
 
 
 @pytest.mark.parametrize("level_size", [1, 10])
@@ -299,8 +310,10 @@ def test_gram_schmidt_names_a_negative_direction(bad, level_size):
         go.gram_schmidt_reference(source_in_levels(gram, level_size))
     assert err.value.level == bad // level_size
     expected = -0.5 * factor[bad, bad].real ** 2
+    band = 1e-10 * max(gram[bad, bad].real, 1.0)
     message = (
-        f"vector {bad} has squared norm {expected:.6e} during Gram-Schmidt; "
+        f"level {bad // level_size}: vector {bad} has reduced squared norm {expected:.6e} "
+        f"during Gram-Schmidt, below the band +/-{band:.6e} (degeneracy_tol * max(G_ii, 1)); "
         f"the metric is not positive definite"
     )
     assert str(err.value) == message
