@@ -8,14 +8,15 @@ pairwise differences).
 ``run`` and ``verify`` reach their verdict on the coefficients through
 the one rule of :func:`gradedortho.ortho.verify_table`, never through
 the method a result file names; that rule also derives the output
-levels from the problem's grading and judges every merge.  ``verify``
-adds only what a file can get wrong on its own: its digest, its metric,
-its shapes, and level ids or labels other than the derived ones.  Both
-print that verdict as one block from :func:`_print_verdict`; ``verify``
-adds the residual the result file recorded.
+levels from the problem's grading and judges every merge.  The module
+knows no file layout: :mod:`gradedortho.fileio` alone reads and writes
+problem and result files, and its :func:`~gradedortho.fileio.verify_result`
+judges a result file against its problem.  Both verbs print the
+report as one block from :func:`_print_verdict`; ``verify`` adds the
+residual the result file recorded.
 
-Exit codes: 0 success, 2 parse/schema/usage error (also a problem too
-large for memory), 3 mathematical
+Exit codes (mapped in :func:`main` alone): 0 success, 2 parse/schema/
+usage error (also a problem too large for memory), 3 mathematical
 failure (linear dependence, degenerate metric, terminal isotropic
 vector, an eigendecomposition that fails), 4 verification failure.
 """
@@ -23,9 +24,6 @@ vector, an eigendecomposition that fails), 4 verification failure.
 import argparse
 import gc
 import sys
-from itertools import accumulate
-
-import numpy as np
 
 from .errors import (
     DegenerateMetric,
@@ -40,10 +38,10 @@ from .fileio import (
     parse_problem,
     parse_result,
     result_payload,
+    verify_result,
     write_result,
 )
 from .ortho import (
-    CoefficientTable,
     gram_method_reference,
     gram_schmidt_reference,
     orthonormalize_graded,
@@ -71,11 +69,6 @@ def _fail(code, message):
     return code
 
 
-def _math_exit(err):
-    # The message names the level it concerns, so the line does not again.
-    return _fail(EXIT_MATH, f"{type(err).__name__}: {err}")
-
-
 def _run_method(problem, method):
     degeneracy_tol = problem.degeneracy_tol
     try:
@@ -93,12 +86,11 @@ def _run_method(problem, method):
         raise SchemaError(f"invalid '{problem.mode}' problem: {err}") from err
 
 
-def _print_verdict(report, mismatch, recorded=None):
+def _print_verdict(report, recorded=None):
     """Print the verdict block of ``run`` and ``verify``; return 0 on PASS, else 4.
 
-    ``mismatch`` names the first level entry that is no output level
-    (None when all are), and ``recorded`` is the residual a result file
-    carries (None prints no line for it).
+    ``recorded`` is the residual a result file carries (None prints no
+    line for it).
     """
     print(f"recomputed orthonormality residual: {report.max_residual:.6e}")
     if recorded is not None:
@@ -106,20 +98,19 @@ def _print_verdict(report, mismatch, recorded=None):
     print(f"tolerance: {report.tolerance:.1e}")
     for lid, cond in report.condition_numbers:
         print(f"level {lid}: normalizer condition number {cond:.6e}")
+    mismatch = report.levels_mismatch
     print(f"output levels: {'ok' if mismatch is None else f'mismatch ({mismatch})'}")
     print(f"structural grading zeros: {'ok' if report.structural_ok else 'violated'}")
-    passed = report.passed and mismatch is None
-    print("verification: " + ("PASS" if passed else "FAIL"))
-    return EXIT_OK if passed else EXIT_VERIFY
+    print("verification: " + ("PASS" if report.passed else "FAIL"))
+    return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 def cmd_run(args):
     problem = parse_problem(args.input)
     if problem.metric == "pseudo" and args.method != "graded":
-        return _fail(
-            EXIT_SCHEMA,
+        raise SchemaError(
             f"method '{args.method}' requires a euclidean metric; the "
-            f"pseudo pipeline only supports 'graded'",
+            f"pseudo pipeline only supports 'graded'"
         )
     table = _run_method(problem, args.method)
     report = verify_table(problem.source, table, problem.verify_tol, problem.degeneracy_tol)
@@ -131,73 +122,24 @@ def cmd_run(args):
     try:
         write_result(output, payload)
     except OSError as err:
-        return _fail(EXIT_SCHEMA, f"cannot write result file: {err}")
+        raise SchemaError(f"cannot write result file: {err}") from err
     print(f"wrote {output}")
-    code = _print_verdict(report, report.levels_mismatch)
+    code = _print_verdict(report)
     for from_level, label, to_level in table.promotions:
         print(f"promoted '{label}' from level {from_level} to level {to_level}")
     return code
 
 
-def _levels_mismatch(result, report):
-    """The first level entry whose labels or id are not those of the output
-    level the report derived for it, else the report's own mismatch.
-
-    An entry's labels must be the flat input labels of its columns and
-    its id that of the input level holding its last column.
-    """
-    start = 0
-    derived = zip(result.level_ids, result.level_labels, report.output_levels)
-    for pos, (lid, labels, (expected_id, expected)) in enumerate(derived):
-        stop = start + len(expected)
-        if tuple(labels) != expected:
-            return f"levels[{pos}].labels are not the input labels of columns {start}..{stop - 1}"
-        if lid != expected_id:
-            return f"levels[{pos}].level is {lid}, expected {expected_id}"
-        start = stop
-    return report.levels_mismatch
-
-
 def cmd_verify(args):
     problem = parse_problem(args.problem)
     result = parse_result(args.result)
-    if result.digest_hex != problem.digest_hex:
-        return _fail(
-            EXIT_SCHEMA,
-            "result file was computed from a different problem file "
-            f"(digest {result.digest_hex[:12]}... vs {problem.digest_hex[:12]}...)",
-        )
-    metric = "euclidean" if result.signs is None else "pseudo"
-    if metric != problem.metric:
-        return _fail(
-            EXIT_SCHEMA,
-            f"result file has metric '{metric}' but the problem has metric '{problem.metric}'",
-        )
-    index = problem.source.index
-    stops = list(accumulate(block.shape[1] for block in result.blocks))
-    if stops[-1] != index.total:
-        return _fail(
-            EXIT_SCHEMA,
-            f"result provides {stops[-1]} output vectors for {index.total} inputs",
-        )
-    for pos, block in enumerate(result.blocks):
-        if block.shape[0] != index.total:
-            return _fail(
-                EXIT_SCHEMA,
-                f"level entry {pos} has {block.shape[0]} coefficient rows, expected {index.total}",
-            )
-    signs = None if result.signs is None else np.concatenate(result.signs)
-    table = CoefficientTable(index, np.hstack(result.blocks), stops, signs)
-    report = verify_table(problem.source, table, problem.verify_tol, problem.degeneracy_tol)
-    return _print_verdict(
-        report, _levels_mismatch(result, report), result.report.get("max_residual")
-    )
+    return _print_verdict(verify_result(problem, result), result.report.get("max_residual"))
 
 
 def cmd_compare(args):
     problem = parse_problem(args.input)
     if problem.metric != "euclidean":
-        return _fail(EXIT_SCHEMA, "compare requires a euclidean problem")
+        raise SchemaError("compare requires a euclidean problem")
     matrices = {m: _run_method(problem, m).matrix for m in METHODS}
     pairs = [("graded", "gram-schmidt"), ("graded", "gram"), ("gram-schmidt", "gram")]
     diffs = {}
@@ -245,18 +187,17 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand and map its errors to exit codes.
-
-    A method's failure on a well-formed problem exits 3; any other
-    package error (a problem or result file it cannot use), an
-    unreadable file and a problem too large for memory exit 2.
-    """
+    """Run one subcommand, which raises or returns 0 or 4, and map its
+    errors to exit codes: 3 for a method's failure on a well-formed
+    problem, 2 for any other package error, an unreadable file and a
+    problem too large for memory."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except MATH_ERRORS as err:
-        return _math_exit(err)
+        # The message names the level it concerns, so the line does not again.
+        return _fail(EXIT_MATH, f"{type(err).__name__}: {err}")
     except (GradedOrthoError, OSError) as err:
         return _fail(EXIT_SCHEMA, str(err))
     except MemoryError as err:

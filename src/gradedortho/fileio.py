@@ -1,12 +1,14 @@
-"""Problem and result files.
+"""Problem and result files: the one module that knows their layout.
 
+It reads problems, writes results, reads them back and, in
+:func:`verify_result`, judges a result file against its problem.
 Problems and results are UTF-8 JSON.  Complex numbers are written as
 two-element ``[re, im]`` arrays (plain numbers are accepted on input),
 matrices as row-major arrays of rows, levels as arrays of label
 strings.  Result files are one line of compact JSON, embed a SHA-256
-digest of the problem file they were computed from so ``verify`` can
-refuse mismatched pairs, and contain no timestamps, which keeps reruns
-byte-identical.
+digest of the problem file they were computed from so
+:func:`verify_result` can refuse mismatched pairs, and contain no
+timestamps, which keeps reruns byte-identical.
 
 orjson is the one codec, both ways.  The reader takes strict JSON only:
 a ``NaN`` or ``Infinity`` token, a number past the float range, a
@@ -41,7 +43,7 @@ list of its sample values.
 """
 
 import hashlib
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +52,7 @@ from ._version import __version__
 from .errors import SchemaError
 from .gram import GramSource, fourier_gram, monomial_gram
 from .grading import GradedIndex
-from .ortho import DEFAULT_VERIFY_TOL
+from .ortho import DEFAULT_VERIFY_TOL, CoefficientTable, verify_table
 from .spectral import DEFAULT_DEGENERACY_TOL
 
 MODES = ("explicit", "fourier", "monomial")
@@ -423,3 +425,47 @@ def parse_result(path):
         signs=signs,
         report=report,
     )
+
+
+def verify_result(problem, result):
+    """The report of :func:`~gradedortho.ortho.verify_table` on a parsed
+    result's level entries, side by side, against its parsed problem.
+
+    Its ``levels_mismatch`` and ``passed`` also judge the entries' ids
+    and labels, up to the first entry that is no output level.  A result
+    of another problem file (by digest) or metric, or whose entries do
+    not hold N rows each and N columns in all, is a SchemaError.
+    """
+    if result.digest_hex != problem.digest_hex:
+        raise SchemaError(
+            "result file was computed from a different problem file "
+            f"(digest {result.digest_hex[:12]}... vs {problem.digest_hex[:12]}...)"
+        )
+    metric = "euclidean" if result.signs is None else "pseudo"
+    if metric != problem.metric:
+        raise SchemaError(
+            f"result file has metric '{metric}' but the problem has metric '{problem.metric}'"
+        )
+    index = problem.source.index
+    stops = list(accumulate(block.shape[1] for block in result.blocks))
+    if stops[-1] != index.total:
+        raise SchemaError(f"result provides {stops[-1]} output vectors for {index.total} inputs")
+    for pos, block in enumerate(result.blocks):
+        if block.shape[0] != index.total:
+            raise SchemaError(
+                f"level entry {pos} has {block.shape[0]} coefficient rows, expected {index.total}"
+            )
+    signs = None if result.signs is None else np.concatenate(result.signs)
+    table = CoefficientTable(index, np.hstack(result.blocks), stops, signs)
+    report = verify_table(problem.source, table, problem.verify_tol, problem.degeneracy_tol)
+    # each entry's labels and id must be those of the output level derived for it
+    headers = zip(result.level_ids, result.level_labels, report.output_levels, (0, *stops), stops)
+    for pos, (lid, labels, (expected_id, expected), start, stop) in enumerate(headers):
+        fault = None
+        if tuple(labels) != expected:
+            fault = f"levels[{pos}].labels are not the input labels of columns {start}..{stop - 1}"
+        elif lid != expected_id:
+            fault = f"levels[{pos}].level is {lid}, expected {expected_id}"
+        if fault:
+            return report._replace(levels_mismatch=fault, passed=False)
+    return report

@@ -12,11 +12,14 @@ never integrate anything themselves.
 
 The builders take plain values (a weight is None for the uniform one,
 or a 1-d sequence of samples) and check each where they use it, raising
-ValueError for a value no Gram matrix can be built from.
+ValueError for a value no Gram matrix can be built from.  Each one sizes
+its problem in closed form first and raises MemoryError, before it
+builds anything, when the machine cannot hold it.
 """
 
 import itertools
 import math
+import os
 from functools import reduce
 
 import numpy as np
@@ -75,6 +78,21 @@ class GramSource:
         self.matrix = h
 
 
+def _refuse_oversize(n, other_bytes=0):
+    """Raise MemoryError when the complex n x n Gram matrix, or another
+    array of ``other_bytes`` its builder makes, exceeds the machine's
+    physical memory; exact integers, so sizes past the float range too."""
+    try:
+        room = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no such query on this platform
+        return
+    if max(16 * n * n, other_bytes) > room:
+        raise MemoryError(
+            f"building its N = {n} Gram matrix needs more than the "
+            f"{room / 2**30:.3g} GiB this machine has"
+        )
+
+
 def _fourier_ordering(max_harmonic):
     """The graded index and the harmonic of each element: level 0 holds
     the constant, level k the +k and -k harmonics."""
@@ -98,8 +116,9 @@ def fourier_gram(max_harmonic, weight=None):
     by one real FFT of the samples.  The matrix is exactly Toeplitz in
     the harmonic difference and exactly Hermitian by construction.
     """
-    index, harmonics = _fourier_ordering(max_harmonic)
     n_coeff = 2 * max_harmonic + 1
+    _refuse_oversize(n_coeff)
+    index, harmonics = _fourier_ordering(max_harmonic)
     if weight is None:
         moments = np.zeros(n_coeff, dtype=np.complex128)
         moments[0] = TWO_PI
@@ -181,6 +200,9 @@ def monomial_gram(dimension, max_degree, box, weight=None, quadrature_order=None
             f"quadrature order {quadrature_order} is below max_degree + 1 = "
             f"{max_degree + 1}; Gram entries would not be exact"
         )
+    # N monomials at order^d tensor nodes, and the order^2 matrix behind the 1-D rule
+    n = math.comb(dimension + max_degree, dimension)
+    _refuse_oversize(n, 8 * max(n * quadrature_order**dimension, quadrature_order**2))
     index, exponents = monomial_index(dimension, max_degree)
     nodes_1d, weights_1d = _gauss_legendre(quadrature_order)
     halves = [0.5 * (hi - lo) for lo, hi in box]

@@ -15,6 +15,7 @@ table and returns its verdict as data; only the command line prints it.
 """
 
 import math
+from contextlib import contextmanager
 from itertools import chain
 from typing import NamedTuple
 
@@ -128,7 +129,8 @@ class VerificationReport(NamedTuple):
     block and ``tolerance`` the residual bound the verdict used.
     ``output_levels`` holds the (level id, labels) the source's grading
     gives each table block, up to the first block it gives none, which
-    ``levels_mismatch`` names (None when every block has one).
+    ``levels_mismatch`` names (None when every block has one; a result
+    file's report may name a level header there instead).
     """
 
     max_residual: float
@@ -221,7 +223,8 @@ def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     at rows lo:hi needs only the overlaps D = C[:lo, :lo]† G[:lo, lo:hi]
     with all finished levels at once (one matmul), the projected block
     Γ - D†D, and one more matmul C[:lo, :lo] (-D q) for its lower-level
-    coefficients.
+    coefficients.  A singular or indefinite level block fails as in
+    :func:`level_normalizer`, and the message adds the conditioning of G.
 
     Parameters
     ----------
@@ -235,7 +238,25 @@ def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     -------
     CoefficientTable
     """
-    return _orthonormalize_levels(source, degeneracy_tol, signed=False)
+    with _naming_conditioning(source.matrix):
+        return _orthonormalize_levels(source, degeneracy_tol, signed=False)
+
+
+@contextmanager
+def _naming_conditioning(gram):
+    """Add the conditioning of the full Gram matrix G to the message of a
+    LinearlyDependentInput or DegenerateMetric raised inside: λmax/λmin
+    from one ``eigvalsh``, or "> 1/eps" when λmin <= eps·λmax."""
+    try:
+        yield
+    except (LinearlyDependentInput, DegenerateMetric) as err:
+        # scaled to entries of at most 1, so no eigenvalue overflows
+        low, high = np.linalg.eigvalsh(gram / max(max_abs(gram), 1.0))[[0, -1]]
+        kappa = "> 1/eps (smallest eigenvalue <= eps * largest)"
+        if low > np.finfo(float).eps * high:
+            kappa = f"{high / low:.3e}"
+        err.args = (f"{err}; G has condition number {kappa}",)
+        raise
 
 
 def _isotropic_singleton(gamma, b, degeneracy_tol):
@@ -354,8 +375,10 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
 
     L_ii² is vector i's squared norm once the earlier ones are projected
     out.  At most tol·max(G_ii, 1) fails: DegenerateMetric below minus
-    that band, else LinearlyDependentInput; the message names the level
-    and gives the reduced squared norm next to the band.  LAPACK does not
+    that band, else LinearlyDependentInput; the message names the level,
+    gives the reduced squared norm next to the band, says when it is
+    within (i+1)·eps·max_{j<=i} G_jj, the rounding the factorization can
+    leave there, and ends with the conditioning of G.  LAPACK does not
     say which pivot failed, so only then are leading blocks bisected for
     the first.
     """
@@ -383,17 +406,24 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     level = int(np.searchsorted(index.ends, i, side="right"))
     where = f"level {level}: vector {i}"
     band = f"the band +/-{bands[i]:.6e} (degeneracy_tol * max(G_ii, 1))"
-    if norm_sq < -bands[i]:
-        raise DegenerateMetric(
-            f"{where} has reduced squared norm {norm_sq:.6e} during Gram-Schmidt, "
-            f"below {band}; the metric is not positive definite",
+    rounding = (i + 1) * np.finfo(float).eps * float(gram.diagonal().real[: i + 1].max())
+    if abs(norm_sq) <= rounding:
+        band += (
+            f", within (i+1)*eps*max_(j<=i) G_jj = {rounding:.3e}, the rounding "
+            f"the factorization can leave there"
+        )
+    with _naming_conditioning(gram):
+        if norm_sq < -bands[i]:
+            raise DegenerateMetric(
+                f"{where} has reduced squared norm {norm_sq:.6e} during Gram-Schmidt, "
+                f"below {band}; the metric is not positive definite",
+                level=level,
+            )
+        raise LinearlyDependentInput(
+            f"{where} became numerically null during Gram-Schmidt: reduced squared norm "
+            f"{norm_sq:.6e}, {band}",
             level=level,
         )
-    raise LinearlyDependentInput(
-        f"{where} became numerically null during Gram-Schmidt: reduced squared norm "
-        f"{norm_sq:.6e}, {band}",
-        level=level,
-    )
 
 
 def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -402,9 +432,11 @@ def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     Ignores the grading entirely: the whole coefficient table is the
     inverse square root of the full Gram matrix, so on multi-level
     problems the structural grading zeros do not hold.  A Gram matrix
-    that is not positive definite fails as in :func:`level_normalizer`.
+    that is not positive definite fails as in :func:`level_normalizer`,
+    and the message adds the conditioning of G.
     """
-    c, _ = level_normalizer(source.matrix, degeneracy_tol)
+    with _naming_conditioning(source.matrix):
+        c, _ = level_normalizer(source.matrix, degeneracy_tol)
     return CoefficientTable(source.index, c, source.index.ends)
 
 

@@ -6,7 +6,9 @@ one lower level at a time, straight from the Gram matrix and the
 finished blocks.  :func:`tensor_legendre_table` is the closed-form
 answer for monomials under the uniform weight on a box, and
 :func:`graded_table_mp` the graded table of any Euclidean Gram matrix,
-worked out in 40-digit arithmetic.  :func:`monomial_gram_by_nodes`
+worked out in 40-digit arithmetic, and :func:`signed_table_mp` the
+level invariants of a signed table from a 40-digit block LDL† of G.
+:func:`monomial_gram_by_nodes`
 assembles the monomial Gram matrix node by node, a second construction
 that ``monomial_gram``'s outer products of 1-D powers match bitwise.
 :func:`matrix_by_entries` reads a JSON matrix one entry at a time, the
@@ -236,6 +238,49 @@ def graded_table_mp(source, dps=40):
             inv_sqrt = q * mp.diag([1 / mp.sqrt(x) for x in e]) * q.H
             polar[s.start:s.stop, s.start:s.stop] = (b * inv_sqrt).H
         return np.array((r_inv * polar).tolist(), dtype=np.complex128)
+
+
+def signed_table_mp(source, stops, degeneracy_tol=DEFAULT_DEGENERACY_TOL, dps=40):
+    """The level invariants of a signed table with column ``stops``, from
+    a block LDL† of G over those output levels in ``dps``-digit arithmetic.
+
+    Returns (P, negatives, isotropic): per output level k the N x N
+    matrix P_k = C_k S_k C_k† and the number of -1 signs of its columns,
+    and per promoted singleton (an output level that spans two input
+    levels) whether its raw or projected 1x1 value is within
+    ``degeneracy_tol`` * max(|raw|, 1), judged at this precision.
+
+    With M = P_0 + ... + P_(k-1), the inverse of G's leading block up to
+    level k (zero elsewhere), X_k = E_k - M G E_k holds level k's raw
+    vectors projected against the lower levels and D_k = X_k† G X_k is
+    the block pivot of the LDL†, so P_k = X_k D_k⁻¹ X_k†: the same for
+    every normalizer r with r† D_k r = S_k, whatever mixing of equal
+    signs a level picks.  The signs of a level are the inertia of D_k,
+    and a promoted singleton's projected value is D_k[0, 0].
+    """
+    import mpmath as mp
+
+    edges = (0, *source.index.ends)
+    with mp.workdps(dps):
+        gram = mp.matrix(source.matrix.tolist())
+        n = gram.rows
+        m = mp.zeros(n, n)
+        levels, negatives, isotropic = [], [], []
+        for start, stop in zip((0, *stops), stops):
+            e = mp.zeros(n, stop - start)
+            for j in range(stop - start):
+                e[start + j, j] = 1
+            x = e - m * (gram * e)
+            d = x.H * gram * x
+            p = x * mp.inverse(d) * x.H
+            m += p
+            levels.append(np.array(p.tolist(), dtype=np.complex128))
+            negatives.append(sum(1 for v in mp.eighe(d)[0] if v < 0))
+            if edges.index(stop) - edges.index(start) > 1:
+                raw = gram[start, start]
+                band = degeneracy_tol * max(abs(raw), 1)
+                isotropic.append(min(abs(raw), abs(mp.re(d[0, 0]))) <= band)
+        return levels, negatives, isotropic
 
 
 class NotACounterexample(GradedOrthoError):

@@ -683,6 +683,29 @@ def test_problem_too_large_for_memory_exits_2_with_one_line(tmp_path):
     assert not (tmp_path / "large.result.json").exists()
 
 
+@pytest.mark.parametrize(
+    "mode, block",
+    [
+        ("fourier", {"max_harmonic": 10**9, "weight": {"kind": "uniform"}}),
+        ("monomial", {"dimension": 40, "max_degree": 40, "box": [[0.0, 1.0]] * 40}),
+    ],
+)
+def test_sizes_no_machine_holds_exit_2_before_anything_is_built(tmp_path, mode, block):
+    # refused from N in closed form; before, the Fourier run built 2 * 10^9
+    # Python list entries and the monomial one enumerated exponents until
+    # the address space ran out
+    path = tmp_path / "huge.json"
+    write_json(path, {"mode": mode, "metric": "euclidean", mode: block})
+    proc = run_python(
+        "-m", "gradedortho.cli", "run", str(path),
+        preexec_fn=cap_address_space, OPENBLAS_NUM_THREADS="1",
+    )
+    assert proc.returncode == EXIT_SCHEMA, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: the problem is too large for memory: building its N = ")
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_leaves_gc_state_alone(pair_problem, tmp_path, enabled):
     switch = {True: gc.enable, False: gc.disable}
@@ -988,6 +1011,29 @@ def test_benchmark_negative_check_exits_0(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_traced_run_finishes_correct(tmp_path):
+    # perfbench/run.py --trace 1 runs the workload's run and verify through
+    # cli.main with every public function of fileio, gram, ortho, pseudo and
+    # spectral wrapped in spans, verify_result among them; one short run
+    # must check every result it makes.  It reads its metric names from
+    # BENCHMARK.json in its working directory.
+    root = Path(SRC).parent
+    (tmp_path / "src").symlink_to(SRC)
+    (tmp_path / "BENCHMARK.json").symlink_to(root / "BENCHMARK.json")
+    script = root / "perfbench" / "run.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--workload", "monomial_wide_levels",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last
 
 
 def test_benchmark_traced_modules_import():
@@ -1399,36 +1445,41 @@ def test_run_and_verify_give_one_verdict(tmp_path, capsys, method):
 
 
 # case: (metric, levels, gram, method, the one stderr line of `run`)
+# The conditioning a failing Euclidean method names when λmin <= eps·λmax.
+CONDITION_ABOVE_1_OVER_EPS = "; G has condition number > 1/eps (smallest eigenvalue <= eps * largest)"
+
 METHOD_ERROR_LINES = {
     "graded-dependent": (
         "euclidean", [["a", "b"]], [[1.0, 0.0], [0.0, 1e-11]], "graded",
         "LinearlyDependentInput: level 0: projected Gram block is numerically singular "
         "(smallest eigenvalue 1.000000e-11, min/max eigenvalue 1.000e-11 against "
-        "degeneracy_tol 1.0e-10); the input vectors are not linearly independent",
+        "degeneracy_tol 1.0e-10); the input vectors are not linearly independent; "
+        "G has condition number 1.000e+11",
     ),
     "graded-null-level": (
         "euclidean", [["a"], ["b"]], [[1.0, 1.0], [1.0, 1.0]], "graded",
         "LinearlyDependentInput: level 1: projected Gram block is numerically singular "
         "(smallest eigenvalue 0.000000e+00, no positive eigenvalue); the input vectors "
-        "are not linearly independent",
+        "are not linearly independent" + CONDITION_ABOVE_1_OVER_EPS,
     ),
     "gram-indefinite": (
         "euclidean", [["a"], ["b"]], [[1.0, 2.0], [2.0, 1.0]], "gram",
         "DegenerateMetric: full Gram matrix has eigenvalue -1.000000e+00 (min/max "
         "eigenvalue -3.333e-01 against degeneracy_tol 1.0e-10); the metric is not "
-        "positive definite",
+        "positive definite" + CONDITION_ABOVE_1_OVER_EPS,
     ),
     "gram-schmidt-null": (
         "euclidean", [["a"], ["b"]], [[1.0, 1.0], [1.0, 1.0]], "gram-schmidt",
         "LinearlyDependentInput: level 1: vector 1 became numerically null during "
         "Gram-Schmidt: reduced squared norm 0.000000e+00, the band +/-1.000000e-10 "
-        "(degeneracy_tol * max(G_ii, 1))",
+        "(degeneracy_tol * max(G_ii, 1)), within (i+1)*eps*max_(j<=i) G_jj = 4.441e-16, "
+        "the rounding the factorization can leave there" + CONDITION_ABOVE_1_OVER_EPS,
     ),
     "gram-schmidt-negative": (
         "euclidean", [["a"], ["b"]], [[1.0, 2.0], [2.0, 1.0]], "gram-schmidt",
         "DegenerateMetric: level 1: vector 1 has reduced squared norm -3.000000e+00 "
         "during Gram-Schmidt, below the band +/-1.000000e-10 (degeneracy_tol * "
-        "max(G_ii, 1)); the metric is not positive definite",
+        "max(G_ii, 1)); the metric is not positive definite" + CONDITION_ABOVE_1_OVER_EPS,
     ),
     "signed-degenerate": (
         "pseudo", [["a", "b"]], [[1.0, 0.0], [0.0, -1e-11]], "graded",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gradedortho as go
+from gradedortho import gram
 from gradedortho.gram import _fourier_ordering, monomial_index
 from gradedortho.spectral import eigh
 from oracles import level_slice, monomial_gram_by_nodes
@@ -370,3 +371,29 @@ def test_monomial_samples_as_list_tuple_or_array_agree():
     g = go.monomial_gram(2, 2, [(-1.0, 1.0), (0.0, 2.0)], weight=samples).matrix
     for same in (samples.tolist(), tuple(samples.tolist())):
         assert np.array_equal(go.monomial_gram(2, 2, [(-1.0, 1.0), (0.0, 2.0)], weight=same).matrix, g)
+
+
+# --- sizes no machine holds ----------------------------------------------------
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: go.fourier_gram(10**9),
+        lambda: go.monomial_gram(40, 40, [(0.0, 1.0)] * 40),
+        # few monomials, but 3^20 tensor nodes to evaluate each at
+        lambda: go.monomial_gram(20, 2, [(0.0, 1.0)] * 20),
+        # two monomials, but a 10^6 x 10^6 companion matrix for the rule
+        lambda: go.monomial_gram(1, 1, [(0.0, 1.0)], quadrature_order=10**6),
+    ],
+    ids=["fourier-M1e9", "monomial-d40-deg40", "monomial-d20-nodes", "monomial-order1e6"],
+)
+def test_builders_refuse_sizes_the_machine_cannot_hold_before_building(monkeypatch, build):
+    # sized in closed form: the builder raises before it enumerates the
+    # index, the 1-D rule or a single basis value
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the builder went on to build the problem")
+
+    monkeypatch.setattr(gram, "GradedIndex", unreachable)
+    monkeypatch.setattr(gram, "_gauss_legendre", unreachable)
+    with pytest.raises(MemoryError, match=r"^building its N = \d+ Gram matrix needs more than"):
+        build()

@@ -292,9 +292,10 @@ def test_gram_schmidt_names_a_dependent_vector(bad, level_size):
     assert message.startswith(prefix)
     # the reduced squared norm lies within the band it is reported with
     norm_sq, band = re.fullmatch(
-        r"reduced squared norm (\S+), the band \+/-(\S+) \(degeneracy_tol \* max\(G_ii, 1\)\)",
+        r"reduced squared norm (\S+), the band \+/-(\S+) \(degeneracy_tol \* max\(G_ii, 1\)\)"
+        r"(, within .*)?; G has condition number .*",
         message[len(prefix):],
-    ).groups()
+    ).groups()[:2]
     assert float(band) == float(f"{1e-10 * max(src.matrix[bad, bad].real, 1.0):.6e}")
     assert abs(float(norm_sq)) <= float(band)
 
@@ -314,9 +315,40 @@ def test_gram_schmidt_names_a_negative_direction(bad, level_size):
     message = (
         f"level {bad // level_size}: vector {bad} has reduced squared norm {expected:.6e} "
         f"during Gram-Schmidt, below the band +/-{band:.6e} (degeneracy_tol * max(G_ii, 1)); "
-        f"the metric is not positive definite"
+        f"the metric is not positive definite; "
+        f"G has condition number > 1/eps (smallest eigenvalue <= eps * largest)"
     )
     assert str(err.value) == message
+
+
+EUCLIDEAN_METHODS = [go.orthonormalize_graded, go.gram_schmidt_reference, go.gram_method_reference]
+
+
+def test_only_a_failing_euclidean_method_computes_the_conditioning(monkeypatch):
+    # the conditioning of G costs one eigvalsh, paid on the failure path
+    # alone (the problems are parsed first: numpy's Gauss-Legendre rule
+    # calls eigvalsh too)
+    passing = [parse_problem(path) for path in EXEMPLARS]
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for problem in passing:
+        if problem.metric == "euclidean":
+            for method in EUCLIDEAN_METHODS:
+                method(problem.source)
+        else:
+            go.pseudo_orthonormalize_graded(problem.source)
+    assert calls == []
+    dependent = go.GramSource(go.GradedIndex([["a"], ["b", "c"]]), np.ones((3, 3)))
+    for method in EUCLIDEAN_METHODS:
+        with pytest.raises(go.LinearlyDependentInput, match=r"; G has condition number > 1/eps"):
+            method(dependent)
+    assert calls == [(3, 3)] * 3
 
 
 @pytest.mark.parametrize(

@@ -21,20 +21,20 @@ def eig2x2(a):
 
 # --- symmetrization (GramSource, through _hermitian_part) -------------------
 
-def test_hermitize_identity_untouched():
+def test_hermitian_part_identity_untouched():
     h = go.GramSource(go.GradedIndex([["a", "b"]]), np.eye(2)).matrix
     assert np.array_equal(h, np.eye(2))
     assert max_abs(h - np.eye(2)) == 0.0
 
 
-def test_hermitize_keeps_hermitian_input():
+def test_hermitian_part_keeps_hermitian_input():
     a = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
     h = go.GramSource(go.GradedIndex([["a"], ["b"]]), a).matrix
     assert np.array_equal(h, a)
     assert max_abs(h - a) == 0.0
 
 
-def test_hermitize_rejects_rectangular():
+def test_hermitian_part_rejects_rectangular():
     with pytest.raises(ValueError, match=r"Gram matrix shape \(2, 3\) does not match the 2 indexed elements"):
         go.GramSource(go.GradedIndex([["a", "b"]]), np.ones((2, 3)))
 
