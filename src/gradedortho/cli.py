@@ -94,7 +94,7 @@ def _print_verdict(report, recorded=None):
     """
     print(f"recomputed orthonormality residual: {report.max_residual:.6e}")
     if recorded is not None:
-        print(f"residual recorded in result file:   {float(recorded):.6e}")
+        print(f"residual recorded in result file:   {recorded:.6e}")
     print(f"tolerance: {report.tolerance:.1e}")
     for lid, cond in report.condition_numbers:
         print(f"level {lid}: normalizer condition number {cond:.6e}")
@@ -133,7 +133,7 @@ def cmd_run(args):
 def cmd_verify(args):
     problem = parse_problem(args.problem)
     result = parse_result(args.result)
-    return _print_verdict(verify_result(problem, result), result.report.get("max_residual"))
+    return _print_verdict(verify_result(problem, result), result.recorded_residual)
 
 
 def cmd_compare(args):

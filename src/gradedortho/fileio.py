@@ -22,16 +22,18 @@ zeros above a level, in ``graded`` and ``gram-schmidt`` results) is
 written as plain integer ``0`` entries, every other row as ``[re, im]``
 pairs.  Results carry no copy of the input grading or of the
 tolerances: both follow from the problem file the digest names, so
-``verify`` judges a result with its problem's ``verify_tol``.
+``verify`` judges a result with its problem's ``verify_tol``.  Nor do
+they list the isotropic promotions, which the level entries state: a
+promoted singleton's label leads the labels of the next level's entry.
 
 Every matrix, of a problem or of a result, is read by one conversion:
 each entry becomes an (re, im) pair, a number x the pair (x, 0), and
 all the parts become one float64 array viewed as complex.  So numbers
 and pairs may mix in any row, and files with every row as pairs, or
-with the ``input_levels``, ``tolerances`` or ``report.verify_tol``
-keys, as earlier versions wrote them, parse to the same arrays.  Only a
-matrix that conversion refuses is walked entry by entry, in row-major
-order, for the first fault to name.
+with the keys that earlier versions wrote (``input_levels``,
+``tolerances``, ``promotions``, ``report.verify_tol``), parse to the
+same arrays.  Only a matrix that conversion refuses is walked entry by
+entry, in row-major order, for the first fault to name.
 
 A problem file is checked for its JSON types here; its values (a
 label, a box interval, the weight samples) are checked by the Gram
@@ -72,14 +74,14 @@ class Problem(NamedTuple):
 
 
 class ResultData(NamedTuple):
-    """The arrays of a parsed result file, for re-verification."""
+    """A parsed result file's arrays and its ``report.max_residual`` (or None)."""
 
     digest_hex: str
     level_ids: list
     level_labels: list
     blocks: list
     signs: list | None
-    report: dict
+    recorded_residual: float | None
 
 
 def _require(obj, field, kind, path):
@@ -339,11 +341,6 @@ def result_payload(problem, table, report, method):
         "method": method,
         "levels": levels,
     }
-    if table.promotions:
-        payload["promotions"] = [
-            {"from_level": int(a), "label": lbl, "to_level": int(b)}
-            for a, lbl, b in table.promotions
-        ]
     payload["report"] = {
         "max_residual": report.max_residual,
         "structural_ok": report.structural_ok,
@@ -377,9 +374,9 @@ def _parse_signs(obj, count, where):
 def parse_result(path):
     """Load a result file back into arrays for re-verification.
 
-    Reads the keys every result file has had; files that also carry the
-    ``input_levels``, ``tolerances``, ``normalizer`` and ``mixing`` keys
-    of earlier versions parse the same, since those keys are ignored.
+    Reads the keys every result file has had; the ``input_levels``,
+    ``tolerances``, ``normalizer``, ``mixing`` and ``promotions`` keys
+    of earlier versions are ignored.
     """
     payload = _load_json(path)[0]  # the bytes are dropped: only a problem is hashed
     digest_obj = _require(payload, "input_digest", dict, "")
@@ -415,15 +412,16 @@ def parse_result(path):
         if signs is not None:
             signs.append(_parse_signs(_require(entry, "signs", list, where), count, where + "signs"))
     report = _require(payload, "report", dict, "")
-    if report.get("max_residual") is not None:
-        _require(report, "max_residual", (int, float), "report.")
+    recorded = report.get("max_residual")
+    if recorded is not None:
+        recorded = float(_require(report, "max_residual", (int, float), "report."))
     return ResultData(
         digest_hex=digest_hex,
         level_ids=level_ids,
         level_labels=level_labels,
         blocks=blocks,
         signs=signs,
-        report=report,
+        recorded_residual=recorded,
     )
 
 

@@ -78,19 +78,19 @@ class GramSource:
         self.matrix = h
 
 
-def _refuse_oversize(n, other_bytes=0):
-    """Raise MemoryError when the complex n x n Gram matrix, or another
-    array of ``other_bytes`` its builder makes, exceeds the machine's
+def _refuse_oversize(n, *others):
+    """Raise MemoryError, naming it, when the complex n x n Gram matrix or
+    another ``(name, bytes)`` array its builder makes exceeds the machine's
     physical memory; exact integers, so sizes past the float range too."""
     try:
         room = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no such query on this platform
         return
-    if max(16 * n * n, other_bytes) > room:
-        raise MemoryError(
-            f"building its N = {n} Gram matrix needs more than the "
-            f"{room / 2**30:.3g} GiB this machine has"
-        )
+    for name, size in ((f"its N = {n} Gram matrix", 16 * n * n), *others):
+        if size > room:
+            raise MemoryError(
+                f"building {name} needs more than the {room / 2**30:.3g} GiB this machine has"
+            )
 
 
 def _fourier_ordering(max_harmonic):
@@ -200,9 +200,11 @@ def monomial_gram(dimension, max_degree, box, weight=None, quadrature_order=None
             f"quadrature order {quadrature_order} is below max_degree + 1 = "
             f"{max_degree + 1}; Gram entries would not be exact"
         )
-    # N monomials at order^d tensor nodes, and the order^2 matrix behind the 1-D rule
-    n = math.comb(dimension + max_degree, dimension)
-    _refuse_oversize(n, 8 * max(n * quadrature_order**dimension, quadrature_order**2))
+    # order^d is named, not printed: it can pass str()'s digit limit
+    n, order = math.comb(dimension + max_degree, dimension), quadrature_order
+    basis = (f"its {n} x {order}^{dimension} array of basis values", 8 * n * order**dimension)
+    rule = (f"the {order} x {order} matrix behind its 1-D quadrature rule", 8 * order**2)
+    _refuse_oversize(n, basis, rule)
     index, exponents = monomial_index(dimension, max_degree)
     nodes_1d, weights_1d = _gauss_legendre(quadrature_order)
     halves = [0.5 * (hi - lo) for lo, hi in box]

@@ -167,7 +167,7 @@ def test_run_identity_problem(tmp_path, capsys):
     assert main(["run", str(path), "--output", str(out)]) == EXIT_OK
     result = parse_result(out)
     assert np.array_equal(np.hstack(result.blocks), np.eye(2))
-    assert result.report["max_residual"] == 0.0
+    assert result.recorded_residual == 0.0
 
 
 def test_default_output_path(pair_problem):
@@ -210,9 +210,23 @@ def test_promotion_reported(tmp_path, capsys):
     out = tmp_path / "promo.json"
     assert main(["run", str(problem), "--output", str(out)]) == EXIT_OK
     assert "promoted 'a' from level 0 to level 1" in capsys.readouterr().out
+    # the level entry states the promotion: "a" leads level 1's labels
     payload = json.loads(out.read_text())
-    assert payload["promotions"] == [{"from_level": 0, "label": "a", "to_level": 1}]
-    assert payload["levels"][0]["signs"] == [1, -1]
+    assert "promotions" not in payload
+    first = payload["levels"][0]
+    assert first["level"] == 1 and first["labels"][0] == "a"
+    assert first["signs"] == [1, -1]
+    code = main(["verify", str(problem), str(out)])
+    verified = capsys.readouterr().out
+    # a file that still lists its promotions, as earlier versions wrote
+    # them, verifies the same
+    report = payload.pop("report")
+    payload["promotions"] = [{"from_level": 0, "label": "a", "to_level": 1}]
+    payload["report"] = report
+    listed = tmp_path / "listed.json"
+    write_json(listed, payload)
+    assert main(["verify", str(problem), str(listed)]) == code == EXIT_OK
+    assert capsys.readouterr().out == verified
 
 
 def test_verify_rejects_digest_mismatch(tmp_path, pair_problem, capsys):
@@ -316,7 +330,7 @@ def test_verify_reproduces_embedded_report(tmp_path):
         else:
             target = np.eye(c.shape[1], dtype=complex)
         residual = float(np.max(np.abs(c.conj().T @ gram @ c - target)))
-        assert abs(residual - result.report["max_residual"]) <= 1e-12
+        assert abs(residual - result.recorded_residual) <= 1e-12
 
 
 def test_method_flags_produce_verifiable_results(pair_problem, tmp_path):
@@ -684,14 +698,21 @@ def test_problem_too_large_for_memory_exits_2_with_one_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mode, block",
+    "mode, block, array",
     [
-        ("fourier", {"max_harmonic": 10**9, "weight": {"kind": "uniform"}}),
-        ("monomial", {"dimension": 40, "max_degree": 40, "box": [[0.0, 1.0]] * 40}),
+        ("fourier", {"max_harmonic": 10**9, "weight": {"kind": "uniform"}}, "its N = "),
+        ("monomial", {"dimension": 40, "max_degree": 40, "box": [[0.0, 1.0]] * 40}, "its N = "),
+        # G is 3 x 3; the matrix behind the 1-D rule is what cannot be built
+        (
+            "monomial",
+            {"dimension": 1, "max_degree": 2, "box": [[-1, 1]], "quadrature_order": 10**6},
+            "the 1000000 x 1000000 matrix behind its 1-D quadrature rule ",
+        ),
     ],
+    ids=["fourier-block0", "monomial-block1", "monomial-block2"],
 )
-def test_sizes_no_machine_holds_exit_2_before_anything_is_built(tmp_path, mode, block):
-    # refused from N in closed form; before, the Fourier run built 2 * 10^9
+def test_sizes_no_machine_holds_exit_2_before_anything_is_built(tmp_path, mode, block, array):
+    # refused in closed form; before, the Fourier run built 2 * 10^9
     # Python list entries and the monomial one enumerated exponents until
     # the address space ran out
     path = tmp_path / "huge.json"
@@ -702,7 +723,7 @@ def test_sizes_no_machine_holds_exit_2_before_anything_is_built(tmp_path, mode, 
     )
     assert proc.returncode == EXIT_SCHEMA, proc.stderr
     [line] = proc.stderr.splitlines()
-    assert line.startswith("error: the problem is too large for memory: building its N = ")
+    assert line.startswith(f"error: the problem is too large for memory: building {array}")
     assert proc.stdout == ""
 
 
@@ -743,10 +764,13 @@ def test_subprocess_run_writes_in_process_bytes(tmp_path):
 
 def test_cli_import_loads_no_json_codec():
     # Each file operation imports its codec itself, so the import of the
-    # CLI (the start-up cost of every process) does not pay for one.
+    # CLI (the start-up cost of every process) does not pay for one; nor
+    # for numpy.fft or numpy.polynomial (1-5 ms each to import), which
+    # only the Fourier and monomial builders use.
+    modules = ("json", "orjson", "numpy.fft", "numpy.polynomial")
     code = (
         "import sys, gradedortho.cli\n"
-        "print(sorted(m for m in ('json', 'orjson') if m in sys.modules))\n"
+        f"print(sorted(m for m in {modules} if m in sys.modules))\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -122,7 +122,7 @@ def test_pipeline_coefficients_read_back_bit_identical(tmp_path, name):
         assert "normalizer" not in level and "mixing" not in level
 
 
-def test_bulk_parse_accepts_mixed_numbers_and_pairs():
+def test_parse_matrix_accepts_mixed_numbers_and_pairs():
     obj = [[1, [2.5, -0.0], -0.0], [[3, 4], 5.5, [0.0, 1e308]]]
     got = parse_matrix(obj, "m", rows=2, cols=3)
     want = np.array([
@@ -147,7 +147,7 @@ def test_bulk_parse_accepts_mixed_numbers_and_pairs():
     ],
     ids=["pair-led", "number-led"],
 )
-def test_bulk_parse_reads_rows_that_mix_numbers_and_pairs(obj):
+def test_parse_matrix_reads_rows_that_mix_numbers_and_pairs(obj):
     got = parse_matrix(obj, "m", len(obj))
     assert same_bits(got, matrix_by_entries(obj, "m"))
     want = [[complex(*e) if type(e) is list else complex(e, 0.0) for e in row] for row in obj]
@@ -222,7 +222,7 @@ def test_one_conversion_agrees_with_the_entry_reader_on_edited_matrices():
         ('[[1.0, "x"], [NaN, 2.0]]', None, None, "entry at 'm[0][1]' must be a number or an [re, im] pair"),
     ],
 )
-def test_bulk_parse_rejects_with_the_entry_message(text, rows, cols, message):
+def test_parse_matrix_rejects_with_the_entry_message(text, rows, cols, message):
     obj = json.loads(text)
     with pytest.raises(SchemaError) as caught:
         parse_matrix(obj, "m", rows, cols)

@@ -376,24 +376,31 @@ def test_monomial_samples_as_list_tuple_or_array_agree():
 # --- sizes no machine holds ----------------------------------------------------
 
 @pytest.mark.parametrize(
-    "build",
+    "build, array",
     [
-        lambda: go.fourier_gram(10**9),
-        lambda: go.monomial_gram(40, 40, [(0.0, 1.0)] * 40),
+        (lambda: go.fourier_gram(10**9), r"its N = 2000000001 Gram matrix"),
+        (lambda: go.monomial_gram(40, 40, [(0.0, 1.0)] * 40), r"its N = \d+ Gram matrix"),
         # few monomials, but 3^20 tensor nodes to evaluate each at
-        lambda: go.monomial_gram(20, 2, [(0.0, 1.0)] * 20),
+        (
+            lambda: go.monomial_gram(20, 2, [(0.0, 1.0)] * 20),
+            r"its 231 x 3\^20 array of basis values",
+        ),
         # two monomials, but a 10^6 x 10^6 companion matrix for the rule
-        lambda: go.monomial_gram(1, 1, [(0.0, 1.0)], quadrature_order=10**6),
+        (
+            lambda: go.monomial_gram(1, 1, [(0.0, 1.0)], quadrature_order=10**6),
+            r"the 1000000 x 1000000 matrix behind its 1-D quadrature rule",
+        ),
     ],
     ids=["fourier-M1e9", "monomial-d40-deg40", "monomial-d20-nodes", "monomial-order1e6"],
 )
-def test_builders_refuse_sizes_the_machine_cannot_hold_before_building(monkeypatch, build):
+def test_builders_refuse_sizes_the_machine_cannot_hold_before_building(monkeypatch, build, array):
     # sized in closed form: the builder raises before it enumerates the
-    # index, the 1-D rule or a single basis value
+    # index, the 1-D rule or a single basis value, and names the array
+    # that does not fit
     def unreachable(*args, **kwargs):
         raise AssertionError("the builder went on to build the problem")
 
     monkeypatch.setattr(gram, "GradedIndex", unreachable)
     monkeypatch.setattr(gram, "_gauss_legendre", unreachable)
-    with pytest.raises(MemoryError, match=r"^building its N = \d+ Gram matrix needs more than"):
+    with pytest.raises(MemoryError, match=rf"^building {array} needs more than"):
         build()

@@ -188,24 +188,24 @@ def signature(signs):
     return int(np.sum(signs > 0)), int(np.sum(signs < 0))
 
 
-def test_signature_split_minkowski_diag():
+def test_level_normalizer_signed_minkowski_diag():
     _, signs = level_normalizer(np.diag([1.0, -1.0]).astype(complex), signed=True)
     assert signature(signs) == (1, 1)
 
 
-def test_signature_split_offdiagonal():
+def test_level_normalizer_signed_offdiagonal():
     a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     _, signs = level_normalizer(a, signed=True)
     assert signature(signs) == (1, 1)
     assert np.allclose(eigh(a)[0], [1.0, -1.0])
 
 
-def test_signature_split_positive_diag():
+def test_level_normalizer_signed_positive_diag():
     _, signs = level_normalizer(np.diag([2.0, 3.0, 5.0]).astype(complex), signed=True)
     assert signature(signs) == (3, 0)
 
 
-def test_signature_split_rejects_degenerate():
+def test_level_normalizer_signed_rejects_degenerate():
     with pytest.raises(go.DegenerateMetric):
         level_normalizer(np.diag([1.0, 0.0]).astype(complex), signed=True)
 
