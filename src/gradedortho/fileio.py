@@ -35,13 +35,14 @@ with the keys that earlier versions wrote (``input_levels``,
 same arrays.  Only a matrix that conversion refuses is walked entry by
 entry, in row-major order, for the first fault to name.
 
-A problem file is checked for its JSON types here; its values (a
-label, a box interval, the weight samples) are checked by the Gram
-builder that uses them, and an explicit matrix goes as it stands to
-``GramSource``, which checks it as it checks every Gram matrix.  A
-ValueError from either becomes a ``SchemaError`` naming the mode.  A
-weight reaches the builder as None (``{"kind": "uniform"}``) or as the
-list of its sample values.
+A problem file is checked for its JSON types here; its values are
+checked by the constructor that uses them: the levels (their number,
+their sizes, repeated labels) by ``GradedIndex``, a box interval or
+the weight samples by the Gram builder, and an explicit matrix, of
+whatever shape, goes as it stands to ``GramSource``, which checks it
+as it checks every Gram matrix.  A ValueError from any of them becomes
+a ``SchemaError`` naming the mode.  A weight reaches the builder as
+None (``{"kind": "uniform"}``) or as the list of its sample values.
 """
 
 import hashlib
@@ -117,18 +118,14 @@ def _number(value, where):
     return value
 
 
-def _raise_matrix_fault(obj, path, rows, cols):
-    """Raise the SchemaError naming the first fault of a matrix, checking
-    its shape and then its entries, row by row, in row-major order."""
+def _raise_matrix_fault(obj, path):
+    """Raise the SchemaError naming the first fault of a matrix, row by
+    row and entry by entry, in row-major order."""
     if type(obj) is not list or not obj:
         raise SchemaError(f"field '{path}' must be a non-empty matrix")
-    if rows is not None and len(obj) != rows:
-        raise SchemaError(f"field '{path}' must have {rows} rows")
     for i, row in enumerate(obj):
         if type(row) is not list or not row:
             raise SchemaError(f"row '{path}[{i}]' must be a non-empty array")
-        if i == 0 and cols is not None and len(row) != cols:
-            raise SchemaError(f"field '{path}' must have {cols} columns")
         if len(row) != len(obj[0]):
             raise SchemaError(f"row '{path}[{i}]' has inconsistent length")
         for j, entry in enumerate(row):
@@ -142,9 +139,9 @@ def _raise_matrix_fault(obj, path, rows, cols):
                 raise SchemaError(f"entry at '{where}' must be a number or an [re, im] pair")
 
 
-def _matrix_values(obj, rows, cols):
-    """The matrix as a complex array, or None if it is not a matrix of
-    finite numbers and [re, im] pairs with the given row and column counts.
+def _matrix_values(obj):
+    """The matrix as a complex array, or None if it is not a non-empty,
+    rectangular matrix of finite numbers and [re, im] pairs.
 
     Each entry becomes an (re, im) pair, a number x the pair (x, 0), and
     all the parts go into one float64 array viewed as complex, so -0.0
@@ -154,8 +151,6 @@ def _matrix_values(obj, rows, cols):
         return None
     width = len(obj[0])
     if not width or set(map(len, obj)) != {width}:
-        return None
-    if rows not in (None, len(obj)) or cols not in (None, width):
         return None
     pairs = [e if type(e) is list else (e, 0) for e in chain.from_iterable(obj)]
     parts = list(chain.from_iterable(pairs))
@@ -170,15 +165,16 @@ def _matrix_values(obj, rows, cols):
     return values.view(np.complex128).reshape(len(obj), width)
 
 
-def parse_matrix(obj, path, rows=None, cols=None):
-    """A JSON matrix of numbers or [re, im] pairs as a complex array.
+def parse_matrix(obj, path):
+    """A JSON matrix of numbers or [re, im] pairs as a complex array, of
+    whatever shape it has: its user judges the shape.
 
     A matrix that :func:`_matrix_values` refuses is handed to
     :func:`_raise_matrix_fault`, which names its first fault.
     """
-    values = _matrix_values(obj, rows, cols)
+    values = _matrix_values(obj)
     if values is None:
-        _raise_matrix_fault(obj, path, rows, cols)
+        _raise_matrix_fault(obj, path)
     return values
 
 
@@ -210,30 +206,16 @@ def _parse_weight(obj, path):
     raise SchemaError(f"field '{path}kind' must be 'uniform' or 'samples'")
 
 
-def _parse_levels(obj, path):
-    if not isinstance(obj, list) or not obj:
-        raise SchemaError(f"field '{path}' must be a non-empty array")
-    levels = []
-    for i, level in enumerate(obj):
-        if not isinstance(level, list) or not level:
-            raise SchemaError(f"level '{path}[{i}]' must be a non-empty array of labels")
-        for label in level:
-            if not isinstance(label, str):
-                raise SchemaError(f"labels in '{path}[{i}]' must be strings")
-        levels.append(level)
-    return levels
-
-
 def _build_source(mode, block):
     if mode == "explicit":
-        levels = _parse_levels(_require(block, "levels", list, "explicit."), "explicit.levels")
+        levels = _require(block, "levels", list, "explicit.")
+        for i, level in enumerate(levels):
+            if not isinstance(level, list):
+                raise SchemaError(f"level 'explicit.levels[{i}]' must be an array of labels")
+            if not all(isinstance(label, str) for label in level):
+                raise SchemaError(f"labels in 'explicit.levels[{i}]' must be strings")
         index = GradedIndex(levels)
-        gram = parse_matrix(
-            _require(block, "gram", list, "explicit."),
-            "explicit.gram",
-            rows=index.total,
-            cols=index.total,
-        )
+        gram = parse_matrix(_require(block, "gram", list, "explicit."), "explicit.gram")
         return GramSource(index, gram)
     if mode == "fourier":
         max_harmonic = _require(block, "max_harmonic", int, "fourier.")

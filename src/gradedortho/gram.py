@@ -52,8 +52,9 @@ class GramSource:
     The one place a Gram matrix is checked: it must be N x N for the
     index's N elements and finite, and symmetrizing it to (G + G†)/2
     with a real diagonal may move no entry by more than
-    ``HERMITIZE_REJECT_FACTOR`` times max(max|G_ij|, 1).  The source
-    keeps that symmetrized copy, read-only.
+    ``HERMITIZE_REJECT_FACTOR`` times max|G_ij|, floored at the smallest
+    normal float, so the bound has the units of G.  The source keeps
+    that symmetrized copy, read-only.
     """
 
     def __init__(self, index, matrix):
@@ -68,7 +69,7 @@ class GramSource:
         h = _hermitian_part(matrix)
         adjustment = max_abs(h - matrix)
         scale = max_abs(matrix)
-        if adjustment > HERMITIZE_REJECT_FACTOR * max(scale, 1.0):
+        if adjustment > HERMITIZE_REJECT_FACTOR * max(scale, np.finfo(float).tiny):
             raise ValueError(
                 f"matrix is not Hermitian: symmetrization moved an entry by "
                 f"{adjustment:.3e} (max magnitude {scale:.3e})"

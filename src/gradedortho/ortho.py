@@ -259,19 +259,19 @@ def _naming_conditioning(gram):
         raise
 
 
-def _isotropic_singleton(gamma, b, degeneracy_tol):
-    """True when a signed run promotes a singleton level.
+def _isotropic_singleton(gram, lo, hi, b, degeneracy_tol):
+    """True when a signed run promotes the level at rows [lo, hi) of G.
 
-    ``gamma`` is the level's raw Gram block and ``b`` that block
-    projected against the finished columns.  A 1x1 ``gamma`` is
-    isotropic when |γ| or |Re b| is at most tol·max(|γ|, 1): the
-    projected block is judged relative to the raw block's scale, and
-    only its symmetric part, the real part, is tested.
+    ``b`` is that level's Gram block projected against the finished
+    columns.  A singleton level is isotropic when |γ| = |G_lo,lo| or
+    |Re b| is at most tol·max|G_lo,j| over its row of G: the band has
+    the units of G, and only the symmetric part of the projected block,
+    its real part, is tested.
     """
-    if gamma.shape != (1, 1):
+    if hi - lo != 1:
         return False
-    band = degeneracy_tol * max(abs(gamma[0, 0]), 1.0)
-    return bool(min(abs(gamma[0, 0]), abs(b[0, 0].real)) <= band)
+    band = degeneracy_tol * max_abs(gram[lo])
+    return bool(min(abs(gram[lo, lo]), abs(b[0, 0].real)) <= band)
 
 
 def _orthonormalize_levels(source, degeneracy_tol, signed):
@@ -302,7 +302,7 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
         for k in range(len(index)):
             hi = index.ends[k]
             b, sd = _projected_block(gram, c, signs, lo, hi)
-            if signed and _isotropic_singleton(gram[lo:hi, lo:hi], b, degeneracy_tol):
+            if signed and _isotropic_singleton(gram, lo, hi, b, degeneracy_tol):
                 _check_promotion(index, k)
                 continue
             r, signs[lo:hi] = level_normalizer(b, degeneracy_tol, k, signed)
@@ -538,7 +538,9 @@ def verify_table(
             elif last > first:
                 mismatch = _merge_fault(index, first, last, signs is not None)
                 if mismatch is None and not _isotropic_singleton(
-                    gram[start : start + 1, start : start + 1],
+                    gram,
+                    start,
+                    start + 1,
                     _projected_block(gram, c, signs, start, start + 1)[0],
                     degeneracy_tol,
                 ):

@@ -23,7 +23,9 @@ def pseudo_orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     ``output_levels()`` and ``promotions`` show the merge.  If no next
     level exists the run fails with TerminalIsotropicVector, and if the
     next level holds the same label with ValueError.  On a positive
-    definite source every step reduces exactly to the Euclidean path and
-    all signs come out +1.
+    definite source no singleton level is promoted unless its raw or
+    projected value lies within the isotropy band, degeneracy_tol times
+    the largest magnitude in its row of G; when none does, every step
+    reduces exactly to the Euclidean path and all signs come out +1.
     """
     return _orthonormalize_levels(source, degeneracy_tol, signed=True)

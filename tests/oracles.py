@@ -191,14 +191,12 @@ def _entry_to_complex(entry, where):
     raise SchemaError(f"entry at '{where}' must be a number or an [re, im] pair")
 
 
-def matrix_by_entries(obj, path, rows=None, cols=None):
+def matrix_by_entries(obj, path):
     """A JSON matrix of numbers and [re, im] pairs read entry by entry,
     each entry its own ``complex``; the errors name the first offending
     row or entry, in row-major order."""
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"field '{path}' must be a non-empty matrix")
-    if rows is not None and len(obj) != rows:
-        raise SchemaError(f"field '{path}' must have {rows} rows")
     width = None
     data = []
     for i, row in enumerate(obj):
@@ -206,8 +204,6 @@ def matrix_by_entries(obj, path, rows=None, cols=None):
             raise SchemaError(f"row '{path}[{i}]' must be a non-empty array")
         if width is None:
             width = len(row)
-            if cols is not None and width != cols:
-                raise SchemaError(f"field '{path}' must have {cols} columns")
         elif len(row) != width:
             raise SchemaError(f"row '{path}[{i}]' has inconsistent length")
         data.append([_entry_to_complex(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)])

@@ -521,6 +521,26 @@ INVALID_VALUE_PROBLEMS = {
         "matrix is not Hermitian: symmetrization moved an entry by 2.500e-01 "
         "(max magnitude 1.000e+00)",
     ),
+    # 10% asymmetric: the bound scales with max|G|, with no floor at 1
+    "explicit-tiny-not-hermitian": (
+        explicit([["a", "b"]], [[1e-11, 1e-12], [0.0, 1e-11]]),
+        "matrix is not Hermitian: symmetrization moved an entry by 5.000e-13 "
+        "(max magnitude 1.000e-11)",
+    ),
+    # GradedIndex judges the levels and GramSource the shape of the gram
+    "levels-empty": (explicit([], [[1.0]]), "a graded index needs at least one level"),
+    "level-empty": (
+        explicit([[], ["a"]], [[1.0]]),
+        "level 0 is empty; index sets must be non-empty",
+    ),
+    "explicit-gram-rows": (
+        explicit([["a", "b"]], [[1.0, 0.0]]),
+        "Gram matrix shape (1, 2) does not match the 2 indexed elements",
+    ),
+    "explicit-gram-columns": (
+        explicit([["a", "b"]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        "Gram matrix shape (2, 3) does not match the 2 indexed elements",
+    ),
     "empty-box-interval": (monomial(1, 2, [[1.0, 0.0]]), "invalid box interval [1.0, 0.0]"),
     "negative-max-degree": (monomial(1, -1, [[0.0, 1.0]]), "max_degree must be non-negative"),
     "zero-dimension": (monomial(0, 2, []), "dimension must be at least 1"),
@@ -1573,14 +1593,9 @@ SCHEMA_EXIT_PROBLEMS = {
     "verify-tol-negative": (
         problem_with(tolerances={"verify_tol": -1e-9}), "tolerances must be positive"
     ),
-    "levels-empty": (explicit([], [[1.0]]), "field 'explicit.levels' must be a non-empty array"),
-    "level-empty": (
-        explicit([[], ["a"]], [[1.0]]),
-        "level 'explicit.levels[0]' must be a non-empty array of labels",
-    ),
     "level-string": (
         explicit(["a"], [[1.0]]),
-        "level 'explicit.levels[0]' must be a non-empty array of labels",
+        "level 'explicit.levels[0]' must be an array of labels",
     ),
     "label-number": (
         explicit([["a"], ["b", 2]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),

@@ -124,13 +124,13 @@ def test_pipeline_coefficients_read_back_bit_identical(tmp_path, name):
 
 def test_parse_matrix_accepts_mixed_numbers_and_pairs():
     obj = [[1, [2.5, -0.0], -0.0], [[3, 4], 5.5, [0.0, 1e308]]]
-    got = parse_matrix(obj, "m", rows=2, cols=3)
+    got = parse_matrix(obj, "m")
     want = np.array([
         [complex(1, 0), complex(2.5, -0.0), complex(-0.0, 0)],
         [complex(3, 4), complex(5.5, 0), complex(0, 1e308)],
     ])
     assert same_bits(got, want)
-    assert same_bits(got, matrix_by_entries(obj, "m", 2, 3))
+    assert same_bits(got, matrix_by_entries(obj, "m"))
     plain = [[1, 2.0], [-0.0, 5e-324]]
     got = parse_matrix(plain, "m")
     assert same_bits(got, np.array([[1, 2], [complex(-0.0, 0), 5e-324]]))
@@ -148,7 +148,7 @@ def test_parse_matrix_accepts_mixed_numbers_and_pairs():
     ids=["pair-led", "number-led"],
 )
 def test_parse_matrix_reads_rows_that_mix_numbers_and_pairs(obj):
-    got = parse_matrix(obj, "m", len(obj))
+    got = parse_matrix(obj, "m")
     assert same_bits(got, matrix_by_entries(obj, "m"))
     want = [[complex(*e) if type(e) is list else complex(e, 0.0) for e in row] for row in obj]
     assert same_bits(got, np.array(want))
@@ -187,45 +187,47 @@ def test_one_conversion_agrees_with_the_entry_reader_on_edited_matrices():
                 row.append(1.0)
             else:
                 obj[rng.randrange(n)] = rng.choice([1.0, None, "x", []])
-        rows, cols = rng.choice([None, n, n + 1]), rng.choice([None, m, m + 1])
         try:
-            want = matrix_by_entries(obj, "m", rows, cols)
+            want = matrix_by_entries(obj, "m")
         except SchemaError as err:
             refused += 1
             with pytest.raises(SchemaError) as caught:
-                parse_matrix(obj, "m", rows, cols)
+                parse_matrix(obj, "m")
             assert str(caught.value) == str(err), obj
         else:
-            assert same_bits(parse_matrix(obj, "m", rows, cols), want), obj
+            assert same_bits(parse_matrix(obj, "m"), want), obj
     assert 1000 < refused < 2900
 
 
+# (text, message) per refused matrix.  Each id keeps the form
+# "text-None-None-message" it had when a case could also give the row and
+# column counts the matrix must have, so the recorded test ids stay put.
+ENTRY_FAULTS = [
+    ("[[1.0, true]]", "entry at 'm[0][1]' must be a number or an [re, im] pair"),
+    ("[[[true, 0.0]]]", "field 'm[0][0]' must be a number"),
+    ('[[1.0, "2.0"]]', "entry at 'm[0][1]' must be a number or an [re, im] pair"),
+    ('[[[1.0, "0"]]]', "field 'm[0][0]' must be a number"),
+    ("[[1.0], [NaN]]", "field 'm[1][0]' must be finite"),
+    ("[[[1.0, Infinity]]]", "field 'm[0][0]' must be finite"),
+    ("[[[-Infinity, 0]]]", "field 'm[0][0]' must be finite"),
+    ("[[1e400]]", "field 'm[0][0]' must be finite"),
+    ("[[1.0, 2.0], [3.0]]", "row 'm[1]' has inconsistent length"),
+    ("[[[1.0, 2.0, 3.0]]]", "entry at 'm[0][0]' must be a number or an [re, im] pair"),
+    ("[[[1.0]]]", "entry at 'm[0][0]' must be a number or an [re, im] pair"),
+    ("[[1.0], 2.0]", "row 'm[1]' must be a non-empty array"),
+    ("[[]]", "row 'm[0]' must be a non-empty array"),
+    ("[]", "field 'm' must be a non-empty matrix"),
+    ('[[1.0, "x"], [NaN, 2.0]]', "entry at 'm[0][1]' must be a number or an [re, im] pair"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,rows,cols,message",
-    [
-        ("[[1.0, true]]", None, None, "entry at 'm[0][1]' must be a number or an [re, im] pair"),
-        ("[[[true, 0.0]]]", None, None, "field 'm[0][0]' must be a number"),
-        ('[[1.0, "2.0"]]', None, None, "entry at 'm[0][1]' must be a number or an [re, im] pair"),
-        ('[[[1.0, "0"]]]', None, None, "field 'm[0][0]' must be a number"),
-        ("[[1.0], [NaN]]", None, None, "field 'm[1][0]' must be finite"),
-        ("[[[1.0, Infinity]]]", None, None, "field 'm[0][0]' must be finite"),
-        ("[[[-Infinity, 0]]]", None, None, "field 'm[0][0]' must be finite"),
-        ("[[1e400]]", None, None, "field 'm[0][0]' must be finite"),
-        ("[[1.0, 2.0], [3.0]]", None, None, "row 'm[1]' has inconsistent length"),
-        ("[[1.0], [2.0]]", 3, None, "field 'm' must have 3 rows"),
-        ("[[1.0, 2.0]]", None, 3, "field 'm' must have 3 columns"),
-        ("[[[1.0, 2.0, 3.0]]]", None, None, "entry at 'm[0][0]' must be a number or an [re, im] pair"),
-        ("[[[1.0]]]", None, None, "entry at 'm[0][0]' must be a number or an [re, im] pair"),
-        ("[[1.0], 2.0]", None, None, "row 'm[1]' must be a non-empty array"),
-        ("[[]]", None, None, "row 'm[0]' must be a non-empty array"),
-        ("[]", None, None, "field 'm' must be a non-empty matrix"),
-        ('[[1.0, "x"], [NaN, 2.0]]', None, None, "entry at 'm[0][1]' must be a number or an [re, im] pair"),
-    ],
+    "text,message", ENTRY_FAULTS, ids=[f"{text}-None-None-{message}" for text, message in ENTRY_FAULTS]
 )
-def test_parse_matrix_rejects_with_the_entry_message(text, rows, cols, message):
+def test_parse_matrix_rejects_with_the_entry_message(text, message):
     obj = json.loads(text)
     with pytest.raises(SchemaError) as caught:
-        parse_matrix(obj, "m", rows, cols)
+        parse_matrix(obj, "m")
     assert str(caught.value) == message
 
 

@@ -71,6 +71,30 @@ def test_gram_source_rejects_non_hermitian():
         go.GramSource(idx, np.array([[1.0, 0.5], [0.4, 1.0]]))
 
 
+@pytest.mark.parametrize("k", [-40, 40])
+def test_gram_source_judges_symmetry_in_the_units_of_g(k):
+    # The bound is 1e-12 max|G|, with no floor at 1: the rejected matrix
+    # above is rejected at any scale, and roundoff-sized asymmetry at
+    # any scale is averaged away.
+    idx = go.GradedIndex([["a"], ["b"]])
+    scale = 4.0**k
+    with pytest.raises(ValueError, match="matrix is not Hermitian: symmetrization moved"):
+        go.GramSource(idx, scale * np.array([[1.0, 0.5], [0.4, 1.0]]))
+    a = scale * np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
+    h = go.GramSource(idx, a).matrix
+    assert h[0, 1] == h[1, 0]
+    assert 0.0 < np.max(np.abs(h - a)) <= 1e-15 * scale
+
+
+def test_gram_source_keeps_an_all_subnormal_hermitian_matrix():
+    # halving a subnormal rounds, so symmetrizing moves entries by up to
+    # one unit of 5e-324; the bound's floor is the smallest normal float
+    idx = go.GradedIndex([["a", "b"]])
+    m = np.array([[3e-323, 1.5e-323], [1.5e-323, 3e-323]])  # 6 and 3 units
+    h = go.GramSource(idx, m).matrix
+    assert np.max(np.abs(h - m)) == 5e-324
+
+
 def test_gram_source_rejects_non_hermitian_readme_example():
     # README's example with one entry changed: before GramSource checked
     # the Hermitian property, this built a source whose table FAILed

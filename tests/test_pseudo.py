@@ -36,11 +36,12 @@ def signed_residual(source, table):
 # --- lone isotropic singletons -----------------------------------------------
 
 def lone_isotropic(entry, scale=None):
-    """The promotion rule on a 1x1 projected block ``entry``, judged
-    against a raw block of magnitude ``scale`` (the entry's own by default)."""
+    """The promotion rule on a projected block ``entry`` of the first
+    level of a G whose rows are ``[[scale]]``: a raw value and largest
+    row entry ``scale`` (the entry itself by default)."""
     b = np.atleast_2d(np.asarray(entry, dtype=complex))
-    gamma = b if scale is None else np.array([[scale]], dtype=complex)
-    return ortho._isotropic_singleton(gamma, b, go.DEFAULT_DEGENERACY_TOL)
+    gram = b if scale is None else np.array([[scale]], dtype=complex)
+    return ortho._isotropic_singleton(gram, 0, len(b), b, go.DEFAULT_DEGENERACY_TOL)
 
 
 def test_lone_isotropic_cases():
@@ -412,6 +413,78 @@ def test_table_rebuilt_from_its_blocks_keeps_its_levels_and_verifies(tmp_path, n
         write_result(files[-1], result_payload(problem, t, report, "graded"))
     assert files[0].read_bytes() == files[1].read_bytes()
     assert main(["verify", str(path), str(files[1])]) == 0
+
+
+def scaling_source(name, tmp_path):
+    """A source of the units test: a pseudo exemplar, the seed-101
+    ``pseudo_explicit`` problem, a nondegenerate metric at scale 1e-11,
+    or a random indefinite or positive definite source."""
+    kind, _, seed = name.partition("-")
+    if kind == "pseudo_explicit":
+        return parse_problem(promotion_problem(name, tmp_path)).source
+    if kind.endswith("_pseudo"):
+        return parse_problem(ROOT / "problems" / f"{kind}.json").source
+    if kind == "tiny":
+        index = go.GradedIndex([["a", "b"], ["c"]])
+        return go.GramSource(index, np.diag([1e-11, -1e-11, 1e-11]))
+    rng = np.random.default_rng(int(seed))
+    if kind == "indefinite":
+        return random_indefinite_source(rng)
+    index = go.GradedIndex([["a"], ["b", "c"], ["d", "e", "f"], ["g"], ["h", "i"]])
+    return go.GramSource(index, random_spd(rng, index.total, cond=1e3))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "explicit_pseudo", "fourier_pseudo", "monomial_pseudo", "pseudo_explicit-101", "tiny",
+        "indefinite-3", "indefinite-7", "indefinite-11", "spd-3", "spd-7",
+    ],
+)
+def test_both_loops_are_free_of_the_units_of_g(tmp_path, name):
+    # On 4^k G the loop makes the same decisions as on G, and C scales by
+    # exactly 2^-k.  Measured: C 2^k equals C bit for bit on every source
+    # here (a power of two commutes with each rounding while no value is
+    # subnormal); the bound, 4 eps of max|C|, leaves room for a LAPACK
+    # whose internal scaling is not a power of two.
+    source = scaling_source(name, tmp_path)
+    runs = [go.pseudo_orthonormalize_graded]
+    if name.startswith(("spd", "monomial")):
+        runs.append(go.orthonormalize_graded)
+    for run in runs:
+        table = run(source)
+        report = go.verify_table(source, table)
+        assert report.passed
+        for k in (-40, -20, 20, 40):
+            scaled = go.GramSource(source.index, source.matrix * 4.0**k)
+            got = run(scaled)
+            assert got.stops == table.stops
+            assert got.promotions == table.promotions
+            assert (got.signs is None) == (table.signs is None)
+            assert table.signs is None or np.array_equal(got.signs, table.signs)
+            assert go.verify_table(scaled, got).passed
+            assert relative_error(got.matrix * 2.0**k, table.matrix) <= 4 * np.finfo(float).eps
+    if name == "pseudo_explicit-101":
+        assert len(table.promotions) == 3
+
+
+def test_nondegenerate_metric_at_small_scale_is_not_isotropic(tmp_path, capsys):
+    # |γ| = 1e-11 for the singleton "c": a band of tol * max(|γ|, 1) read
+    # it as isotropic with no level to join, and `run` exited 3
+    payload = {
+        "mode": "explicit",
+        "metric": "pseudo",
+        "explicit": {
+            "levels": [["a", "b"], ["c"]],
+            "gram": [[1e-11, 0, 0], [0, -1e-11, 0], [0, 0, 1e-11]],
+        },
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "tiny.result.json"
+    assert main(["run", str(path), "--output", str(out)]) == 0
+    assert main(["verify", str(path), str(out)]) == 0
+    assert "verification: PASS" in capsys.readouterr().out
 
 
 # --- obstruction demonstration --------------------------------------------------

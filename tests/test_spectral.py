@@ -221,13 +221,13 @@ def test_signature_matches_lapack_count():
 
 # --- level_normalizer: congruence to diag(+1.., -1..) -----------------------
 
-def test_pseudo_normalizer_minkowski_identity():
+def test_level_normalizer_signed_minkowski_identity():
     r, signs = level_normalizer(np.diag([1.0, -1.0]).astype(complex), signed=True)
     assert np.allclose(r, np.eye(2), atol=1e-14)
     assert list(signs) == [1, -1]
 
 
-def test_pseudo_normalizer_euclidean_reduces_to_inv_sqrt():
+def test_level_normalizer_signed_euclidean_reduces_to_inv_sqrt():
     a = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
     r, signs = level_normalizer(a, signed=True)
     assert list(signs) == [1, 1]
@@ -237,7 +237,7 @@ def test_pseudo_normalizer_euclidean_reduces_to_inv_sqrt():
     assert list(signs2) == [1, 1]
 
 
-def test_pseudo_normalizer_offdiagonal_case():
+def test_level_normalizer_signed_offdiagonal_case():
     a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     r, signs = level_normalizer(a, signed=True)
     s = 1.0 / np.sqrt(2.0)
@@ -247,7 +247,7 @@ def test_pseudo_normalizer_offdiagonal_case():
     assert np.max(np.abs(r.conj().T @ a @ r - np.diag([1.0, -1.0]))) < 1e-14
 
 
-def test_pseudo_normalizer_defining_relation_random():
+def test_level_normalizer_signed_defining_relation_random():
     rng = np.random.default_rng(41)
     for trial in range(10):
         w = rng.uniform(0.1, 10.0, size=6) * rng.choice([-1.0, 1.0], size=6)
@@ -259,7 +259,7 @@ def test_pseudo_normalizer_defining_relation_random():
         assert list(signs) == sorted(signs, reverse=True)
 
 
-def test_pseudo_normalizer_all_negative():
+def test_level_normalizer_signed_all_negative():
     a = np.diag([-2.0, -0.5]).astype(complex)
     r, signs = level_normalizer(a, signed=True)
     assert list(signs) == [-1, -1]
