@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMetric, LinearlyDependentInput, TerminalIsotropicVector
-from .spectral import DEFAULT_DEGENERACY_TOL, _from_eigenbasis, eigh, max_abs
+from .spectral import DEFAULT_DEGENERACY_TOL, _hermitian_part, eigh, max_abs
 
 DEFAULT_VERIFY_TOL = 1e-9
 
@@ -142,32 +142,36 @@ class VerificationReport(NamedTuple):
     passed: bool
 
 
-def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signed=False):
+def level_normalizer(
+    b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signed=False, raw=None
+):
     """(r, signs) with r† b r = diag(signs), +1 first, from one ``eigh`` of b.
 
     A definite block gets the Hermitian V |Λ|^(-1/2) V†; a mixed one the
     eigenvectors scaled by |λ|^(-1/2), each sign block by descending |λ|.
-    Euclidean (``signed`` false): λmin <= tol·λmax is DegenerateMetric
-    when λmin < -tol·max(|λmax|, 1), else LinearlyDependentInput.
-    Signed: any |λ| <= tol·max|λ| is DegenerateMetric.  Errors carry
-    ``level``; None names the block as the full Gram matrix.  Their
-    message gives the ratio the test read (λmin/λmax, or min|λ|/max|λ|
-    when signed) next to ``degeneracy_tol``.
+    No test has an absolute bound, so 4^k·b (with 4^k·Γ) is judged as b.
+    Euclidean (``signed`` false): λmin <= tol·λmax fails, as
+    DegenerateMetric when λmin < -tol·max|Γ|, else LinearlyDependentInput.
+    Γ is ``raw``, the level's Gram block before projection (b itself when
+    None): a λmin within that band is what rounding leaves of a dependent
+    vector, whatever its sign.  Signed: any |λ| <= tol·max|λ| is
+    DegenerateMetric.  Errors carry ``level``; None names the block as
+    the full Gram matrix.  Their message gives the ratio the test read
+    (λmin/λmax, or min|λ|/max|λ| when signed) next to ``degeneracy_tol``.
 
-    ``eigh`` sees b times the exact power of four 4^-m, m >= 0, that
-    brings max|b| below 2, and r is scaled by 2^-m after, so a block
-    whose eigenvalues pass the float maximum normalizes too.  The
-    spectrum is classified in those units, where the floor 1 is 4^-m.
-    A b with an entry that is not finite (a projection that overflowed)
-    is a ValueError naming the level.
+    ``eigh`` sees b times the exact power of four 4^-m that brings
+    max|b| into [1/2, 2), and r is scaled by 2^-m after, so a block
+    whose eigenvalues pass the float maximum normalizes too.  A b with
+    an entry that is not finite (a projection that overflowed) is a
+    ValueError naming the level.
     """
     what = "full Gram matrix" if level is None else f"level {level}: projected Gram block"
     largest = max_abs(b)
     if not math.isfinite(largest):
         raise ValueError(f"{what} is not finite")
-    m = max(math.frexp(largest)[1] // 2, 0)
-    scale = math.ldexp(1.0, -2 * m)
-    values, vectors = eigh(b * scale)
+    # 4^-m itself can pass the float range (a subnormal b), 2^-m cannot
+    half = math.ldexp(1.0, -(math.frexp(largest)[1] // 2))
+    values, vectors = eigh(b * half * half)
     n = len(values)
     if signed:
         top = max_abs(values)
@@ -181,20 +185,21 @@ def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signe
             )
     elif n and (values[0] <= 0.0 or values[-1] <= degeneracy_tol * values[0]):
         w_min, w_max = float(values[-1]), float(values[0])
+        low = w_min / half / half
         spread = "no positive eigenvalue"
         if w_max > 0.0:
             spread = (
                 f"min/max eigenvalue {w_min / w_max:.3e} against "
                 f"degeneracy_tol {degeneracy_tol:.1e}"
             )
-        if w_min < -degeneracy_tol * max(abs(w_max), scale):
+        if low < -degeneracy_tol * max_abs(b if raw is None else raw):
             raise DegenerateMetric(
-                f"{what} has eigenvalue {w_min / scale:.6e} ({spread}); "
+                f"{what} has eigenvalue {low:.6e} ({spread}); "
                 f"the metric is not positive definite",
                 level=level,
             )
         raise LinearlyDependentInput(
-            f"{what} is numerically singular (smallest eigenvalue {w_min / scale:.6e}, "
+            f"{what} is numerically singular (smallest eigenvalue {low:.6e}, "
             f"{spread}); the input vectors are not linearly independent",
             level=level,
         )
@@ -203,11 +208,12 @@ def level_normalizer(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, level=None, signe
     # 2^-m / sqrt(λ 4^-m) rounds as 1 / sqrt(λ) does: every step is exact
     # up to one rounding, and scaling by a power of two keeps it.
     if p in (0, n):
-        return _from_eigenbasis(vectors, math.ldexp(1.0, -m) / np.sqrt(np.abs(values))), signs
+        r = (vectors * (half / np.sqrt(np.abs(values)))) @ vectors.conj().T
+        return _hermitian_part(r), signs
     # values is descending, so positives already lead; flip the negative
     # block to get descending |eigenvalue| there as well.
     order = np.concatenate([np.arange(p), np.arange(n - 1, p - 1, -1)])
-    return vectors[:, order] * (math.ldexp(1.0, -m) / np.sqrt(np.abs(values[order]))), signs
+    return vectors[:, order] * (half / np.sqrt(np.abs(values[order]))), signs
 
 
 def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -245,17 +251,27 @@ def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
 @contextmanager
 def _naming_conditioning(gram):
     """Add the conditioning of the full Gram matrix G to the message of a
-    LinearlyDependentInput or DegenerateMetric raised inside: λmax/λmin
-    from one ``eigvalsh``, or "> 1/eps" when λmin <= eps·λmax."""
+    LinearlyDependentInput or DegenerateMetric raised inside, from the
+    extreme eigenvalues of one ``eigvalsh``: λmax/λmin; "> 1/eps" when
+    |λmin| <= eps·max|λ|; otherwise λmin < 0, and G is named indefinite
+    (with λmin/λmax) or, when λmax <= eps·max|λ|, negative semidefinite."""
     try:
         yield
     except (LinearlyDependentInput, DegenerateMetric) as err:
-        # scaled to entries of at most 1, so no eigenvalue overflows
-        low, high = np.linalg.eigvalsh(gram / max(max_abs(gram), 1.0))[[0, -1]]
-        kappa = "> 1/eps (smallest eigenvalue <= eps * largest)"
-        if low > np.finfo(float).eps * high:
-            kappa = f"{high / low:.3e}"
-        err.args = (f"{err}; G has condition number {kappa}",)
+        # In units of max|G| (floored at the smallest normal float), so
+        # no eigenvalue overflows and the text is the same on 4^k G.
+        eps = np.finfo(float).eps
+        scale = max(max_abs(gram), np.finfo(float).tiny)
+        low, high = np.linalg.eigvalsh(gram / scale)[[0, -1]]
+        top = max(-low, high)
+        note = "has condition number > 1/eps (smallest eigenvalue <= eps * largest)"
+        if low > eps * high:
+            note = f"has condition number {high / low:.3e}"
+        elif low < -eps * top and high > eps * top:
+            note = f"is indefinite (smallest/largest eigenvalue {low / high:.3e})"
+        elif low < -eps * top:
+            note = "is negative semidefinite (largest eigenvalue <= eps * |smallest|)"
+        err.args = (f"{err}; G {note}",)
         raise
 
 
@@ -305,7 +321,9 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
             if signed and _isotropic_singleton(gram, lo, hi, b, degeneracy_tol):
                 _check_promotion(index, k)
                 continue
-            r, signs[lo:hi] = level_normalizer(b, degeneracy_tol, k, signed)
+            r, signs[lo:hi] = level_normalizer(
+                b, degeneracy_tol, k, signed, gram[lo:hi, lo:hi]
+            )
             p = -sd @ r
             c[lo:hi, lo:hi] = r
             c[:lo, lo:hi] = c[:lo, :lo] @ p
@@ -374,17 +392,18 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     exchanges, so C is exactly upper triangular.
 
     L_ii² is vector i's squared norm once the earlier ones are projected
-    out.  At most tol·max(G_ii, 1) fails: DegenerateMetric below minus
-    that band, else LinearlyDependentInput; the message names the level,
-    gives the reduced squared norm next to the band, says when it is
-    within (i+1)·eps·max_{j<=i} G_jj, the rounding the factorization can
-    leave there, and ends with the conditioning of G.  LAPACK does not
-    say which pivot failed, so only then are leading blocks bisected for
-    the first.
+    out.  At most tol·|G_ii|, a band in the units of G that does not grow
+    with its conditioning, fails: DegenerateMetric below minus that band,
+    else LinearlyDependentInput; the message names the level, gives the
+    reduced squared norm next to the band, says when it is within
+    (i+1)·eps·max_{j<=i} G_jj, the rounding the factorization can leave
+    there, and ends with the conditioning of G.  LAPACK does not say
+    which pivot failed, so only then are leading blocks bisected for the
+    first.
     """
     gram = source.matrix
     index = source.index
-    bands = degeneracy_tol * np.maximum(gram.diagonal().real, 1.0)
+    bands = degeneracy_tol * np.abs(gram.diagonal().real)
     # Leading blocks of size good factor, of size bad do not; the full
     # matrix is tried first.
     good, bad, head, size = 0, index.total + 1, np.zeros((0, 0)), index.total
@@ -405,7 +424,7 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     norm_sq = float(gram[i, i].real - np.sum(np.abs(np.linalg.solve(head, gram[:i, i])) ** 2))
     level = int(np.searchsorted(index.ends, i, side="right"))
     where = f"level {level}: vector {i}"
-    band = f"the band +/-{bands[i]:.6e} (degeneracy_tol * max(G_ii, 1))"
+    band = f"the band +/-{bands[i]:.6e} (degeneracy_tol * |G_ii|)"
     rounding = (i + 1) * np.finfo(float).eps * float(gram.diagonal().real[: i + 1].max())
     if abs(norm_sq) <= rounding:
         band += (

@@ -1,7 +1,8 @@
 """Dense Hermitian spectral operations.
 
 :class:`gradedortho.gram.GramSource` symmetrizes every Gram matrix
-through ``_hermitian_part``; the one caller of ``eigh`` is
+through ``_hermitian_part``, and ``level_normalizer`` the normalizer of
+a definite block; the one caller of ``eigh`` is
 :func:`gradedortho.ortho.level_normalizer`, which normalizes every level
 block and the Gram method's full Gram matrix and refuses a block that is
 not finite.  The CLI uses ``max_abs`` alone.  Eigendecompositions use
@@ -91,7 +92,3 @@ def _phase_fixes(vectors):
     fixes = np.ones_like(pivots)
     np.divide(pivots.conj(), mags, out=fixes, where=mags > 0.0)
     return fixes
-
-
-def _from_eigenbasis(vectors, diag_values):
-    return _hermitian_part((vectors * diag_values) @ vectors.conj().T)

@@ -367,6 +367,19 @@ def test_compare_single_level(tmp_path, capsys):
     assert "graded reduces to gram -> HOLDS" in capsys.readouterr().out
 
 
+def test_gram_schmidt_and_compare_hold_on_a_tiny_identity(tmp_path, capsys):
+    # κ = 1 at scale 1e-11: a pivot band of tol * max(G_ii, 1) called the
+    # first vector null, and both commands exited 3
+    path = tmp_path / "tiny.json"
+    write_json(path, {"mode": "explicit", "metric": "euclidean",
+                      "explicit": {"levels": [["a"], ["b"]], "gram": [[1e-11, 0.0], [0.0, 1e-11]]}})
+    out = tmp_path / "tiny.result.json"
+    assert main(["run", str(path), "--output", str(out), "--method", "gram-schmidt"]) == EXIT_OK
+    assert capsys.readouterr().out.rstrip().endswith("verification: PASS")
+    assert main(["compare", str(path)]) == EXIT_OK
+    assert "singleton levels: graded reduces to gram-schmidt -> HOLDS" in capsys.readouterr().out
+
+
 def test_compare_rejects_pseudo(capsys):
     problem = PROBLEM_DIR / "explicit_pseudo.json"
     assert main(["compare", str(problem)]) == EXIT_SCHEMA
@@ -1491,6 +1504,7 @@ def test_run_and_verify_give_one_verdict(tmp_path, capsys, method):
 # case: (metric, levels, gram, method, the one stderr line of `run`)
 # The conditioning a failing Euclidean method names when λmin <= eps·λmax.
 CONDITION_ABOVE_1_OVER_EPS = "; G has condition number > 1/eps (smallest eigenvalue <= eps * largest)"
+INDEFINITE_ONE_THIRD = "; G is indefinite (smallest/largest eigenvalue -3.333e-01)"
 
 METHOD_ERROR_LINES = {
     "graded-dependent": (
@@ -1510,20 +1524,33 @@ METHOD_ERROR_LINES = {
         "euclidean", [["a"], ["b"]], [[1.0, 2.0], [2.0, 1.0]], "gram",
         "DegenerateMetric: full Gram matrix has eigenvalue -1.000000e+00 (min/max "
         "eigenvalue -3.333e-01 against degeneracy_tol 1.0e-10); the metric is not "
-        "positive definite" + CONDITION_ABOVE_1_OVER_EPS,
+        "positive definite" + INDEFINITE_ONE_THIRD,
+    ),
+    "gram-negative-definite": (
+        "euclidean", [["a", "b"]], [[-1.0, 0.0], [0.0, -2.0]], "gram",
+        "DegenerateMetric: full Gram matrix has eigenvalue -2.000000e+00 (no positive "
+        "eigenvalue); the metric is not positive definite; G is negative semidefinite "
+        "(largest eigenvalue <= eps * |smallest|)",
+    ),
+    "graded-tiny-indefinite": (
+        # the split is relative to max|eigenvalue|: the same verdict as on diag(1, -1)
+        "euclidean", [["a", "b"]], [[1e-11, 0.0], [0.0, -1e-11]], "graded",
+        "DegenerateMetric: level 0: projected Gram block has eigenvalue -1.000000e-11 "
+        "(min/max eigenvalue -1.000e+00 against degeneracy_tol 1.0e-10); the metric is "
+        "not positive definite; G is indefinite (smallest/largest eigenvalue -1.000e+00)",
     ),
     "gram-schmidt-null": (
         "euclidean", [["a"], ["b"]], [[1.0, 1.0], [1.0, 1.0]], "gram-schmidt",
         "LinearlyDependentInput: level 1: vector 1 became numerically null during "
         "Gram-Schmidt: reduced squared norm 0.000000e+00, the band +/-1.000000e-10 "
-        "(degeneracy_tol * max(G_ii, 1)), within (i+1)*eps*max_(j<=i) G_jj = 4.441e-16, "
+        "(degeneracy_tol * |G_ii|), within (i+1)*eps*max_(j<=i) G_jj = 4.441e-16, "
         "the rounding the factorization can leave there" + CONDITION_ABOVE_1_OVER_EPS,
     ),
     "gram-schmidt-negative": (
         "euclidean", [["a"], ["b"]], [[1.0, 2.0], [2.0, 1.0]], "gram-schmidt",
         "DegenerateMetric: level 1: vector 1 has reduced squared norm -3.000000e+00 "
         "during Gram-Schmidt, below the band +/-1.000000e-10 (degeneracy_tol * "
-        "max(G_ii, 1)); the metric is not positive definite" + CONDITION_ABOVE_1_OVER_EPS,
+        "|G_ii|); the metric is not positive definite" + INDEFINITE_ONE_THIRD,
     ),
     "signed-degenerate": (
         "pseudo", [["a", "b"]], [[1.0, 0.0], [0.0, -1e-11]], "graded",

@@ -11,12 +11,14 @@ import pytest
 
 import gradedortho as go
 from gradedortho import spectral
+from gradedortho.cli import main
 from gradedortho.fileio import parse_problem
 from gradedortho.ortho import level_normalizer
 from gradedortho.spectral import eigh
 
 from conftest import (
     hermitian,
+    hermitian_from_spectrum,
     index_from_sizes,
     random_graded_source,
     random_spd,
@@ -292,11 +294,11 @@ def test_gram_schmidt_names_a_dependent_vector(bad, level_size):
     assert message.startswith(prefix)
     # the reduced squared norm lies within the band it is reported with
     norm_sq, band = re.fullmatch(
-        r"reduced squared norm (\S+), the band \+/-(\S+) \(degeneracy_tol \* max\(G_ii, 1\)\)"
+        r"reduced squared norm (\S+), the band \+/-(\S+) \(degeneracy_tol \* \|G_ii\|\)"
         r"(, within .*)?; G has condition number .*",
         message[len(prefix):],
     ).groups()[:2]
-    assert float(band) == float(f"{1e-10 * max(src.matrix[bad, bad].real, 1.0):.6e}")
+    assert float(band) == float(f"{1e-10 * src.matrix[bad, bad].real:.6e}")
     assert abs(float(norm_sq)) <= float(band)
 
 
@@ -311,12 +313,13 @@ def test_gram_schmidt_names_a_negative_direction(bad, level_size):
         go.gram_schmidt_reference(source_in_levels(gram, level_size))
     assert err.value.level == bad // level_size
     expected = -0.5 * factor[bad, bad].real ** 2
-    band = 1e-10 * max(gram[bad, bad].real, 1.0)
+    band = 1e-10 * abs(gram[bad, bad].real)
+    low, high = np.linalg.eigvalsh(gram)[[0, -1]]
     message = (
         f"level {bad // level_size}: vector {bad} has reduced squared norm {expected:.6e} "
-        f"during Gram-Schmidt, below the band +/-{band:.6e} (degeneracy_tol * max(G_ii, 1)); "
+        f"during Gram-Schmidt, below the band +/-{band:.6e} (degeneracy_tol * |G_ii|); "
         f"the metric is not positive definite; "
-        f"G has condition number > 1/eps (smallest eigenvalue <= eps * largest)"
+        f"G is indefinite (smallest/largest eigenvalue {low / high:.3e})"
     )
     assert str(err.value) == message
 
@@ -349,6 +352,59 @@ def test_only_a_failing_euclidean_method_computes_the_conditioning(monkeypatch):
         with pytest.raises(go.LinearlyDependentInput, match=r"; G has condition number > 1/eps"):
             method(dependent)
     assert calls == [(3, 3)] * 3
+
+
+# Spectra of the units test: κ = 3, a zero eigenvalue, a negative eigenvalue.
+SCALING_SPECTRA = {
+    "kappa-3": [3.0, 2.2, 1.7, 1.4, 1.2, 1.0],
+    "singular": [2.0, 1.5, 1.0, 0.7, 0.5, 0.0],
+    "indefinite": [2.0, 1.5, 1.0, -0.7, 0.5, 0.8],
+}
+SCALING_ERRORS = {"singular": go.LinearlyDependentInput, "indefinite": go.DegenerateMetric}
+
+
+def compare_verdict(tmp_path, capsys, source):
+    """``compare``'s exit code and its identity lines, or the error type it
+    names, on an explicit problem holding the source's matrix."""
+    path = tmp_path / "problem.json"
+    gram = [[[z.real, z.imag] for z in row] for row in source.matrix.tolist()]
+    levels = [list(level) for level in source.index.levels]
+    path.write_text(json.dumps({"mode": "explicit", "metric": "euclidean",
+                                "explicit": {"levels": levels, "gram": gram}}))
+    code = main(["compare", str(path)])
+    out, err = capsys.readouterr()
+    return code, [line for line in out.splitlines() if "reduces to" in line], err.split(":")[:2]
+
+
+@pytest.mark.parametrize("levels", ["singletons", "one-level"])
+@pytest.mark.parametrize("spectrum", sorted(SCALING_SPECTRA))
+def test_every_euclidean_method_is_free_of_the_units_of_g(tmp_path, capsys, spectrum, levels):
+    # Every tolerance reads G in its own units, so on 4^k G each method
+    # decides as on G, and its C scales by 2^-k: measured bit for bit here,
+    # bounded by 4 eps of max|C| as in the signed test.
+    rng = np.random.default_rng(41)
+    gram = hermitian_from_spectrum(rng, SCALING_SPECTRA[spectrum])
+    labels = [f"v{i}" for i in range(len(gram))]
+    index = go.GradedIndex([[x] for x in labels] if levels == "singletons" else [labels])
+    source = go.GramSource(index, gram)
+    verdict = compare_verdict(tmp_path, capsys, source)
+    if spectrum in SCALING_ERRORS:
+        assert verdict == (3, [], ["error", f" {SCALING_ERRORS[spectrum].__name__}"])
+    else:
+        assert verdict[0] == 0 and verdict[1] and all(x.endswith("HOLDS") for x in verdict[1])
+    for k in (0, -40, -20, 20, 40):
+        scaled = go.GramSource(index, source.matrix * 4.0**k)
+        assert compare_verdict(tmp_path, capsys, scaled) == verdict
+        for method in EUCLIDEAN_METHODS:
+            if spectrum in SCALING_ERRORS:
+                with pytest.raises(SCALING_ERRORS[spectrum]):
+                    method(scaled)
+                continue
+            table = method(source)
+            got = method(scaled)
+            assert got.stops == table.stops
+            bound = 4 * np.finfo(float).eps * np.max(np.abs(table.matrix))
+            assert np.max(np.abs(got.matrix * 2.0**k - table.matrix)) <= bound
 
 
 @pytest.mark.parametrize(

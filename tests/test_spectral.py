@@ -133,18 +133,18 @@ def test_eigh_degenerate_spectrum_still_unitary():
 
 # --- level_normalizer: inverse square root of a definite block --------------
 
-def test_inv_sqrt_identity():
+def test_level_normalizer_definite_identity():
     r, signs = level_normalizer(np.eye(3))
     assert np.allclose(r, np.eye(3), atol=1e-14)
     assert list(signs) == [1, 1, 1]
 
 
-def test_inv_sqrt_diagonal():
+def test_level_normalizer_definite_diagonal():
     q, _ = level_normalizer(np.diag([4.0, 9.0]).astype(complex))
     assert np.allclose(q, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
 
 
-def test_inv_sqrt_frozen_2x2():
+def test_level_normalizer_definite_frozen_2x2():
     a = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
     q, _ = level_normalizer(a)
     # hand eigendecomposition: eigenvalues 1.5 and 0.5
@@ -153,7 +153,7 @@ def test_inv_sqrt_frozen_2x2():
     assert np.max(np.abs(q @ a @ q - np.eye(2))) < 1e-14
 
 
-def test_inv_sqrt_rejects_singular_and_indefinite():
+def test_level_normalizer_definite_rejects_singular_and_indefinite():
     with pytest.raises(go.LinearlyDependentInput):
         level_normalizer(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(go.DegenerateMetric):
@@ -161,7 +161,7 @@ def test_inv_sqrt_rejects_singular_and_indefinite():
 
 
 @pytest.mark.parametrize("n,cond", [(4, 10.0), (16, 1e3), (40, 1e6), (64, 1e6)])
-def test_inv_sqrt_defining_relation_random_spd(n, cond):
+def test_level_normalizer_definite_defining_relation_random_spd(n, cond):
     rng = np.random.default_rng(int(n + cond))
     a = random_spd(rng, n, cond=cond)
     q, _ = level_normalizer(a)
@@ -171,7 +171,7 @@ def test_inv_sqrt_defining_relation_random_spd(n, cond):
     assert eigh(q)[0][-1] > 0
 
 
-def test_inv_sqrt_permutation_equivariance():
+def test_level_normalizer_definite_permutation_equivariance():
     rng = np.random.default_rng(23)
     n = 9
     a = random_spd(rng, n, cond=50.0)
