@@ -149,21 +149,20 @@ def level_normalizer(
 
     A definite block gets the Hermitian V |Λ|^(-1/2) V†; a mixed one the
     eigenvectors scaled by |λ|^(-1/2), each sign block by descending |λ|.
-    No test has an absolute bound, so 4^k·b (with 4^k·Γ) is judged as b.
-    Euclidean (``signed`` false): λmin <= tol·λmax fails, as
-    DegenerateMetric when λmin < -tol·max|Γ|, else LinearlyDependentInput.
-    Γ is ``raw``, the level's Gram block before projection (b itself when
-    None): a λmin within that band is what rounding leaves of a dependent
-    vector, whatever its sign.  Signed: any |λ| <= tol·max|λ| is
-    DegenerateMetric.  Errors carry ``level``; None names the block as
-    the full Gram matrix.  Their message gives the ratio the test read
-    (λmin/λmax, or min|λ|/max|λ| when signed) next to ``degeneracy_tol``.
+    One band B = tol·max(max|Γ|, max|λ|) refuses a block, Γ being ``raw``,
+    the level's Gram block before projection (b itself when None): on a
+    1x1 block it is Gram-Schmidt's tol·|G_ii|, and 4^k·b (with 4^k·Γ) is
+    judged as b.  Euclidean (``signed`` false): λmin <= B fails, as
+    DegenerateMetric when λmin < -B, else LinearlyDependentInput (what
+    rounding leaves of a dependent vector, of either sign).  Signed:
+    min|λ| <= B is DegenerateMetric.  Errors carry ``level`` (None names
+    the full Gram matrix) and give the eigenvalue judged and the band.
 
     ``eigh`` sees b times the exact power of four 4^-m that brings
     max|b| into [1/2, 2), and r is scaled by 2^-m after, so a block
-    whose eigenvalues pass the float maximum normalizes too.  A b with
-    an entry that is not finite (a projection that overflowed) is a
-    ValueError naming the level.
+    whose eigenvalues pass the float maximum normalizes too; B is formed
+    in those units.  A b with an entry that is not finite (a projection
+    that overflowed) is a ValueError naming the level.
     """
     what = "full Gram matrix" if level is None else f"level {level}: projected Gram block"
     largest = max_abs(b)
@@ -173,36 +172,14 @@ def level_normalizer(
     half = math.ldexp(1.0, -(math.frexp(largest)[1] // 2))
     values, vectors = eigh(b * half * half)
     n = len(values)
-    if signed:
-        top = max_abs(values)
-        if np.any(np.abs(values) <= degeneracy_tol * top):
-            ratio = np.min(np.abs(values)) / top if top else 0.0
-            raise DegenerateMetric(
-                f"{what} is degenerate (min/max |eigenvalue| {ratio:.3e} against "
-                f"degeneracy_tol {degeneracy_tol:.1e}); the metric violates the "
-                f"nondegeneracy hypothesis",
-                level=level,
-            )
-    elif n and (values[0] <= 0.0 or values[-1] <= degeneracy_tol * values[0]):
-        w_min, w_max = float(values[-1]), float(values[0])
-        low = w_min / half / half
-        spread = "no positive eigenvalue"
-        if w_max > 0.0:
-            spread = (
-                f"min/max eigenvalue {w_min / w_max:.3e} against "
-                f"degeneracy_tol {degeneracy_tol:.1e}"
-            )
-        if low < -degeneracy_tol * max_abs(b if raw is None else raw):
-            raise DegenerateMetric(
-                f"{what} has eigenvalue {low:.6e} ({spread}); "
-                f"the metric is not positive definite",
-                level=level,
-            )
-        raise LinearlyDependentInput(
-            f"{what} is numerically singular (smallest eigenvalue {low:.6e}, "
-            f"{spread}); the input vectors are not linearly independent",
-            level=level,
-        )
+    gamma = (largest if raw is None else max_abs(raw)) * half * half
+    top = max(values[0], -values[-1])  # values is descending
+    low = np.min(np.abs(values)) if signed else values[-1]
+    band = degeneracy_tol * max(gamma, top)
+    if low <= band:
+        scale = "max|eigenvalue|" if top > gamma else "max|G|" if level is None else "max|G_kk|"
+        quantity = "smallest |eigenvalue|" if signed else "smallest eigenvalue"
+        raise _refusal(what, quantity, low / half / half, band / half / half, scale, level, signed)
     p = int(np.count_nonzero(values > 0.0))
     signs = np.concatenate([np.ones(p, dtype=np.int64), -np.ones(n - p, dtype=np.int64)])
     # 2^-m / sqrt(λ 4^-m) rounds as 1 / sqrt(λ) does: every step is exact
@@ -214,6 +191,24 @@ def level_normalizer(
     # block to get descending |eigenvalue| there as well.
     order = np.concatenate([np.arange(p), np.arange(n - 1, p - 1, -1)])
     return vectors[:, order] * (half / np.sqrt(np.abs(values[order]))), signs
+
+
+def _refusal(what, quantity, value, band, scale, level, signed=False, note=""):
+    """The error refusing ``what`` (a block or a Gram-Schmidt pivot) whose
+    ``quantity`` reads ``value`` within +/-``band``, degeneracy_tol times
+    ``scale``: DegenerateMetric when ``signed`` or below -band, else
+    LinearlyDependentInput.  ``note`` ends the parenthesis."""
+    if signed:
+        kind, verb = DegenerateMetric, "is degenerate"
+        clause = "the metric violates the nondegeneracy hypothesis"
+    elif value < -band:
+        kind, verb = DegenerateMetric, "is not positive semidefinite"
+        clause = "the metric is not positive definite"
+    else:
+        kind, verb = LinearlyDependentInput, "is numerically singular"
+        clause = "the input vectors are not linearly independent"
+    margin = f"({quantity} {value:.6e}, the band +/-{band:.6e} (degeneracy_tol * {scale}){note})"
+    return kind(f"{what} {verb} {margin}; {clause}", level=level)
 
 
 def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -229,16 +224,18 @@ def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     at rows lo:hi needs only the overlaps D = C[:lo, :lo]† G[:lo, lo:hi]
     with all finished levels at once (one matmul), the projected block
     Γ - D†D, and one more matmul C[:lo, :lo] (-D q) for its lower-level
-    coefficients.  A singular or indefinite level block fails as in
-    :func:`level_normalizer`, and the message adds the conditioning of G.
+    coefficients.  A level block is refused by :func:`level_normalizer`'s
+    band, which on a singleton level is Gram-Schmidt's, and the message
+    adds the conditioning of G.
 
     Parameters
     ----------
     source : GramSource
         Graded index plus positive definite Gram matrix.
     degeneracy_tol : float
-        Relative eigenvalue cutoff below which a level block is
-        declared singular.
+        Width of the refusal band, relative to the level's Gram block
+        or the projected block's largest |eigenvalue|, whichever is
+        larger (see :func:`level_normalizer`).
 
     Returns
     -------
@@ -393,9 +390,10 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
 
     L_ii² is vector i's squared norm once the earlier ones are projected
     out.  At most tol·|G_ii|, a band in the units of G that does not grow
-    with its conditioning, fails: DegenerateMetric below minus that band,
-    else LinearlyDependentInput; the message names the level, gives the
-    reduced squared norm next to the band, says when it is within
+    with its conditioning and the one :func:`level_normalizer` forms for
+    a singleton level, fails: DegenerateMetric below minus that band,
+    else LinearlyDependentInput.  The message has the normalizer's
+    shape, names the level, says when the reduced squared norm is within
     (i+1)·eps·max_{j<=i} G_jj, the rounding the factorization can leave
     there, and ends with the conditioning of G.  LAPACK does not say
     which pivot failed, so only then are leading blocks bisected for the
@@ -423,26 +421,16 @@ def gram_schmidt_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     i = good
     norm_sq = float(gram[i, i].real - np.sum(np.abs(np.linalg.solve(head, gram[:i, i])) ** 2))
     level = int(np.searchsorted(index.ends, i, side="right"))
-    where = f"level {level}: vector {i}"
-    band = f"the band +/-{bands[i]:.6e} (degeneracy_tol * |G_ii|)"
     rounding = (i + 1) * np.finfo(float).eps * float(gram.diagonal().real[: i + 1].max())
+    note = ""
     if abs(norm_sq) <= rounding:
-        band += (
+        note = (
             f", within (i+1)*eps*max_(j<=i) G_jj = {rounding:.3e}, the rounding "
             f"the factorization can leave there"
         )
     with _naming_conditioning(gram):
-        if norm_sq < -bands[i]:
-            raise DegenerateMetric(
-                f"{where} has reduced squared norm {norm_sq:.6e} during Gram-Schmidt, "
-                f"below {band}; the metric is not positive definite",
-                level=level,
-            )
-        raise LinearlyDependentInput(
-            f"{where} became numerically null during Gram-Schmidt: reduced squared norm "
-            f"{norm_sq:.6e}, {band}",
-            level=level,
-        )
+        what = f"level {level}: the Gram-Schmidt pivot of vector {i}"
+        raise _refusal(what, "reduced squared norm", norm_sq, bands[i], "|G_ii|", level, note=note)
 
 
 def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
@@ -450,9 +438,10 @@ def gram_method_reference(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
 
     Ignores the grading entirely: the whole coefficient table is the
     inverse square root of the full Gram matrix, so on multi-level
-    problems the structural grading zeros do not hold.  A Gram matrix
-    that is not positive definite fails as in :func:`level_normalizer`,
-    and the message adds the conditioning of G.
+    problems the structural grading zeros do not hold.  G is refused by
+    :func:`level_normalizer`'s band, which on G itself is tol·max|λ|
+    (no entry of G exceeds its largest |eigenvalue|), and the message
+    adds the conditioning of G.
     """
     with _naming_conditioning(source.matrix):
         c, _ = level_normalizer(source.matrix, degeneracy_tol)

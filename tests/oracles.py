@@ -14,10 +14,13 @@ that ``monomial_gram``'s outer products of 1-D powers match bitwise.
 :func:`matrix_by_entries` reads a JSON matrix one entry at a time, the
 reader ``parse_matrix``'s one conversion matches bit for bit and
 message for message.
+:func:`refused_by_ratio_rule` keeps the refusal rule ``level_normalizer``
+had before its one band, which refuses every block it refused.
 :func:`gram_schmidt_isotropic_obstruction` shows why the signed loop
 promotes a lone isotropic vector instead of projecting against it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +28,7 @@ import numpy as np
 from gradedortho import DEFAULT_DEGENERACY_TOL, GradedOrthoError
 from gradedortho.errors import SchemaError
 from gradedortho.gram import GramSource, _gauss_legendre, monomial_index
-from gradedortho.spectral import max_abs
+from gradedortho.spectral import eigh, max_abs
 
 from conftest import hermitian
 
@@ -244,7 +247,8 @@ def signed_table_mp(source, stops, degeneracy_tol=DEFAULT_DEGENERACY_TOL, dps=40
     matrix P_k = C_k S_k C_k† and the number of -1 signs of its columns,
     and per promoted singleton (an output level that spans two input
     levels) whether its raw or projected 1x1 value is within
-    ``degeneracy_tol`` * max(|raw|, 1), judged at this precision.
+    ``degeneracy_tol`` times the largest magnitude in its row of G, the
+    package's band, judged at this precision.
 
     With M = P_0 + ... + P_(k-1), the inverse of G's leading block up to
     level k (zero elsewhere), X_k = E_k - M G E_k holds level k's raw
@@ -274,9 +278,25 @@ def signed_table_mp(source, stops, degeneracy_tol=DEFAULT_DEGENERACY_TOL, dps=40
             negatives.append(sum(1 for v in mp.eighe(d)[0] if v < 0))
             if edges.index(stop) - edges.index(start) > 1:
                 raw = gram[start, start]
-                band = degeneracy_tol * max(abs(raw), 1)
+                band = degeneracy_tol * max(abs(gram[start, j]) for j in range(n))
                 isotropic.append(min(abs(raw), abs(mp.re(d[0, 0]))) <= band)
         return levels, negatives, isotropic
+
+
+def refused_by_ratio_rule(b, degeneracy_tol=DEFAULT_DEGENERACY_TOL, signed=False):
+    """True when the earlier refusal rule of ``level_normalizer`` refuses
+    the Hermitian block b, from the descending eigenvalues of b scaled as
+    the package scales it (max|b| into [1/2, 2)).
+
+    Euclidean: no positive eigenvalue, or λmin <= tol·λmax.  Signed: some
+    |λ| <= tol·max|λ|.  The single band tol·max(max|Γ|, max|λ|) refuses
+    every block this rule refuses.
+    """
+    half = math.ldexp(1.0, -(math.frexp(max_abs(b))[1] // 2))
+    values = eigh(b * half * half)[0]
+    if signed:
+        return bool(np.any(np.abs(values) <= degeneracy_tol * max_abs(values)))
+    return bool(values[0] <= 0.0 or values[-1] <= degeneracy_tol * values[0])
 
 
 class NotACounterexample(GradedOrthoError):
@@ -310,8 +330,8 @@ def gram_schmidt_isotropic_obstruction(gram, degeneracy_tol=DEFAULT_DEGENERACY_T
         raise NotACounterexample(
             f"the demonstration needs a 2x2 Gram matrix, got {gram.shape}"
         )
-    scale = max(max_abs(gram), 1.0)
-    band = degeneracy_tol * scale
+    # the package's isotropy band: the first vector's row of G
+    band = degeneracy_tol * max_abs(gram[0])
     if abs(gram[0, 0]) > band:
         raise NotACounterexample(
             f"first vector is not isotropic: squared pseudo-norm {gram[0, 0]:.6e}"

@@ -1510,53 +1510,58 @@ METHOD_ERROR_LINES = {
     "graded-dependent": (
         "euclidean", [["a", "b"]], [[1.0, 0.0], [0.0, 1e-11]], "graded",
         "LinearlyDependentInput: level 0: projected Gram block is numerically singular "
-        "(smallest eigenvalue 1.000000e-11, min/max eigenvalue 1.000e-11 against "
-        "degeneracy_tol 1.0e-10); the input vectors are not linearly independent; "
+        "(smallest eigenvalue 1.000000e-11, the band +/-1.000000e-10 (degeneracy_tol * "
+        "max|G_kk|)); the input vectors are not linearly independent; "
         "G has condition number 1.000e+11",
     ),
     "graded-null-level": (
         "euclidean", [["a"], ["b"]], [[1.0, 1.0], [1.0, 1.0]], "graded",
         "LinearlyDependentInput: level 1: projected Gram block is numerically singular "
-        "(smallest eigenvalue 0.000000e+00, no positive eigenvalue); the input vectors "
-        "are not linearly independent" + CONDITION_ABOVE_1_OVER_EPS,
+        "(smallest eigenvalue 0.000000e+00, the band +/-1.000000e-10 (degeneracy_tol * "
+        "max|G_kk|)); the input vectors are not linearly independent"
+        + CONDITION_ABOVE_1_OVER_EPS,
     ),
     "gram-indefinite": (
         "euclidean", [["a"], ["b"]], [[1.0, 2.0], [2.0, 1.0]], "gram",
-        "DegenerateMetric: full Gram matrix has eigenvalue -1.000000e+00 (min/max "
-        "eigenvalue -3.333e-01 against degeneracy_tol 1.0e-10); the metric is not "
-        "positive definite" + INDEFINITE_ONE_THIRD,
+        "DegenerateMetric: full Gram matrix is not positive semidefinite (smallest "
+        "eigenvalue -1.000000e+00, the band +/-3.000000e-10 (degeneracy_tol * "
+        "max|eigenvalue|)); the metric is not positive definite" + INDEFINITE_ONE_THIRD,
     ),
     "gram-negative-definite": (
         "euclidean", [["a", "b"]], [[-1.0, 0.0], [0.0, -2.0]], "gram",
-        "DegenerateMetric: full Gram matrix has eigenvalue -2.000000e+00 (no positive "
-        "eigenvalue); the metric is not positive definite; G is negative semidefinite "
+        "DegenerateMetric: full Gram matrix is not positive semidefinite (smallest "
+        "eigenvalue -2.000000e+00, the band +/-2.000000e-10 (degeneracy_tol * max|G|)); "
+        "the metric is not positive definite; G is negative semidefinite "
         "(largest eigenvalue <= eps * |smallest|)",
     ),
     "graded-tiny-indefinite": (
-        # the split is relative to max|eigenvalue|: the same verdict as on diag(1, -1)
+        # the band is relative to max|G_kk| = 1e-11: the same verdict as on diag(1, -1)
         "euclidean", [["a", "b"]], [[1e-11, 0.0], [0.0, -1e-11]], "graded",
-        "DegenerateMetric: level 0: projected Gram block has eigenvalue -1.000000e-11 "
-        "(min/max eigenvalue -1.000e+00 against degeneracy_tol 1.0e-10); the metric is "
-        "not positive definite; G is indefinite (smallest/largest eigenvalue -1.000e+00)",
+        "DegenerateMetric: level 0: projected Gram block is not positive semidefinite "
+        "(smallest eigenvalue -1.000000e-11, the band +/-1.000000e-21 (degeneracy_tol * "
+        "max|G_kk|)); the metric is not positive definite; G is indefinite "
+        "(smallest/largest eigenvalue -1.000e+00)",
     ),
     "gram-schmidt-null": (
         "euclidean", [["a"], ["b"]], [[1.0, 1.0], [1.0, 1.0]], "gram-schmidt",
-        "LinearlyDependentInput: level 1: vector 1 became numerically null during "
-        "Gram-Schmidt: reduced squared norm 0.000000e+00, the band +/-1.000000e-10 "
-        "(degeneracy_tol * |G_ii|), within (i+1)*eps*max_(j<=i) G_jj = 4.441e-16, "
-        "the rounding the factorization can leave there" + CONDITION_ABOVE_1_OVER_EPS,
+        "LinearlyDependentInput: level 1: the Gram-Schmidt pivot of vector 1 is "
+        "numerically singular (reduced squared norm 0.000000e+00, the band "
+        "+/-1.000000e-10 (degeneracy_tol * |G_ii|), within (i+1)*eps*max_(j<=i) G_jj = "
+        "4.441e-16, the rounding the factorization can leave there); the input vectors "
+        "are not linearly independent" + CONDITION_ABOVE_1_OVER_EPS,
     ),
     "gram-schmidt-negative": (
         "euclidean", [["a"], ["b"]], [[1.0, 2.0], [2.0, 1.0]], "gram-schmidt",
-        "DegenerateMetric: level 1: vector 1 has reduced squared norm -3.000000e+00 "
-        "during Gram-Schmidt, below the band +/-1.000000e-10 (degeneracy_tol * "
-        "|G_ii|); the metric is not positive definite" + INDEFINITE_ONE_THIRD,
+        "DegenerateMetric: level 1: the Gram-Schmidt pivot of vector 1 is not positive "
+        "semidefinite (reduced squared norm -3.000000e+00, the band +/-1.000000e-10 "
+        "(degeneracy_tol * |G_ii|)); the metric is not positive definite"
+        + INDEFINITE_ONE_THIRD,
     ),
     "signed-degenerate": (
         "pseudo", [["a", "b"]], [[1.0, 0.0], [0.0, -1e-11]], "graded",
-        "DegenerateMetric: level 0: projected Gram block is degenerate (min/max "
-        "|eigenvalue| 1.000e-11 against degeneracy_tol 1.0e-10); the metric violates "
-        "the nondegeneracy hypothesis",
+        "DegenerateMetric: level 0: projected Gram block is degenerate (smallest "
+        "|eigenvalue| 1.000000e-11, the band +/-1.000000e-10 (degeneracy_tol * "
+        "max|G_kk|)); the metric violates the nondegeneracy hypothesis",
     ),
     "terminal-isotropic": (
         "pseudo", [["b"], ["a"]], [[2.0, 1.0], [1.0, 0.0]], "graded",
@@ -1576,6 +1581,26 @@ def test_method_error_line_names_the_level_once_and_the_margin(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"error: {line}\n"
     assert len(re.findall(r"\blevel \d", err)) == (0 if "full Gram" in err else 1)
+
+
+def test_run_refuses_the_monomial_table_gram_schmidt_refuses(tmp_path, capsys):
+    # degree 20 on [-1, 1]: level 20's reduced squared norm is within the
+    # band tol * G_ii Gram-Schmidt refuses, and the graded loop, whose
+    # singleton levels are Gram-Schmidt, refuses it too rather than write
+    # a table that FAILs
+    path = tmp_path / "problem.json"
+    write_json(path, monomial(1, 20, [[-1.0, 1.0]]))
+    assert main(["run", str(path)]) == EXIT_MATH
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: LinearlyDependentInput: level 20: projected Gram block is numerically "
+        r"singular \(smallest eigenvalue \S+, the band \+/-\S+ \(degeneracy_tol \* "
+        r"max\|G_kk\|\)\); the input vectors are not linearly independent; "
+        r"G has condition number \S+\n",
+        err,
+    )
+    assert len(re.findall(r"\blevel \d", err)) == 1
+    assert not (tmp_path / "problem.result.json").exists()
 
 
 def problem_with(**blocks):
@@ -1651,7 +1676,12 @@ def test_problem_degeneracy_tol_is_the_one_run_judges_with(tmp_path, capsys):
     assert parse_problem(path).degeneracy_tol == 0.6
     capsys.readouterr()
     assert main(["run", str(path), "--output", str(tmp_path / "out.json")]) == EXIT_MATH
-    assert "min/max eigenvalue 5.000e-01 against degeneracy_tol 6.0e-01" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: LinearlyDependentInput: level 0: projected Gram block is numerically "
+        "singular (smallest eigenvalue 5.000000e-01, the band +/-6.000000e-01 "
+        "(degeneracy_tol * max|G_kk|)); the input vectors are not linearly independent; "
+        "G has condition number 2.000e+00\n"
+    )
 
 
 # Edits of a fourier_pseudo result (levels of 1, 2 and 2 columns) that

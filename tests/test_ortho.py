@@ -29,6 +29,7 @@ from oracles import (
     graded_table_mp,
     level_slice,
     mixing_block,
+    refused_by_ratio_rule,
     residual_gram,
     residual_gram_direct,
     tensor_legendre_table,
@@ -157,6 +158,35 @@ def test_level_normalizer_reports_level_on_failure():
     for entry in (np.inf, np.nan):
         with pytest.raises(ValueError, match="^level 4: projected Gram block is not finite$"):
             level_normalizer(np.diag([1.0, entry]), level=4)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_the_band_refuses_every_block_the_ratio_rule_refused(signed):
+    # Blocks whose smallest |eigenvalue| lies near the ratio rule's edge
+    # tol * max|λ|, at random units, with Γ = b times 0.1 to 10, so that
+    # max|Γ| is often below λmax(b): the band tol * max(max|Γ|, max|λ|)
+    # refuses every block that rule refuses.
+    rng = np.random.default_rng(31)
+    refused = above_gamma = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 6))
+        tol = 10.0 ** rng.uniform(-12, -2)
+        spectrum = rng.uniform(tol, 1.0, size=n)
+        spectrum[0] = 1.0
+        spectrum[-1] = tol * 10.0 ** rng.uniform(-1.0, 1.0)
+        spectrum *= rng.choice([-1.0, 1.0], size=n) if signed else rng.choice([-1.0, 1.0])
+        spectrum[-1] *= 1.0 if signed else rng.choice([-1.0, 1.0])
+        b = hermitian_from_spectrum(rng, spectrum) * 4.0 ** int(rng.integers(-20, 21))
+        raw = None if rng.random() < 0.25 else b * 10.0 ** rng.uniform(-1.0, 1.0)
+        if not refused_by_ratio_rule(b, tol, signed):
+            continue
+        refused += 1
+        lam_max = np.max(np.abs(np.linalg.eigvalsh(b)))
+        above_gamma += lam_max > spectral.max_abs(b if raw is None else raw)
+        with pytest.raises(go.DegenerateMetric if signed else
+                           (go.LinearlyDependentInput, go.DegenerateMetric)):
+            level_normalizer(b, tol, 0, signed, raw)
+    assert refused >= 200 and above_gamma >= 50
 
 
 def test_mixing_block_cases():
@@ -289,13 +319,14 @@ def test_gram_schmidt_names_a_dependent_vector(bad, level_size):
         go.gram_schmidt_reference(src)
     level = bad // level_size
     assert err.value.level == level
-    prefix = f"level {level}: vector {bad} became numerically null during Gram-Schmidt: "
+    prefix = f"level {level}: the Gram-Schmidt pivot of vector {bad} is numerically singular ("
     message = str(err.value)
     assert message.startswith(prefix)
     # the reduced squared norm lies within the band it is reported with
     norm_sq, band = re.fullmatch(
         r"reduced squared norm (\S+), the band \+/-(\S+) \(degeneracy_tol \* \|G_ii\|\)"
-        r"(, within .*)?; G has condition number .*",
+        r"(, within .*)?\); the input vectors are not linearly independent; "
+        r"G has condition number .*",
         message[len(prefix):],
     ).groups()[:2]
     assert float(band) == float(f"{1e-10 * src.matrix[bad, bad].real:.6e}")
@@ -316,9 +347,9 @@ def test_gram_schmidt_names_a_negative_direction(bad, level_size):
     band = 1e-10 * abs(gram[bad, bad].real)
     low, high = np.linalg.eigvalsh(gram)[[0, -1]]
     message = (
-        f"level {bad // level_size}: vector {bad} has reduced squared norm {expected:.6e} "
-        f"during Gram-Schmidt, below the band +/-{band:.6e} (degeneracy_tol * |G_ii|); "
-        f"the metric is not positive definite; "
+        f"level {bad // level_size}: the Gram-Schmidt pivot of vector {bad} is not positive "
+        f"semidefinite (reduced squared norm {expected:.6e}, the band +/-{band:.6e} "
+        f"(degeneracy_tol * |G_ii|)); the metric is not positive definite; "
         f"G is indefinite (smallest/largest eigenvalue {low / high:.3e})"
     )
     assert str(err.value) == message
@@ -405,6 +436,39 @@ def test_every_euclidean_method_is_free_of_the_units_of_g(tmp_path, capsys, spec
             assert got.stops == table.stops
             bound = 4 * np.finfo(float).eps * np.max(np.abs(table.matrix))
             assert np.max(np.abs(got.matrix * 2.0**k - table.matrix)) <= bound
+
+
+def refusal(method, source):
+    """None when ``method`` returns a table, else its error's class and level."""
+    try:
+        method(source)
+    except (go.LinearlyDependentInput, go.DegenerateMetric) as err:
+        return type(err), err.level
+    return None
+
+
+# Monomials d=1 on an interval, up to the degree where Gram-Schmidt refuses.
+SINGLETON_DEGREES = {(-1.0, 1.0): range(10, 27), (0.0, 1.0): range(6, 19), (0.0, 3.0): range(6, 16)}
+
+
+@pytest.mark.parametrize(
+    "box, degree",
+    [
+        pytest.param(box, degree, id=f"{box[0]:g}..{box[1]:g}-deg{degree}")
+        for box, degrees in SINGLETON_DEGREES.items()
+        for degree in degrees
+    ],
+)
+def test_singleton_levels_refuse_where_gram_schmidt_does(box, degree):
+    # On a 1x1 block the band tol * max(max|Γ|, max|λ|) is Gram-Schmidt's
+    # tol * |G_ii|, so the graded loop refuses the same problems, with the
+    # same error at the same level.
+    source = go.monomial_gram(1, degree, [box])
+    for k in (0, 20, -20):
+        scaled = go.GramSource(source.index, source.matrix * 4.0**k)
+        graded = refusal(go.orthonormalize_graded, scaled)
+        assert graded == refusal(go.gram_schmidt_reference, scaled)
+        assert graded is not None or degree < SINGLETON_DEGREES[box][-1]
 
 
 @pytest.mark.parametrize(

@@ -277,11 +277,14 @@ PSEUDO_EXEMPLARS = ["explicit_pseudo", "fourier_pseudo", "monomial_pseudo"]
 
 
 def signed_oracle_source(case):
-    """A pseudo exemplar, the two-promotion matrix or random draw i of 3."""
+    """A pseudo exemplar, the two-promotion matrix (times 4^k for a case
+    "two-promotions*4^k") or random draw i of 3."""
     if case in PSEUDO_EXEMPLARS:
         return parse_problem(ROOT / "problems" / f"{case}.json").source
-    if case == "two-promotions":
-        return two_promotion_source()
+    if case.startswith("two-promotions"):
+        source = two_promotion_source()
+        k = int(case.partition("*4^")[2] or 0)
+        return go.GramSource(source.index, source.matrix * 4.0**k)
     rng = np.random.default_rng(777)
     return [random_indefinite_source(rng) for _ in range(3)][int(case.removeprefix("random-"))]
 
@@ -291,7 +294,10 @@ def signed_oracle_source(case):
 # Measured ratios: at most 2.96 on these cases, at most 12.6 over 40
 # further random_indefinite_source draws.
 @pytest.mark.parametrize(
-    "case", PSEUDO_EXEMPLARS + ["two-promotions", "random-0", "random-1", "random-2"]
+    "case",
+    PSEUDO_EXEMPLARS
+    + ["two-promotions", "two-promotions*4^20", "two-promotions*4^-20"]
+    + ["random-0", "random-1", "random-2"],
 )
 def test_signed_table_matches_the_high_precision_block_ldl(case):
     src = signed_oracle_source(case)
