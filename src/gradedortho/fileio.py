@@ -13,9 +13,10 @@ timestamps, which keeps reruns byte-identical.
 orjson is the one codec, both ways.  The reader takes strict JSON only:
 a ``NaN`` or ``Infinity`` token, a number past the float range, a
 byte-order mark or invalid UTF-8 is invalid JSON, reported with its
-line and column.  The writer spells each float in its shortest form
-that reads back to the same bits (``1e-7``, ``1e16``, ``0.00005``), and
-a non-finite float (an infinite condition number, say) as ``null``.
+line and column.  That parse is the one range check on file input.
+The writer spells each float in its shortest form that reads back to
+the same bits (``1e-7``, ``1e16``, ``0.00005``), and a non-finite float
+(an infinite condition number, say) as ``null``.
 
 A coefficient row whose entries are all exactly +0.0 (the structural
 zeros above a level, in ``graded`` and ``gram-schmidt`` results) is
@@ -109,13 +110,7 @@ def _number(value, where):
     # Exact types: a JSON true/false is a bool, which Python counts as an int.
     if type(value) not in _NUMBER_TYPES:
         raise SchemaError(f"field '{where}' must be a number")
-    try:
-        value = float(value)
-    except OverflowError:
-        value = float("inf")
-    if not np.isfinite(value):
-        raise SchemaError(f"field '{where}' must be finite")
-    return value
+    return float(value)
 
 
 def _raise_matrix_fault(obj, path):
@@ -141,7 +136,7 @@ def _raise_matrix_fault(obj, path):
 
 def _matrix_values(obj):
     """The matrix as a complex array, or None if it is not a non-empty,
-    rectangular matrix of finite numbers and [re, im] pairs.
+    rectangular matrix of numbers and [re, im] pairs.
 
     Each entry becomes an (re, im) pair, a number x the pair (x, 0), and
     all the parts go into one float64 array viewed as complex, so -0.0
@@ -156,18 +151,13 @@ def _matrix_values(obj):
     parts = list(chain.from_iterable(pairs))
     if set(map(len, pairs)) != {2} or not set(map(type, parts)) <= _NUMBER_TYPES:
         return None
-    try:
-        values = np.array(parts, dtype=np.float64)
-    except OverflowError:  # an integer past the float range
-        return None
-    if not np.isfinite(values).all():
-        return None
+    values = np.array(parts, dtype=np.float64)
     return values.view(np.complex128).reshape(len(obj), width)
 
 
 def parse_matrix(obj, path):
-    """A JSON matrix of numbers or [re, im] pairs as a complex array, of
-    whatever shape it has: its user judges the shape.
+    """A JSON matrix of numbers or [re, im] pairs, as orjson decodes it,
+    as a complex array of any shape: its user judges the shape.
 
     A matrix that :func:`_matrix_values` refuses is handed to
     :func:`_raise_matrix_fault`, which names its first fault.
@@ -237,9 +227,9 @@ def _build_source(mode, block):
     weight = None
     if "weight" in block:
         weight = _parse_weight(_require(block, "weight", dict, "monomial."), "monomial.weight.")
-    order = block.get("quadrature_order")
-    if order is not None and (isinstance(order, bool) or not isinstance(order, int)):
-        raise SchemaError("field 'monomial.quadrature_order' must be an integer")
+    order = None
+    if "quadrature_order" in block:
+        order = _require(block, "quadrature_order", int, "monomial.")
     return monomial_gram(dimension, max_degree, box, weight, order)
 
 

@@ -12,9 +12,9 @@ never integrate anything themselves.
 
 The builders take plain values (a weight is None for the uniform one,
 or a 1-d sequence of samples) and check each where they use it, raising
-ValueError for a value no Gram matrix can be built from.  Each one sizes
-its problem in closed form first and raises MemoryError, before it
-builds anything, when the machine cannot hold it.
+ValueError for a value no Gram matrix can be built from.  Each one checks
+the values that size its problem, sizes it in closed form and raises
+MemoryError, before it builds anything, when the machine cannot hold it.
 """
 
 import itertools
@@ -94,18 +94,6 @@ def _refuse_oversize(n, *others):
             )
 
 
-def _fourier_ordering(max_harmonic):
-    """The graded index and the harmonic of each element: level 0 holds
-    the constant, level k the +k and -k harmonics."""
-    if max_harmonic < 0:
-        raise ValueError("max_harmonic must be non-negative")
-    levels = [["0"]] + [["+", "-"] for _ in range(max_harmonic)]
-    harmonics = [0]
-    for k in range(1, max_harmonic + 1):
-        harmonics.extend([k, -k])
-    return GradedIndex(levels), np.asarray(harmonics, dtype=np.int64)
-
-
 def fourier_gram(max_harmonic, weight=None):
     """Gram matrix of {exp(imx)} for |m| <= max_harmonic in L2([0,2pi], rho).
 
@@ -117,9 +105,14 @@ def fourier_gram(max_harmonic, weight=None):
     by one real FFT of the samples.  The matrix is exactly Toeplitz in
     the harmonic difference and exactly Hermitian by construction.
     """
+    if max_harmonic < 0:
+        raise ValueError("max_harmonic must be non-negative")
     n_coeff = 2 * max_harmonic + 1
     _refuse_oversize(n_coeff)
-    index, harmonics = _fourier_ordering(max_harmonic)
+    # level 0 holds the constant, level k the +k and -k harmonics
+    index = GradedIndex([["0"]] + [["+", "-"]] * max_harmonic)
+    positive = np.arange(1, max_harmonic + 1, dtype=np.int64)
+    harmonics = np.concatenate([[0], np.column_stack([positive, -positive]).ravel()])
     if weight is None:
         moments = np.zeros(n_coeff, dtype=np.complex128)
         moments[0] = TWO_PI

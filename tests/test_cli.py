@@ -400,28 +400,55 @@ def test_invalid_json_exits_2_with_location(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-# Problem files the strict reader rejects, each with the line and column
-# it must name: that of the bad token (None: any).
+# Files the strict reader rejects, each with the command that reads it
+# and the line and column it must name: that of the bad token (None:
+# any).  The file of a `verify` case is the result of the valid problem
+# STRICT_READER_TEXT % "1.0"; every other file is a problem.  orjson's
+# parse is the one range check on file input, so these cases are the
+# only tests of a non-finite number in a file.
 STRICT_READER_TEXT = (
     '{\n  "mode": "explicit",\n  "metric": "euclidean",\n'
     '  "explicit": {"levels": [["a"]], "gram": [[%s]]}\n}\n'
 )
+STRICT_RESULT_TEXT = (
+    '{"tool":{"name":"gradedortho","version":"0.1.0"},"input_digest":{"algorithm":"sha256",'
+    '"hex":"48b89a10075e32cae6ad7d95ddfb10878745f0abc9283185a6d00456eebbd98c"},'
+    '"mode":"explicit","metric":"euclidean","method":"graded",'
+    '"levels":[{"level":0,"labels":["a"],"coefficients":[[[NaN,0.0]]]}],'
+    '"report":{"max_residual":0.0,"structural_ok":true,"condition_numbers":[[0,1.0]],"pass":true}}\n'
+)
 STRICT_READER_CASES = {
-    "nan": ((STRICT_READER_TEXT % "NaN").encode(), 4, 45),
-    "infinity": ((STRICT_READER_TEXT % "Infinity").encode(), 4, 45),
-    "minus-infinity": ((STRICT_READER_TEXT % "-Infinity").encode(), 4, 45),
-    "past-float-range": ((STRICT_READER_TEXT % "1e400").encode(), 4, 45),
-    "byte-order-mark": (b"\xef\xbb\xbf" + (STRICT_READER_TEXT % "1.0").encode(), 1, 1),
-    "invalid-utf-8": ((STRICT_READER_TEXT % "1.0").encode().replace(b'"a"', b'"\xff"'), None, None),
+    "nan": ("run", (STRICT_READER_TEXT % "NaN").encode(), 4, 45),
+    "infinity": ("run", (STRICT_READER_TEXT % "Infinity").encode(), 4, 45),
+    "minus-infinity": ("run", (STRICT_READER_TEXT % "-Infinity").encode(), 4, 45),
+    "past-float-range": ("run", (STRICT_READER_TEXT % "1e400").encode(), 4, 45),
+    "integer-past-float-range": ("run", (STRICT_READER_TEXT % ("9" * 400)).encode(), 4, 45),
+    "result-nan": (
+        "verify", STRICT_RESULT_TEXT.encode(), 1, STRICT_RESULT_TEXT.index("NaN") + 1
+    ),
+    "byte-order-mark": ("run", b"\xef\xbb\xbf" + (STRICT_READER_TEXT % "1.0").encode(), 1, 1),
+    "invalid-utf-8": (
+        "run", (STRICT_READER_TEXT % "1.0").encode().replace(b'"a"', b'"\xff"'), None, None
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STRICT_READER_CASES))
 def test_strict_reader_exits_2_with_location(tmp_path, capsys, case):
-    raw, line, column = STRICT_READER_CASES[case]
+    command, raw, line, column = STRICT_READER_CASES[case]
     path = tmp_path / "strict.json"
     path.write_bytes(raw)
-    assert main(["run", str(path)]) == EXIT_SCHEMA
+    args = [command, str(path)]
+    if command == "verify":
+        problem = tmp_path / "problem.json"
+        problem.write_text(STRICT_READER_TEXT % "1.0", encoding="utf-8")
+        # the same result with a number in place of NaN verifies
+        valid = tmp_path / "valid.json"
+        valid.write_text(STRICT_RESULT_TEXT.replace("NaN", "1.0"), encoding="utf-8")
+        assert main([command, str(problem), str(valid)]) == EXIT_OK
+        capsys.readouterr()
+        args = [command, str(problem), str(path)]
+    assert main(args) == EXIT_SCHEMA
     err = capsys.readouterr().err
     found = re.fullmatch(
         rf"error: {re.escape(str(path))}: invalid JSON at line (\d+), column (\d+)\n", err
@@ -579,6 +606,12 @@ INVALID_VALUE_PROBLEMS = {
         "Gram matrix has non-finite entries",
     ),
     "fourier-negative-harmonic": (fourier(-1, [1.0]), "max_harmonic must be non-negative"),
+    # judged before the problem is sized, which for N = -1999999 would
+    # read as too large for memory
+    "fourier-huge-negative-harmonic": (
+        fourier(-10**6, [1.0]),
+        "max_harmonic must be non-negative",
+    ),
     "fourier-too-few-samples": (
         fourier(2, [1.0, 1.0, 1.0]),
         "3 grid points cannot resolve harmonics up to 2; need at least 9",
@@ -829,6 +862,16 @@ def test_compare_imports_no_scipy():
     proc = run_python("-c", COMPARE_WITHOUT_SCIPY, str(problem))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    # the CI runs 3.10 and 3.11
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    paths = sorted((Path(SRC) / "gradedortho").glob("*.py"))
+    assert len(paths) >= 9
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_package_imports_only_declared_dependencies():
@@ -1628,11 +1671,16 @@ SCHEMA_EXIT_PROBLEMS = {
     ),
     "quadrature-order-float": (
         monomial(1, 2, [[0.0, 1.0]], quadrature_order=3.0),
-        "field 'monomial.quadrature_order' must be an integer",
+        "field 'monomial.quadrature_order' has the wrong type",
     ),
     "quadrature-order-bool": (
         monomial(1, 2, [[0.0, 1.0]], quadrature_order=True),
-        "field 'monomial.quadrature_order' must be an integer",
+        "field 'monomial.quadrature_order' has the wrong type",
+    ),
+    # an optional key is absent or of its type: null is neither
+    "quadrature-order-null": (
+        monomial(1, 2, [[0.0, 1.0]], quadrature_order=None),
+        "field 'monomial.quadrature_order' has the wrong type",
     ),
     "top-level-array": ([problem_with()], "{path}: top level must be a JSON object"),
     "degeneracy-tol-string": (
