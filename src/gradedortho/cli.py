@@ -55,11 +55,10 @@ EXIT_SCHEMA = 2
 EXIT_MATH = 3
 EXIT_VERIFY = 4
 
-# Degeneration identities the compare subcommand checks (singleton
-# levels reduce to Gram-Schmidt, one level reduces to the Gram method),
-# each relative to the largest coefficient of the reference table.
-SINGLETON_MATCH_TOL = 1e-10
-SINGLE_LEVEL_MATCH_TOL = 1e-12
+# The one tolerance of the degeneration identities compare checks
+# (singleton levels reduce to Gram-Schmidt, one level exactly to the Gram
+# method), relative to the largest coefficient of the reference table.
+MATCH_TOL = 1e-10
 
 # The failures of a method on a well-formed problem (exit 3).
 MATH_ERRORS = (LinearlyDependentInput, DegenerateMetric, TerminalIsotropicVector, NoConvergence)
@@ -150,11 +149,11 @@ def cmd_compare(args):
     index = problem.source.index
     identities = []
     if all(size == 1 for size in index.sizes):
-        identities.append(("singleton levels", "gram-schmidt", SINGLETON_MATCH_TOL))
+        identities.append(("singleton levels", "gram-schmidt"))
     if len(index) == 1:
-        identities.append(("single level", "gram", SINGLE_LEVEL_MATCH_TOL))
-    for name, reference, tol in identities:
-        holds = diffs[("graded", reference)] <= tol * max_abs(matrices[reference])
+        identities.append(("single level", "gram"))
+    for name, reference in identities:
+        holds = diffs[("graded", reference)] <= MATCH_TOL * max_abs(matrices[reference])
         print(
             f"{name}: graded reduces to {reference} -> " + ("HOLDS" if holds else "VIOLATED")
         )

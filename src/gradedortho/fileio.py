@@ -91,7 +91,7 @@ def _require(obj, field, kind, path):
         raise SchemaError(f"missing required field '{path}{field}'")
     value = obj[field]
     # A JSON true/false is a bool, which Python counts as an int.
-    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise SchemaError(f"field '{path}{field}' has the wrong type")
     return value
 
@@ -386,7 +386,7 @@ def parse_result(path):
     report = _require(payload, "report", dict, "")
     recorded = report.get("max_residual")
     if recorded is not None:
-        recorded = float(_require(report, "max_residual", (int, float), "report."))
+        recorded = _number(recorded, "report.max_residual")
     return ResultData(
         digest_hex=digest_hex,
         level_ids=level_ids,

@@ -4,8 +4,8 @@
 through ``_hermitian_part``, and ``level_normalizer`` the normalizer of
 a definite block; the one caller of ``eigh`` is
 :func:`gradedortho.ortho.level_normalizer`, which normalizes every level
-block and the Gram method's full Gram matrix and refuses a block that is
-not finite.  The CLI uses ``max_abs`` alone.  Eigendecompositions use
+block and the Gram method's full Gram matrix, each scaled as ``eigh``
+requires.  The CLI uses ``max_abs`` alone.  Eigendecompositions use
 LAPACK through ``numpy.linalg.eigh``; the package only fixes the order
 (descending) and the phases of the eigenvectors.  Inside a degenerate
 eigenspace the basis is LAPACK's: the Hermitian normalizer of a
@@ -36,7 +36,6 @@ def _hermitian_part(a):
 
 
 def max_abs(a):
-    a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
@@ -46,7 +45,8 @@ def eigh(a):
     Parameters
     ----------
     a : array_like
-        Hermitian matrix (symmetrized defensively).
+        Non-empty, finite matrix, Hermitian up to rounding (symmetrized
+        here), whose max|a_ij| is 0 or in [1/2, 2): no eigenvalue overflows.
 
     Returns
     -------
@@ -59,23 +59,17 @@ def eigh(a):
     ------
     NoConvergence
         When LAPACK fails to converge or the reconstruction residual
-        exceeds ``EIGH_RESIDUAL_TOL``.
+        exceeds ``EIGH_RESIDUAL_TOL`` (a NaN residual fails too).
     """
     h = _hermitian_part(np.asarray(a, dtype=np.complex128))
-    n = h.shape[0]
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as err:
         raise NoConvergence(f"eigendecomposition failed: {err}") from err
-    values = values[::-1]
-    vectors = vectors[:, ::-1]
-    if n:
-        vectors = vectors * _phase_fixes(vectors)
-    # An eigenvalue that overflowed inside LAPACK makes the residual NaN,
-    # which must fail the bound rather than slip past a ``>`` test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = max_abs((vectors * values) @ vectors.conj().T - h)
-    if not residual <= EIGH_RESIDUAL_TOL * max(n, 1) * max(max_abs(h), np.finfo(float).tiny):
+    values, vectors = values[::-1], vectors[:, ::-1]
+    vectors = vectors * _phase_fixes(vectors)
+    residual = max_abs((vectors * values) @ vectors.conj().T - h)
+    if not residual <= EIGH_RESIDUAL_TOL * h.shape[0] * max_abs(h):
         raise NoConvergence(
             f"eigendecomposition residual {residual:.3e} exceeds requested"
             f" tolerance"
@@ -84,11 +78,7 @@ def eigh(a):
 
 
 def _phase_fixes(vectors):
-    """Per column of a matrix with at least one row, the unit factor that
-    makes its largest-magnitude entry (the first one, on a tie) real
-    positive; 1 for a zero column."""
+    """Per column of a unitary matrix, the unit factor that makes its
+    largest-magnitude entry (the first one, on a tie) real positive."""
     pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    mags = np.abs(pivots)
-    fixes = np.ones_like(pivots)
-    np.divide(pivots.conj(), mags, out=fixes, where=mags > 0.0)
-    return fixes
+    return pivots.conj() / np.abs(pivots)

@@ -1,6 +1,22 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 import gradedortho as go
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def benchmark_problem(workload, seed):
+    """The problem file contents of a benchmark workload
+    (``perfbench/workloads.py``) for one seed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return getattr(workloads, workload)(seed).problem
 
 
 def relative_error(actual, expected):

@@ -10,7 +10,10 @@ worked out in 40-digit arithmetic, and :func:`signed_table_mp` the
 level invariants of a signed table from a 40-digit block LDL† of G.
 :func:`monomial_gram_by_nodes`
 assembles the monomial Gram matrix node by node, a second construction
-that ``monomial_gram``'s outer products of 1-D powers match bitwise.
+that ``monomial_gram``'s outer products of 1-D powers match bitwise,
+from the basis values at the nodes that :func:`monomial_nodes` (and
+:func:`fourier_nodes` for the Fourier basis) gives the tests of the
+three-term relation.
 :func:`matrix_by_entries` reads a JSON matrix one entry at a time, the
 reader ``parse_matrix``'s one conversion matches bit for bit and
 message for message.
@@ -144,11 +147,12 @@ def tensor_legendre_table(dimension, max_degree, box):
     return table.T
 
 
-def monomial_gram_by_nodes(dimension, max_degree, box, weight=None, quadrature_order=None):
-    """The monomial Gram matrix from values at every tensor node: the
-    nodes from ``np.meshgrid``, each basis row the product over axes of
-    that axis's coordinate to its exponent, axes of exponent 0 skipped,
-    then one weighted product.  ``monomial_gram`` must agree bitwise."""
+def monomial_nodes(dimension, max_degree, box, weight=None, quadrature_order=None):
+    """(index, points, weights, values) of ``monomial_gram``'s rule: the
+    tensor nodes from ``np.meshgrid`` (``points``, one row per axis), the
+    quadrature weights times the weight samples, and ``values[t]``, the
+    t-th monomial at every node (the product over axes of that axis's
+    coordinate to its exponent, axes of exponent 0 skipped)."""
     index, exponents = monomial_index(dimension, max_degree)
     nodes_1d, weights_1d = _gauss_legendre(quadrature_order or max_degree + 1)
     axes_nodes = []
@@ -171,7 +175,30 @@ def monomial_gram_by_nodes(dimension, max_degree, box, weight=None, quadrature_o
             if e:
                 v = v * points[axis] ** e
         values[t] = v
+    return index, points, quad_weights, values
+
+
+def monomial_gram_by_nodes(dimension, max_degree, box, weight=None, quadrature_order=None):
+    """The monomial Gram matrix from values at every tensor node
+    (:func:`monomial_nodes`), in one weighted product.  ``monomial_gram``
+    must agree bitwise."""
+    index, _, quad_weights, values = monomial_nodes(
+        dimension, max_degree, box, weight, quadrature_order
+    )
     return GramSource(index, (values * quad_weights) @ values.T)
+
+
+def fourier_nodes(max_harmonic, weight):
+    """(points, weights, values) of ``fourier_gram``'s periodic rectangle
+    rule on the grid of the weight samples: ``values[b]`` is the b-th
+    basis function e^(-i h_b x) at the nodes, in the index's harmonic
+    order (0, +1, -1, +2, ...), so (conj(values) * weights) @ values.T
+    is the Fourier Gram matrix."""
+    samples = np.asarray(weight, dtype=np.float64)
+    n = samples.size
+    points = 2.0 * np.pi * np.arange(n) / n
+    harmonics = [0] + [h for k in range(1, max_harmonic + 1) for h in (k, -k)]
+    return points, (2.0 * np.pi / n) * samples, np.exp(-1j * np.outer(harmonics, points))
 
 
 def _entry_part(value, where):

@@ -1,9 +1,7 @@
 """Pseudo-Euclidean orthonormalization, promotion, and the
 Gram-Schmidt obstruction demonstration."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +12,8 @@ from gradedortho.cli import main
 from gradedortho.fileio import parse_problem, result_payload, write_result
 
 from conftest import (
+    ROOT,
+    benchmark_problem,
     hermitian,
     random_graded_source,
     random_indefinite_source,
@@ -30,7 +30,6 @@ from oracles import (
 )
 
 PROMOTION_GRAM = np.array([[0.0, 1.0], [1.0, 2.0]], dtype=complex)
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def signed_residual(source, table):
@@ -369,13 +368,8 @@ def promotion_problem(name, tmp_path):
     ``pseudo_explicit`` benchmark problem of seed 101 (N=200, three)."""
     if name == "explicit_pseudo":
         return ROOT / "problems" / "explicit_pseudo.json"
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     path = tmp_path / "pseudo_explicit.json"
-    path.write_text(json.dumps(workloads.pseudo_explicit(101).problem), encoding="utf-8")
+    path.write_text(json.dumps(benchmark_problem("pseudo_explicit", 101)), encoding="utf-8")
     return path
 
 
