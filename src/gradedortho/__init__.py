@@ -23,6 +23,7 @@ from .errors import (
 from .grading import GradedIndex
 from .gram import GramSource, fourier_gram, monomial_gram
 from .ortho import (
+    DEFAULT_DEGENERACY_TOL,
     CoefficientTable,
     VerificationReport,
     gram_method_reference,
@@ -31,7 +32,6 @@ from .ortho import (
     verify_table,
 )
 from .pseudo import pseudo_orthonormalize_graded
-from .spectral import DEFAULT_DEGENERACY_TOL
 
 __all__ = [
     "__version__",

@@ -23,9 +23,7 @@ class LinearlyDependentInput(GradedOrthoError):
 
 
 class TerminalIsotropicVector(GradedOrthoError):
-    def __init__(self, message, level=None, label=None):
-        super().__init__(message, level)
-        self.label = label
+    """Raised when a lone isotropic vector has no following level to join."""
 
 
 class SchemaError(GradedOrthoError):

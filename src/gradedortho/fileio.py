@@ -56,8 +56,7 @@ from ._version import __version__
 from .errors import SchemaError
 from .gram import GramSource, fourier_gram, monomial_gram
 from .grading import GradedIndex
-from .ortho import DEFAULT_VERIFY_TOL, CoefficientTable, verify_table
-from .spectral import DEFAULT_DEGENERACY_TOL
+from .ortho import DEFAULT_DEGENERACY_TOL, DEFAULT_VERIFY_TOL, CoefficientTable, verify_table
 
 MODES = ("explicit", "fourier", "monomial")
 METRICS = ("euclidean", "pseudo")

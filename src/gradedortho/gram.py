@@ -166,6 +166,12 @@ def _gauss_legendre(order):
     return nodes, weights
 
 
+def _outer(a, b):
+    """Every product a_i b_j, b fastest, as one flat array: no array has
+    more axes than two, so a box of any dimension is folded."""
+    return np.outer(a, b).ravel()
+
+
 def monomial_gram(dimension, max_degree, box, weight=None, quadrature_order=None):
     """Gram matrix of the graded monomial basis via tensor Gauss-Legendre.
 
@@ -209,7 +215,7 @@ def monomial_gram(dimension, max_degree, box, weight=None, quadrature_order=None
         axes_nodes = [0.5 * (lo + hi) + half * nodes_1d for (lo, hi), half in zip(box, halves)]
         # Tensor nodes, last axis fastest: the outer product of the
         # per-axis factors, taken left to right.
-        quad_weights = reduce(np.multiply.outer, [half * weights_1d for half in halves]).ravel()
+        quad_weights = reduce(_outer, [half * weights_1d for half in halves])
         if weight is not None:
             samples = _weight_samples(weight)
             if samples.size != quad_weights.size:
@@ -218,9 +224,8 @@ def monomial_gram(dimension, max_degree, box, weight=None, quadrature_order=None
                     f"grid has {quad_weights.size} nodes"
                 )
             quad_weights = quad_weights * samples
-        values = np.array([
-            reduce(np.multiply.outer, [x ** e for x, e in zip(axes_nodes, m)]).ravel()
-            for m in exponents
-        ])
+        values = np.array(
+            [reduce(_outer, [x ** e for x, e in zip(axes_nodes, m)]) for m in exponents]
+        )
         gram = (values * quad_weights) @ values.T
     return GramSource(index, gram)

@@ -22,15 +22,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMetric, LinearlyDependentInput, TerminalIsotropicVector
-from .spectral import DEFAULT_DEGENERACY_TOL, _hermitian_part, eigh, max_abs
+from .spectral import _hermitian_part, eigh, max_abs
 
+DEFAULT_DEGENERACY_TOL = 1e-10
 DEFAULT_VERIFY_TOL = 1e-9
 
 
 class CoefficientTable:
     """Output of an orthonormalization run: one coefficient matrix, cut into levels.
 
-    ``matrix`` is the N x n array whose columns hold the output vectors'
+    ``matrix`` is the N x N array whose columns hold the output vectors'
     coefficients over the full flat input basis, level after level in
     the flat input order of ``index``.  ``stops[k]`` is one past the last
     column of output level k, so ``blocks[k]`` is the column range
@@ -46,34 +47,30 @@ class CoefficientTable:
     the pseudo-norm (+1 or -1) of each column.  The column ranges fix the
     output levels: ``output_levels()`` gives each block's level id and
     labels, and ``promotions`` the blocks that merged an isotropic
-    singleton into the level after it.  ``blocks``, ``normalizers`` and
-    ``partial`` are views of ``matrix``.
+    singleton into the level after it.  ``blocks`` and ``normalizers``
+    are views of ``matrix``.
 
-    ``matrix`` and ``signs`` may be any array-like and are kept as numpy
-    arrays (int64 signs); an ndarray matrix and int64 signs are not copied.
-    ``matrix`` must be two-dimensional with ``index.total`` rows and at
-    most as many columns, ``stops`` must strictly increase up to its
-    column count and ``signs`` hold one +1 or -1 per column (ValueError
-    otherwise).
+    A table is always whole: the C of a finished run, every output level
+    in it.  ``matrix`` and ``signs`` may be any array-like and are kept
+    as numpy arrays (int64 signs); an ndarray matrix and int64 signs are
+    not copied.  ``matrix`` must be N x N for the ``index.total`` = N
+    inputs, ``stops`` must strictly increase up to N and ``signs`` hold
+    one +1 or -1 per column (ValueError otherwise).
     """
 
     def __init__(self, index, matrix, stops, signs=None):
         matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ValueError(f"the matrix must be two-dimensional, got shape {matrix.shape}")
-        rows, cols = matrix.shape
+        n = index.total
+        if matrix.shape != (n, n):
+            raise ValueError(f"the matrix has shape {matrix.shape}, expected ({n}, {n})")
         stops = tuple(stops)
-        if rows != index.total:
-            raise ValueError(f"the matrix has {rows} coefficient rows, expected {index.total}")
-        if cols > index.total:
-            raise ValueError(f"the matrix holds {cols} coefficient columns for {index.total} inputs")
         bounds = (0, *stops)
-        if bounds[-1] != cols or any(a >= b for a, b in zip(bounds, stops)):
-            raise ValueError(f"column stops {list(stops)} must strictly increase to {cols}")
+        if bounds[-1] != n or any(a >= b for a, b in zip(bounds, stops)):
+            raise ValueError(f"column stops {list(stops)} must strictly increase to {n}")
         if signs is not None:
             signs = np.asarray(signs)
-            if signs.shape != (cols,):
-                raise ValueError(f"{signs.size} signs for {cols} coefficient columns")
+            if signs.shape != (n,):
+                raise ValueError(f"{signs.size} signs for {n} coefficient columns")
             bad = signs[(signs != 1) & (signs != -1)]
             if bad.size:
                 raise ValueError(f"sign {bad[0]} is neither +1 nor -1")
@@ -110,16 +107,6 @@ class CoefficientTable:
             for *_, first, last in _column_levels(self.index, self.stops)
             if last > first
         ]
-
-    def partial(self, upto):
-        """View of the first ``upto`` completed levels."""
-        if not 0 <= upto <= len(self.stops):
-            raise ValueError(
-                f"cannot keep {upto} levels: {len(self.stops)} levels are completed"
-            )
-        stop = (0, *self.stops)[upto]
-        signs = None if self.signs is None else self.signs[:stop]
-        return CoefficientTable(self.index, self.matrix[:, :stop], self.stops[:upto], signs)
 
 
 class VerificationReport(NamedTuple):
@@ -367,7 +354,6 @@ def _check_promotion(index, k):
         raise TerminalIsotropicVector(
             f"level {k}: lone isotropic vector '{label}' has no following level to join",
             level=k,
-            label=label,
         )
     if _merge_fault(index, k, k + 1, signed=True):
         # Checked here, where the promotion is decided, so the error names
@@ -534,10 +520,7 @@ def verify_table(
             # range.  A block with a NaN or inf entry reads inf without the
             # SVD, which does not converge on NaN.
             block = c[start:stop, start:stop]
-            cond = math.inf
-            if np.isfinite(block).all():
-                s = np.linalg.svd(block, compute_uv=False).tolist()
-                cond = s[0] / s[-1] if s[-1] > 0.0 else math.inf
+            cond = float(np.linalg.cond(block)) if np.isfinite(block).all() else math.inf
             conditions.append((last, cond))
             if mismatch is not None:
                 continue

@@ -9,8 +9,7 @@ assumes the metric is nondegenerate in the strong sense: every subsystem
 with more than one element has a nondegenerate Gram matrix.
 """
 
-from .ortho import _orthonormalize_levels
-from .spectral import DEFAULT_DEGENERACY_TOL
+from .ortho import DEFAULT_DEGENERACY_TOL, _orthonormalize_levels
 
 
 def pseudo_orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):

@@ -5,7 +5,9 @@ through ``_hermitian_part``, and ``level_normalizer`` the normalizer of
 a definite block; the one caller of ``eigh`` is
 :func:`gradedortho.ortho.level_normalizer`, which normalizes every level
 block and the Gram method's full Gram matrix, each scaled as ``eigh``
-requires.  The CLI uses ``max_abs`` alone.  Eigendecompositions use
+requires.  The CLI uses ``max_abs`` alone.  The one tolerance here is
+``EIGH_RESIDUAL_TOL``; the refusal band's ``DEFAULT_DEGENERACY_TOL``
+lives in :mod:`gradedortho.ortho`, which reads it.  Eigendecompositions use
 LAPACK through ``numpy.linalg.eigh``; the package only fixes the order
 (descending) and the phases of the eigenvectors.  Inside a degenerate
 eigenspace the basis is LAPACK's: the Hermitian normalizer of a
@@ -18,7 +20,6 @@ import numpy as np
 
 from .errors import NoConvergence
 
-DEFAULT_DEGENERACY_TOL = 1e-10
 # Acceptance bound of an eigendecomposition's reconstruction residual,
 # relative to dim * max|a_ij|.
 EIGH_RESIDUAL_TOL = 1e-11
@@ -36,7 +37,8 @@ def _hermitian_part(a):
 
 
 def max_abs(a):
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    """max|a_ij| of a non-empty array, as a float."""
+    return float(np.max(np.abs(a)))
 
 
 def eigh(a):

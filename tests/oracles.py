@@ -46,14 +46,10 @@ def cross_overlap(source, table, k, j):
 
     Entry (beta, gamma) is the inner product of finished vector beta of
     level j with raw basis vector gamma of level k, computed entirely
-    from the Gram matrix and the coefficient table.
+    from the Gram matrix and the coefficient table's level j.
     """
     if j >= k:
         raise ValueError(f"level {j} is not below level {k}")
-    if j >= len(table.stops):
-        raise ValueError(
-            f"level {j} is not finished yet (frontier is {len(table.stops)})"
-        )
     cols = level_slice(source.index, k)
     return table.blocks[j].conj().T @ source.matrix[:, cols]
 
@@ -86,12 +82,8 @@ def residual_gram_direct(source, table, k):
     Forms each projected vector explicitly in coefficient space (raw
     vector minus its expansion over all finished vectors) and contracts
     the full Gram matrix; serves as the independent oracle for
-    :func:`residual_gram`.
+    :func:`residual_gram`.  Only the table's levels below k are read.
     """
-    if k > len(table.stops):
-        raise ValueError(
-            f"levels below {k} are not all finished (frontier {len(table.stops)})"
-        )
     gram = source.matrix
     index = source.index
     cols = level_slice(index, k)

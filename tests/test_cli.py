@@ -539,6 +539,15 @@ def monomial(dimension, max_degree, box, **fields):
     return {"mode": "monomial", "metric": "euclidean", "monomial": block}
 
 
+def test_a_degree_zero_monomial_problem_of_70_axes_runs(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    write_json(path, monomial(70, 0, [[0.0, 2.0]] * 70))
+    out = tmp_path / "result.json"
+    assert main(["run", str(path), "--output", str(out)]) == EXIT_OK
+    assert "PASS" in capsys.readouterr().out
+    assert main(["verify", str(path), str(out)]) == EXIT_OK
+
+
 def fourier(max_harmonic, samples):
     block = {"max_harmonic": max_harmonic, "weight": {"kind": "samples", "values": samples}}
     return {"mode": "fourier", "metric": "euclidean", "fourier": block}
@@ -1172,7 +1181,6 @@ def test_every_package_error_carries_a_level():
         assert cls("message").level is None
         assert cls("message", level=2).level == 2
         assert str(cls("message", level=2)) == "message"
-    assert gradedortho.TerminalIsotropicVector("message", 1, "x").label == "x"
 
 
 def test_error_types_are_documented_or_mapped():

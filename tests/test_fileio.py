@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradedortho.cli import EXIT_OK, main
+from gradedortho import fileio
+from gradedortho.cli import EXIT_OK, _run_method, main
 from gradedortho.errors import SchemaError
 from gradedortho.fileio import (
     matrix_to_json,
@@ -15,6 +16,7 @@ from gradedortho.fileio import (
     parse_problem,
     parse_result,
     result_payload,
+    verify_result,
     write_result,
 )
 from gradedortho.ortho import orthonormalize_graded, verify_table
@@ -260,6 +262,29 @@ def test_zero_rows_are_exactly_the_rows_above_each_level(tmp_path, method):
         for i, row in enumerate(rows):
             if i not in zero_rows:
                 assert all(type(e) is list and len(e) == 2 for e in row)
+
+
+@pytest.mark.parametrize("method", ["graded", "gram-schmidt", "gram"])
+def test_every_method_and_verify_result_hold_whole_tables(tmp_path, monkeypatch, method):
+    # a table is the N x N C of a finished run: each method's, and the one
+    # verify_result stacks from a result file's level entries
+    path = PROBLEM_DIR / "monomial_euclidean.json"
+    problem = parse_problem(path)
+    n = problem.source.index.total
+    table = _run_method(problem, method)
+    assert table.matrix.shape == (n, n) and table.stops[-1] == n
+    out = tmp_path / "result.json"
+    assert main(["run", str(path), "--output", str(out), "--method", method]) == EXIT_OK
+    shapes = []
+
+    class Recording(fileio.CoefficientTable):
+        def __init__(self, index, matrix, stops, signs=None):
+            super().__init__(index, matrix, stops, signs)
+            shapes.append(self.matrix.shape)
+
+    monkeypatch.setattr(fileio, "CoefficientTable", Recording)
+    assert verify_result(problem, parse_result(out)).passed
+    assert shapes == [(n, n)]
 
 
 def test_written_rows_are_distinct_lists():

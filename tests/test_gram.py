@@ -329,6 +329,12 @@ def test_monomial_gram_is_bitwise_the_node_by_node_rule(args):
     assert np.array_equal(go.monomial_gram(*args).matrix, monomial_gram_by_nodes(*args).matrix)
 
 
+def test_monomial_gram_has_no_dimension_cap():
+    # the tensor products are folded two axes at a time, so no array has
+    # one axis per box dimension (numpy allows at most 32 or 64)
+    assert np.array_equal(go.monomial_gram(70, 0, [(0.0, 2.0)] * 70).matrix, [[2.0**70]])
+
+
 def test_monomial_unit_interval_hilbert_entries():
     g = go.monomial_gram(1, 3, [(0.0, 1.0)]).matrix.real
     for a in range(4):

@@ -59,13 +59,13 @@ def test_cross_overlap_vanishes_for_identity_gram():
     table = go.orthonormalize_graded(src)
     for k in range(1, 3):
         for j in range(k):
-            d = cross_overlap(src, table.partial(k), k, j)
+            d = cross_overlap(src, table, k, j)
             assert np.max(np.abs(d)) == 0.0
 
 
 def test_cross_overlap_pair_case():
     src = pair_source()
-    table = go.orthonormalize_graded(src).partial(1)
+    table = go.orthonormalize_graded(src)
     d = cross_overlap(src, table, 1, 0)
     # f0 = e1 and the plane vectors are e1=(1,0), e2=(1,1): overlap is 1
     assert d.shape == (1, 1)
@@ -74,38 +74,16 @@ def test_cross_overlap_pair_case():
 
 def test_cross_overlap_fourier_uniform_vanishes():
     src = go.fourier_gram(1)
-    table = go.orthonormalize_graded(src).partial(1)
+    table = go.orthonormalize_graded(src)
     d = cross_overlap(src, table, 1, 0)
     assert np.max(np.abs(d)) < 1e-15
 
 
 def test_cross_overlap_level_not_ready():
     src = pair_source()
-    empty = go.orthonormalize_graded(src).partial(0)
-    with pytest.raises(ValueError, match="level 0 is not finished yet"):
-        cross_overlap(src, empty, 1, 0)
     table = go.orthonormalize_graded(src)
     with pytest.raises(ValueError, match="level 1 is not below level 1"):
         cross_overlap(src, table, 1, 1)
-
-
-def test_partial_rejects_levels_out_of_range():
-    table = go.orthonormalize_graded(identity_source())
-    assert table.partial(0).stops == ()
-    for upto in (-1, len(table.stops) + 1):
-        with pytest.raises(ValueError, match=f"cannot keep {upto} levels: 3 levels are completed"):
-            table.partial(upto)
-
-
-@pytest.mark.parametrize("signed", [False, True])
-def test_empty_table_verifies(signed):
-    src = identity_source()
-    run = go.pseudo_orthonormalize_graded if signed else go.orthonormalize_graded
-    empty = run(src).partial(0)
-    assert empty.matrix.shape == (5, 0) and empty.stops == ()
-    report = go.verify_table(src, empty)
-    assert report.passed and report.max_residual == 0.0
-    assert report.output_levels == () and report.condition_numbers == ()
 
 
 def test_every_public_name_resolves():
@@ -128,7 +106,7 @@ def test_residual_gram_scalar():
 def test_residual_gram_matches_projection_norm():
     # h = e2 - (e2, f0) f0 has squared norm 1 for the pair fixture
     src = pair_source()
-    table = go.orthonormalize_graded(src).partial(1)
+    table = go.orthonormalize_graded(src)
     d = cross_overlap(src, table, 1, 0)
     delta = hermitian(d.conj().T @ d)
     b = residual_gram(PAIR_GRAM[1:, 1:], [delta])
@@ -275,12 +253,11 @@ def test_gram_schmidt_blocks_match_block_recursion():
         src = random_graded_source(rng, cond=1e4)
         table = go.gram_schmidt_reference(src)
         for k in range(len(src.index)):
-            partial = table.partial(k)
             q = table.normalizers[k]
             assembled = np.zeros_like(table.blocks[k])
             assembled[level_slice(src.index, k), :] = q
             for j in range(k):
-                d = cross_overlap(src, partial, k, j)
+                d = cross_overlap(src, table, k, j)
                 assembled += table.blocks[j] @ mixing_block(d, q)
             assert relative_error(table.blocks[k], assembled) <= 1e-12
 
@@ -582,20 +559,17 @@ def test_methods_genuinely_differ_on_multielement_levels():
 
 def test_residual_gram_direct_base_cases():
     src = pair_source()
-    empty = go.CoefficientTable(src.index, np.zeros((2, 0)), [])
-    assert np.array_equal(residual_gram_direct(src, empty, 0), PAIR_GRAM[:1, :1])
     table = go.orthonormalize_graded(src)
-    h = residual_gram_direct(src, table.partial(1), 1)
+    assert np.array_equal(residual_gram_direct(src, table, 0), PAIR_GRAM[:1, :1])
+    h = residual_gram_direct(src, table, 1)
     assert abs(h[0, 0] - 1.0) < 1e-14
-    with pytest.raises(ValueError, match="levels below 2 are not all finished"):
-        residual_gram_direct(src, table.partial(1), 2)
 
 
 def test_residual_gram_direct_identity_gram():
     src = identity_source()
     table = go.orthonormalize_graded(src)
     for k in range(3):
-        h = residual_gram_direct(src, table.partial(k), k)
+        h = residual_gram_direct(src, table, k)
         sl = level_slice(src.index, k)
         assert np.max(np.abs(h - src.matrix[sl, sl])) < 1e-15
 
@@ -606,12 +580,11 @@ def test_projection_oracle_matches_block_recursion():
         src = random_graded_source(rng, cond=1e4)
         table = go.orthonormalize_graded(src)
         for k in range(len(src.index)):
-            partial = table.partial(k)
-            overlaps = [cross_overlap(src, partial, k, j) for j in range(k)]
+            overlaps = [cross_overlap(src, table, k, j) for j in range(k)]
             deltas = [hermitian(d.conj().T @ d) for d in overlaps]
             sl = level_slice(src.index, k)
             b = residual_gram(src.matrix[sl, sl], deltas)
-            h = residual_gram_direct(src, partial, k)
+            h = residual_gram_direct(src, table, k)
             assert np.max(np.abs(b - h)) <= 1e-10
             # the batched loop's blocks equal the per-pair K^2 recursion
             # built from the public helpers
@@ -652,20 +625,23 @@ def test_verify_rejects_a_table_of_another_source():
 @pytest.mark.parametrize(
     "matrix, stops, signs, message",
     [
-        (np.eye(3)[:, :2], [1, 2], None, "the matrix has 3 coefficient rows, expected 2"),
-        (np.ones((2, 3)), [2, 3], None, "the matrix holds 3 coefficient columns for 2 inputs"),
+        (np.eye(3)[:, :2], [1, 2], None, r"the matrix has shape \(3, 2\), expected \(2, 2\)"),
+        (np.ones((2, 3)), [2, 3], None, r"the matrix has shape \(2, 3\), expected \(2, 2\)"),
         (np.eye(2), [1, 1, 2], None, r"column stops \[1, 1, 2\] must strictly increase to 2"),
         (np.eye(2), [2, 1], None, r"column stops \[2, 1\] must strictly increase to 2"),
         (np.eye(2), [0, 2], None, r"column stops \[0, 2\] must strictly increase to 2"),
         (np.eye(2), [1], None, r"column stops \[1\] must strictly increase to 2"),
         (np.eye(2), [], None, r"column stops \[\] must strictly increase to 2"),
-        (np.eye(2)[:, :1], [1, 2], None, r"column stops \[1, 2\] must strictly increase to 1"),
+        (np.eye(2), [1, 3], None, r"column stops \[1, 3\] must strictly increase to 2"),
+        (np.eye(2)[:, :1], [1], None, r"the matrix has shape \(2, 1\), expected \(2, 2\)"),
+        (np.zeros((2, 0)), [], None, r"the matrix has shape \(2, 0\), expected \(2, 2\)"),
         (np.eye(2), [1, 2], np.ones(1, dtype=np.int64), "1 signs for 2 coefficient columns"),
-        (np.ones(2), [2], None, r"the matrix must be two-dimensional, got shape \(2,\)"),
+        (np.ones(2), [2], None, r"the matrix has shape \(2,\), expected \(2, 2\)"),
     ],
     ids=[
         "rows", "columns", "repeated-stop", "decreasing-stops", "empty-level",
-        "short-stops", "no-stops", "stops-past-columns", "signs", "one-dimensional-matrix",
+        "short-stops", "no-stops", "stops-past-columns", "too-few-columns", "no-columns",
+        "signs", "one-dimensional-matrix",
     ],
 )
 def test_table_rejects_a_wrong_shape(matrix, stops, signs, message):
@@ -703,10 +679,7 @@ def test_table_parts_are_views_of_the_loops_matrix(path, signed):
     assert (table.signs is None) is not signed
     assert not signed or (table.signs.dtype == np.int64 and len(table.signs) == table.stops[-1])
     parts = table.blocks + table.normalizers
-    parts += [table.partial(k).matrix for k in range(len(table.stops) + 1)]
-    assert all(np.shares_memory(part, table.matrix) for part in parts if part.size)
-    if signed:
-        assert np.shares_memory(table.partial(1).signs, table.signs)
+    assert all(np.shares_memory(part, table.matrix) for part in parts)
 
 
 def test_verify_judges_every_block_after_a_level_mismatch():

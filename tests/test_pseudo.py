@@ -115,10 +115,10 @@ def test_euclidean_loop_never_promotes():
 def test_trailing_isotropic_vector_is_terminal():
     idx = go.GradedIndex([["b"], ["a"]])
     src = go.GramSource(idx, np.array([[2.0, 1.0], [1.0, 0.0]], dtype=complex))
-    with pytest.raises(go.TerminalIsotropicVector) as info:
+    message = "^level 1: lone isotropic vector 'a' has no following level to join$"
+    with pytest.raises(go.TerminalIsotropicVector, match=message) as info:
         go.pseudo_orthonormalize_graded(src)
     assert info.value.level == 1
-    assert info.value.label == "a"
 
 
 def test_single_isotropic_vector_is_terminal():
@@ -182,43 +182,6 @@ def test_table_built_from_lists_verifies_and_writes_the_array_tables_payload(tmp
     assert payloads[0] == payloads[1]
 
 
-def test_partial_of_signed_table_keeps_signs_and_output_levels():
-    g = np.array(
-        [[0.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0]],
-        dtype=complex,
-    )
-    src = go.GramSource(go.GradedIndex([["a"], ["b"], ["c", "d"]]), g)
-    table = go.pseudo_orthonormalize_graded(src)
-    assert [lid for lid, _ in table.output_levels()] == [1, 2]
-    for k in range(1, len(table.stops) + 1):
-        part = table.partial(k)
-        assert [lid for lid, _ in part.output_levels()] == [1, 2][:k]
-        assert [labels for _, labels in part.output_levels()] == [("a", "b"), ("c", "d")][:k]
-        assert len(part.signs) == part.stops[-1] == [2, 4][k - 1]
-        assert part.promotions == [(0, "a", 1)]
-        report = go.verify_table(src, part, 1e-12)
-        assert report.passed and report.structural_ok
-
-
-def test_partial_keeps_only_promotions_into_kept_levels():
-    rng = np.random.default_rng(505)
-    idx = go.GradedIndex([["a", "b"], ["c"], ["d", "e"], ["f"], ["g", "h", "i"]])
-    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    g = hermitian(a + a.conj().T)
-    g[2, 2] = g[5, 5] = 0.0
-    src = go.GramSource(idx, g)
-    table = go.pseudo_orthonormalize_graded(src)
-    kept = [[], [(1, "c", 2)], [(1, "c", 2), (3, "f", 4)]]
-    for k in range(1, len(table.stops) + 1):
-        part = table.partial(k)
-        assert part.promotions == kept[k - 1]
-        assert [lid for lid, _ in part.output_levels()] == [0, 2, 4][:k]
-        report = go.verify_table(src, part, 1e-9)
-        assert report.passed and report.structural_ok
-        assert report.levels_mismatch is None
-        assert report.output_levels == part.output_levels()
-
-
 def test_degenerate_multielement_level_rejected():
     # level 1 projects to a degenerate block: violates the hypothesis
     idx = go.GradedIndex([["a", "b"]])
@@ -265,6 +228,10 @@ def test_signed_oracle_matches_block_recursion_with_promotion():
                 assembled += table.blocks[j] @ mixing_block(table.signs[a:b, None] * d, r)
             assert relative_error(table.blocks[k], assembled) <= 1e-12
         assert signed_residual(src, table) <= 1e-9
+        assert [lid for lid, _ in table.output_levels()] == [0, 2, 4]
+        report = go.verify_table(src, table, 1e-9)
+        assert report.passed and report.structural_ok and report.levels_mismatch is None
+        assert report.output_levels == table.output_levels()
 
 
 def two_promotion_source():
@@ -327,8 +294,7 @@ def test_signed_projection_reduces_to_plain_when_all_positive():
         go.GradedIndex([["a", "b"], ["c", "d"]]), random_spd(rng, 4, cond=10.0)
     )
     table = go.orthonormalize_graded(src)
-    partial = table.partial(1)
-    d = cross_overlap(src, partial, 1, 0)
+    d = cross_overlap(src, table, 1, 0)
     plain = hermitian(d.conj().T @ d)
     signs = np.ones(2, dtype=np.int64)
     signed = hermitian(d.conj().T @ (signs[:, None] * d))
