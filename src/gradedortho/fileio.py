@@ -2,8 +2,9 @@
 
 It reads problems, writes results, reads them back and, in
 :func:`verify_result`, judges a result file against its problem.
-Problems and results are UTF-8 JSON.  Complex numbers are written as
-two-element ``[re, im]`` arrays (plain numbers are accepted on input),
+Problems and results are UTF-8 JSON.  Numbers are written as
+two-element ``[re, im]`` arrays, the entries of a real table as
+``[re, 0]`` with the integer 0 (plain numbers are accepted on input),
 matrices as row-major arrays of rows, levels as arrays of label
 strings.  Result files are one line of compact JSON, embed a SHA-256
 digest of the problem file they were computed from so
@@ -21,7 +22,9 @@ the same bits (``1e-7``, ``1e16``, ``0.00005``), and a non-finite float
 A coefficient row whose entries are all exactly +0.0 (the structural
 zeros above a level, in ``graded`` and ``gram-schmidt`` results) is
 written as plain integer ``0`` entries, every other row as ``[re, im]``
-pairs.  Results carry no copy of the input grading or of the
+float pairs, or ``[re, 0]`` in a real table: the table of a problem
+whose G is real, which :class:`~gradedortho.gram.GramSource` keeps as
+float64.  Results carry no copy of the input grading or of the
 tolerances: both follow from the problem file the digest names, so
 ``verify`` judges a result with its problem's ``verify_tol``.  Nor do
 they list the isotropic promotions, which the level entries state: a
@@ -34,7 +37,10 @@ and pairs may mix in any row, and files with every row as pairs, or
 with the keys that earlier versions wrote (``input_levels``,
 ``tolerances``, ``promotions``, ``report.verify_tol``), parse to the
 same arrays.  Only a matrix that conversion refuses is walked entry by
-entry, in row-major order, for the first fault to name.
+entry, in row-major order, for the first fault to name.  Its users
+decide the dtype: ``GramSource`` keeps a G whose imaginary parts are all
+zero as real, and :func:`verify_result` takes a real problem's
+coefficients as real when every imaginary part the file holds is zero.
 
 A problem file is checked for its JSON types here; its values are
 checked by the constructor that uses them: the levels (their number,
@@ -170,16 +176,25 @@ def parse_matrix(obj, path):
 def matrix_to_json(matrix):
     """Rows of ``[re, im]`` pairs; a row of only +0.0 entries as integer 0s.
 
-    The zero test is on the bits, so a row holding a -0.0 part keeps its
-    pairs and its sign.  Every zero row is a list of its own, so editing
-    one entry of the output changes no other row.
+    A complex matrix writes its float pairs, a real one each entry as
+    ``[re, 0]`` with the integer 0 of a zero row.  The zero test is on
+    the bits, so a row holding a -0.0 part keeps its pairs and its sign.
+    Every row and entry is a list of its own, so editing one entry of
+    the output changes no other.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
+    matrix = np.asarray(matrix)
+    dtype = np.complex128 if np.iscomplexobj(matrix) else np.float64
+    matrix = np.ascontiguousarray(matrix, dtype=dtype)
     zero = ~matrix.view(np.uint64).any(axis=1)
     rows = matrix[~zero]
-    # a complex128 entry is its (re, im) float64 pair in memory
-    pairs = iter(rows.view(np.float64).reshape(rows.shape + (2,)).tolist())
     width = matrix.shape[1]
+    if dtype is np.complex128:
+        # a complex128 entry is its (re, im) float64 pair in memory
+        pairs = iter(rows.view(np.float64).reshape(rows.shape + (2,)).tolist())
+    else:
+        # [re, 0] per entry; map and zip build the lists without a Python loop
+        zeros = [0] * width
+        pairs = (list(map(list, zip(row, zeros))) for row in rows.tolist())
     return [[0] * width if z else next(pairs) for z in zero.tolist()]
 
 
@@ -401,7 +416,10 @@ def verify_result(problem, result):
     result's level entries, side by side, against its parsed problem.
 
     Its ``levels_mismatch`` and ``passed`` also judge the entries' ids
-    and labels, up to the first entry that is no output level.  A result
+    and labels, up to the first entry that is no output level.  When
+    the problem's G is real and every imaginary part the file holds is
+    zero, the table is real, as ``run`` computed it, so the report is
+    recomputed from the same bits.  A result
     of another problem file (by digest) or metric, or whose entries do
     not hold N rows each and N columns in all, is a SchemaError.
     """
@@ -425,7 +443,10 @@ def verify_result(problem, result):
                 f"level entry {pos} has {block.shape[0]} coefficient rows, expected {index.total}"
             )
     signs = None if result.signs is None else np.concatenate(result.signs)
-    table = CoefficientTable(index, np.hstack(result.blocks), stops, signs)
+    c = np.hstack(result.blocks)
+    if not np.iscomplexobj(problem.source.matrix) and not c.imag.any():
+        c = np.ascontiguousarray(c.real)  # contiguous, for the BLAS path run takes
+    table = CoefficientTable(index, c, stops, signs)
     report = verify_table(problem.source, table, problem.verify_tol, problem.degeneracy_tol)
     # each entry's labels and id must be those of the output level derived for it
     headers = zip(result.level_ids, result.level_labels, report.output_levels, (0, *stops), stops)

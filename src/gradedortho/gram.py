@@ -54,11 +54,18 @@ class GramSource:
     with a real diagonal may move no entry by more than
     ``HERMITIZE_REJECT_FACTOR`` times max|G_ij|, floored at the smallest
     normal float, so the bound has the units of G.  The source keeps
-    that symmetrized copy, read-only.
+    that symmetrized copy, read-only: float64 when every imaginary part
+    of the matrix given is exactly +0.0 or -0.0, complex128 otherwise.
+    The orthogonalizers compute in that dtype, so a real problem does
+    no work on imaginary parts.
     """
 
     def __init__(self, index, matrix):
-        matrix = np.asarray(matrix, dtype=np.complex128)
+        matrix = np.asarray(matrix)
+        if np.iscomplexobj(matrix) and matrix.imag.any():
+            matrix = matrix.astype(np.complex128, copy=False)
+        else:
+            matrix = matrix.real.astype(np.float64, copy=False)
         if matrix.shape != (index.total, index.total):
             raise ValueError(
                 f"Gram matrix shape {matrix.shape} does not match the "
@@ -80,9 +87,10 @@ class GramSource:
 
 
 def _refuse_oversize(n, *others):
-    """Raise MemoryError, naming it, when the complex n x n Gram matrix or
-    another ``(name, bytes)`` array its builder makes exceeds the machine's
-    physical memory; exact integers, so sizes past the float range too."""
+    """Raise MemoryError, naming it, when the n x n Gram matrix, counted
+    as complex, or another ``(name, bytes)`` array its builder makes
+    exceeds the machine's physical memory; exact integers, so sizes past
+    the float range too."""
     try:
         room = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no such query on this platform

@@ -12,6 +12,9 @@ of its own and lower levels.  The references are dense LAPACK calls:
 Gram-Schmidt is the inverse of the upper Cholesky factor of G, the Gram
 method G^(-1/2) from one ``eigh``.  :func:`verify_table` judges any
 table and returns its verdict as data; only the command line prints it.
+Every array takes the dtype of G, float64 when it is real and
+complex128 otherwise, so a real problem runs in real LAPACK and BLAS
+and its tables are real.
 """
 
 import math
@@ -31,12 +34,13 @@ DEFAULT_VERIFY_TOL = 1e-9
 class CoefficientTable:
     """Output of an orthonormalization run: one coefficient matrix, cut into levels.
 
-    ``matrix`` is the N x N array whose columns hold the output vectors'
-    coefficients over the full flat input basis, level after level in
-    the flat input order of ``index``.  ``stops[k]`` is one past the last
-    column of output level k, so ``blocks[k]`` is the column range
-    ``stops[k-1]:stops[k]``; rows belonging to higher levels are exactly
-    zero for the graded and Gram-Schmidt methods.  Everything else about
+    ``matrix`` is the N x N array, of G's dtype for a run's table, whose
+    columns hold the output vectors' coefficients over the full flat
+    input basis, level after level in the flat input order of
+    ``index``.  ``stops[k]`` is one past the last column of output level
+    k, so ``blocks[k]`` is the column range ``stops[k-1]:stops[k]``; rows
+    belonging to higher levels are exactly zero for the graded and
+    Gram-Schmidt methods.  Everything else about
     a level follows from its block: the normalizer r acting on level k's
     own raw vectors is its own rows (``normalizers``), and the block is
     E_k r + sum over j < k of blocks[j] (-S_j blocks[j]† G E_k r), where
@@ -287,7 +291,7 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
     """
     gram = source.matrix
     index = source.index
-    c = np.zeros((index.total, index.total), dtype=np.complex128)
+    c = np.zeros((index.total, index.total), dtype=gram.dtype)
     signs = np.ones(index.total, dtype=np.int64)
     stops = []
     # Promotion only ever merges a singleton into the next level, so the

@@ -49,13 +49,15 @@ def eigh(a):
     a : array_like
         Non-empty, finite matrix, Hermitian up to rounding (symmetrized
         here), whose max|a_ij| is 0 or in [1/2, 2): no eigenvalue overflows.
+        A real matrix is decomposed in real arithmetic.
 
     Returns
     -------
     values, vectors : ndarray
-        Real eigenvalues in descending order and a unitary eigenvector
-        matrix with a fixed phase convention (the largest-magnitude
-        component of each column is real positive).
+        Real eigenvalues in descending order and an eigenvector matrix of
+        a's dtype with a fixed phase convention: unitary, with the
+        largest-magnitude component of each column real positive, or for
+        a real a orthogonal, with that component positive.
 
     Raises
     ------
@@ -63,7 +65,7 @@ def eigh(a):
         When LAPACK fails to converge or the reconstruction residual
         exceeds ``EIGH_RESIDUAL_TOL`` (a NaN residual fails too).
     """
-    h = _hermitian_part(np.asarray(a, dtype=np.complex128))
+    h = _hermitian_part(np.asarray(a))
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as err:
@@ -81,6 +83,7 @@ def eigh(a):
 
 def _phase_fixes(vectors):
     """Per column of a unitary matrix, the unit factor that makes its
-    largest-magnitude entry (the first one, on a tie) real positive."""
+    largest-magnitude entry (the first one, on a tie) real positive: a
+    sign when the matrix is real."""
     pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
     return pivots.conj() / np.abs(pivots)

@@ -102,3 +102,15 @@ def random_indefinite_source(rng, n_levels=None, max_size=4, max_total=20):
     signs[0], signs[-1] = 1.0, -1.0
     gram = hermitian_from_spectrum(rng, magnitudes * signs)
     return go.GramSource(index, gram)
+
+
+def real_part(source):
+    """The source with its Gram matrix replaced by the real part: a real
+    symmetric matrix, positive definite when G is."""
+    return go.GramSource(source.index, np.ascontiguousarray(source.matrix.real))
+
+
+def rotated(source, seed=2026):
+    """(d, the source with D† G D) for a random diagonal unitary D = diag(d)."""
+    d = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=source.index.total))
+    return d, go.GramSource(source.index, d.conj()[:, None] * source.matrix * d)

@@ -32,6 +32,8 @@ from gradedortho.fileio import (
 from gradedortho.ortho import orthonormalize_graded, verify_table
 from gradedortho.pseudo import pseudo_orthonormalize_graded
 
+from conftest import benchmark_problem
+
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 EXEMPLARS = sorted(PROBLEM_DIR.glob("*.json"))
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -93,10 +95,16 @@ def test_round_trip_every_exemplar(problem, tmp_path, capsys):
         assert expected in capsys.readouterr().out, method
 
 
-@pytest.mark.parametrize("problem", EXEMPLARS, ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "problem", EXEMPLARS + ["monomial_wide_levels-101"], ids=lambda p: getattr(p, "stem", p)
+)
 def test_run_prints_the_verdict_block_of_verify(problem, tmp_path, capsys):
     # after `wrote`, run prints verify's block without the recorded
-    # residual, then its promotions
+    # residual, then its promotions; verify reads a real problem's table
+    # back as real, so the residual and condition numbers are run's bits
+    if problem == "monomial_wide_levels-101":
+        problem = tmp_path / "problem.json"
+        write_json(problem, benchmark_problem("monomial_wide_levels", 101))
     euclidean = parse_problem(problem).metric == "euclidean"
     for method in METHODS if euclidean else ["graded"]:
         out = tmp_path / f"{method}.json"

@@ -267,12 +267,14 @@ def test_zero_rows_are_exactly_the_rows_above_each_level(tmp_path, method):
 @pytest.mark.parametrize("method", ["graded", "gram-schmidt", "gram"])
 def test_every_method_and_verify_result_hold_whole_tables(tmp_path, monkeypatch, method):
     # a table is the N x N C of a finished run: each method's, and the one
-    # verify_result stacks from a result file's level entries
+    # verify_result stacks from a result file's level entries, both real
+    # on this real problem
     path = PROBLEM_DIR / "monomial_euclidean.json"
     problem = parse_problem(path)
     n = problem.source.index.total
     table = _run_method(problem, method)
     assert table.matrix.shape == (n, n) and table.stops[-1] == n
+    assert table.matrix.dtype == np.float64
     out = tmp_path / "result.json"
     assert main(["run", str(path), "--output", str(out), "--method", method]) == EXIT_OK
     shapes = []
@@ -280,11 +282,11 @@ def test_every_method_and_verify_result_hold_whole_tables(tmp_path, monkeypatch,
     class Recording(fileio.CoefficientTable):
         def __init__(self, index, matrix, stops, signs=None):
             super().__init__(index, matrix, stops, signs)
-            shapes.append(self.matrix.shape)
+            shapes.append((self.matrix.shape, self.matrix.dtype, self.matrix.flags.c_contiguous))
 
     monkeypatch.setattr(fileio, "CoefficientTable", Recording)
     assert verify_result(problem, parse_result(out)).passed
-    assert shapes == [(n, n)]
+    assert shapes == [((n, n), np.float64, True)]
 
 
 def test_written_rows_are_distinct_lists():
@@ -349,3 +351,55 @@ def test_zero_rows_and_pairs_read_and_verify_the_same(tmp_path, capsys, problem)
     assert verdicts[0] == verdicts[1]
     assert verdicts[0][0] == EXIT_OK
     assert "output levels: ok\nstructural grading zeros: ok\nverification: PASS" in verdicts[0][1]
+
+
+def test_a_real_table_writes_re_and_integer_zero_and_a_complex_one_its_pairs(tmp_path):
+    rng = np.random.default_rng(35)
+    real = rng.normal(size=(6, 4)) * 10.0 ** rng.integers(-300, 300, size=(6, 4))
+    real.flat[: len(AWKWARD)] = AWKWARD
+    real[3] = 0.0
+    real[4] = -0.0  # not a zero row: its sign bits are kept
+    real_rows = matrix_to_json(real)
+    assert real_rows[3] == [0, 0, 0, 0]
+    for i, row in enumerate(real_rows):
+        if i != 3:
+            assert all(type(e) is list and e[1] == 0 and type(e[1]) is int for e in row)
+            assert same_bits(np.array([e[0] for e in row]), real[i])
+    assert all(np.signbit(e[0]) for e in real_rows[4])
+    # the same values as a complex table keep their float pairs
+    complex_rows = matrix_to_json(real.astype(np.complex128))
+    assert complex_rows[3] == [0, 0, 0, 0]
+    for i, row in enumerate(complex_rows):
+        if i != 3:
+            assert all(type(e[1]) is float for e in row)
+    levels = [
+        {"level": k, "labels": [f"v{k}.{j}" for j in range(4)], "coefficients": rows}
+        for k, rows in enumerate((real_rows, complex_rows))
+    ]
+    out = tmp_path / "result.json"
+    write_result(out, result_skeleton(levels))
+    for got in parse_result(out).blocks:
+        assert same_bits(got, real)
+    assert b",0]" in out.read_bytes() and b",0.0]" in out.read_bytes()
+
+
+def test_an_old_pairs_file_of_a_now_real_problem_verifies_unchanged(capsys):
+    # written with every entry as a float pair when every G was complex
+    old = DATA_DIR / "fourier_pseudo.indented.json"
+    problem = PROBLEM_DIR / "fourier_pseudo.json"
+    assert parse_problem(problem).source.matrix.dtype == np.float64
+    payload = json.loads(old.read_text(encoding="utf-8"))
+    entries = [e for level in payload["levels"] for row in level["coefficients"] for e in row]
+    assert all(type(e) is list and type(e[1]) is float for e in entries)
+    assert main(["verify", str(problem), str(old)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "recomputed orthonormality residual: 2.220446e-16\n"
+        "residual recorded in result file:   2.220446e-16\n"
+        "tolerance: 1.0e-09\n"
+        "level 0: normalizer condition number 1.000000e+00\n"
+        "level 1: normalizer condition number 1.000000e+00\n"
+        "level 2: normalizer condition number 1.000000e+00\n"
+        "output levels: ok\n"
+        "structural grading zeros: ok\n"
+        "verification: PASS\n"
+    )

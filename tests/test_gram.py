@@ -9,6 +9,7 @@ import pytest
 
 import gradedortho as go
 from gradedortho import gram
+from gradedortho.fileio import parse_matrix
 from gradedortho.gram import monomial_index
 from gradedortho.spectral import eigh
 from oracles import level_slice, monomial_gram_by_nodes
@@ -42,11 +43,51 @@ def test_index_allows_same_label_on_different_levels():
 
 # --- explicit: GramSource -------------------------------------------------
 
-def test_gram_source_stores_a_real_identity_as_complex():
+def test_gram_source_stores_a_real_identity_as_real():
     idx = go.GradedIndex([["a"], ["b"]])
     src = go.GramSource(idx, np.eye(2))
-    assert src.matrix.dtype == np.complex128
+    assert src.matrix.dtype == np.float64
     assert np.array_equal(src.matrix, np.eye(2))
+
+
+# An explicit problem's ``gram`` entries, as a file holds them: G is
+# float64 exactly when every imaginary part is +0.0 or -0.0, whatever the
+# spelling (a plain number, [x, 0], [x, -0.0]); a subnormal one, which
+# symmetrization would keep, makes it complex.
+@pytest.mark.parametrize(
+    "entries, dtype",
+    [
+        ([[2, 1.0], [1, 3.0]], np.float64),
+        ([[[2.0, 0], [1.0, 0]], [[1.0, 0], [3.0, 0]]], np.float64),
+        ([[[2.0, -0.0], [-0.0, -0.0]], [[-0.0, 0.0], [3.0, -0.0]]], np.float64),
+        ([[2.0, [1.0, 1e-300]], [[1.0, -1e-300], 3.0]], np.complex128),
+        ([[2.0, 1.0], [1.0, [3.0, 5e-324]]], np.complex128),
+    ],
+    ids=["numbers", "pairs", "negative-zero", "off-diagonal", "subnormal-diagonal"],
+)
+def test_gram_source_is_real_exactly_when_every_imaginary_part_is_zero(entries, dtype):
+    matrix = parse_matrix(entries, "gram")
+    src = go.GramSource(go.GradedIndex([["a"], ["b"]]), matrix)
+    assert src.matrix.dtype == dtype
+    # the real parts keep their bits, the sign of -0.0 too
+    real_bits = [np.ascontiguousarray(a.real).view(np.int64) for a in (src.matrix, matrix)]
+    assert np.array_equal(*real_bits)
+
+
+@pytest.mark.parametrize(
+    "build, dtype",
+    [
+        (lambda: go.fourier_gram(3), np.float64),
+        (lambda: go.fourier_gram(3, 2.0 + np.sin(np.arange(13))), np.complex128),
+        (lambda: go.monomial_gram(2, 3, [(-1.0, 1.0), (0.0, 2.0)]), np.float64),
+        (lambda: go.monomial_gram(1, 2, [(0.0, 1.0)], np.linspace(0.5, 2.0, 3)), np.float64),
+    ],
+    ids=["fourier-uniform", "fourier-sampled", "monomial-uniform", "monomial-sampled"],
+)
+def test_builders_are_real_exactly_when_their_gram_matrix_is(build, dtype):
+    # the uniform Fourier moments are 2pi and zeros; a sampled weight's
+    # come from an FFT, whose imaginary parts are not zero
+    assert build().matrix.dtype == dtype
 
 
 def test_gram_source_keeps_a_hermitian_matrix_bitwise():

@@ -22,8 +22,11 @@ from conftest import (
     hermitian_from_spectrum,
     index_from_sizes,
     random_graded_source,
+    random_indefinite_source,
     random_spd,
+    real_part,
     relative_error,
+    rotated,
 )
 from oracles import (
     cross_overlap,
@@ -991,9 +994,7 @@ def off_band_multiplication(mode, args, table):
     else:
         _, points, weights, values = monomial_nodes(**args)
         multipliers = list(points)
-    phi = values.T @ table.matrix
-    if not phi.imag.any():
-        phi = phi.real  # the same J from real products, four times cheaper
+    phi = values.T @ table.matrix  # real on a monomial table
     level = np.searchsorted(table.stops, np.arange(phi.shape[1]), side="right")
     off = np.abs(level[:, None] - level[None, :]) > 1
     return max(
@@ -1051,3 +1052,70 @@ def test_graded_table_is_gram_schmidt_times_one_polar_factor_per_level(case):
         polar[:hi, lo:hi] = gram_schmidt[:hi, lo:hi] @ (zh.conj().T @ w.conj().T)
     bound = 8.0 * np.finfo(float).eps * np.linalg.cond(src.matrix)
     assert relative_error(polar, go.orthonormalize_graded(src).matrix) <= bound
+
+
+# --- real and complex arithmetic ---------------------------------------------
+
+EUCLIDEAN_METHODS = [go.orthonormalize_graded, go.gram_schmidt_reference, go.gram_method_reference]
+
+
+def dtype_sources():
+    """(source, metric) pairs: the exemplars, random complex draws and
+    their real parts."""
+    rng = np.random.default_rng(11)
+    sources = []
+    for path in EXEMPLARS:
+        problem = parse_problem(path)
+        sources.append((problem.source, problem.metric))
+    for _ in range(3):
+        for source, metric in (
+            (random_graded_source(rng), "euclidean"),
+            (random_indefinite_source(rng), "pseudo"),
+        ):
+            sources += [(source, metric), (real_part(source), metric)]
+    return sources
+
+
+def test_every_table_carries_the_dtype_of_g():
+    seen = set()
+    for source, metric in dtype_sources():
+        methods = EUCLIDEAN_METHODS if metric == "euclidean" else []
+        for method in [go.pseudo_orthonormalize_graded, *methods]:
+            try:
+                table = method(source)
+            except go.GradedOrthoError:
+                continue  # the real part of an indefinite draw may be refused
+            assert table.matrix.dtype == source.matrix.dtype, method.__name__
+            seen.add((metric, table.matrix.dtype))
+    assert len(seen) == 4
+
+
+def real_euclidean_source(case):
+    """The seed-101 ``monomial_wide_levels`` source, or the real part of a
+    Euclidean exemplar's G (G itself when it is real)."""
+    if case == "monomial_wide_levels-101":
+        return build(*POLYNOMIAL_CASES[case]())
+    return real_part(parse_problem(ROOT / "problems" / f"{case}.json").source)
+
+
+# For a diagonal unitary D the tables of D† G D are D† C D: the level
+# blocks stay Hermitian positive definite and Gram-Schmidt's pivots
+# positive, so the complex run of a rotated real G checks the real run.
+# Measured max|ΔC| / max|C| / (eps κ(G)) over five draws of D: at most
+# 1.22 (graded), 0.67 (Gram-Schmidt) and 2.39 (Gram method), so c = 16
+# leaves a margin of 6.7; a run that drops an imaginary part is off by
+# O(1).
+@pytest.mark.parametrize("method", EUCLIDEAN_METHODS, ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "case",
+    ["explicit_euclidean", "fourier_euclidean", "monomial_euclidean", "monomial_wide_levels-101"],
+)
+def test_complex_run_of_a_rotated_real_gram_is_the_rotated_real_table(case, method):
+    source = real_euclidean_source(case)
+    d, complex_source = rotated(source)
+    assert source.matrix.dtype == np.float64
+    assert complex_source.matrix.dtype == np.complex128
+    real, complex_ = method(source), method(complex_source)
+    assert complex_.stops == real.stops
+    bound = 16.0 * np.finfo(float).eps * np.linalg.cond(source.matrix)
+    assert relative_error(complex_.matrix, d.conj()[:, None] * real.matrix * d) <= bound

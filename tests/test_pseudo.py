@@ -19,6 +19,7 @@ from conftest import (
     random_indefinite_source,
     random_spd,
     relative_error,
+    rotated,
 )
 from oracles import (
     NotACounterexample,
@@ -538,3 +539,28 @@ def test_obstruction_rejects_non_isotropic_leader():
 def test_obstruction_rejects_wrong_shape():
     with pytest.raises(NotACounterexample):
         gram_schmidt_isotropic_obstruction(np.eye(3))
+
+
+# On D† G D, D a diagonal unitary, a signed level's columns are D† C_k D_k
+# times a unitary U with U S_k U† = S_k (the eigenvector phases of a
+# mixed block follow the phase convention, not D), so the level's
+# P_k = C_k S_k C_k† becomes D† P_k D and its negative signs stay.
+# Measured max|ΔP_k| / max|P_k| / (eps κ(G)) over five draws of D: at
+# most 1.58, so c = 16 leaves a margin of 10.
+@pytest.mark.parametrize("name", ["explicit_pseudo", "fourier_pseudo", "monomial_pseudo"])
+def test_complex_run_of_a_rotated_real_gram_keeps_the_level_invariants(name):
+    source = parse_problem(ROOT / "problems" / f"{name}.json").source
+    d, complex_source = rotated(source)
+    assert source.matrix.dtype == np.float64
+    assert complex_source.matrix.dtype == np.complex128
+    real = go.pseudo_orthonormalize_graded(source)
+    complex_ = go.pseudo_orthonormalize_graded(complex_source)
+    assert complex_.stops == real.stops
+    bound = 16.0 * np.finfo(float).eps * np.linalg.cond(source.matrix)
+    starts = (0, *real.stops)
+    for lo, hi, c_real, c_complex in zip(starts, real.stops, real.blocks, complex_.blocks):
+        s_real, s_complex = real.signs[lo:hi], complex_.signs[lo:hi]
+        assert np.count_nonzero(s_complex < 0) == np.count_nonzero(s_real < 0)
+        p_real = (c_real * s_real) @ c_real.conj().T
+        p_complex = (c_complex * s_complex) @ c_complex.conj().T
+        assert relative_error(p_complex, d.conj()[:, None] * p_real * d) <= bound

@@ -19,6 +19,7 @@ from conftest import (
     random_graded_source,
     random_indefinite_source,
     random_spd,
+    real_part,
 )
 
 EXEMPLARS = sorted((ROOT / "problems").glob("*.json"))
@@ -88,15 +89,19 @@ def test_eigh_maps_lapack_failure_to_no_convergence(monkeypatch):
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
-def test_eigh_rejects_an_eigenvalue_that_overflows():
+@pytest.mark.parametrize(
+    "dtype, residual", [(np.float64, "inf"), (np.complex128, "nan")], ids=["real", "complex"]
+)
+def test_eigh_rejects_an_eigenvalue_that_overflows(dtype, residual):
     # finite and Hermitian, but its eigenvalue 2.7e308 overflows inside
-    # LAPACK, so the reconstruction residual is NaN.  level_normalizer
-    # never passes such a block (it scales max|a_ij| into [1/2, 2)), so
-    # eigh does not silence the warnings; the package's path through
-    # this matrix is pinned in test_cli.
+    # LAPACK, so the reconstruction residual is inf in real arithmetic
+    # and NaN in complex (inf times a zero imaginary part).
+    # level_normalizer never passes such a block (it scales max|a_ij|
+    # into [1/2, 2)), so eigh does not silence the warnings; the
+    # package's path through this matrix is pinned in test_cli.
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(go.NoConvergence, match="residual nan"):
-            eigh(np.array([[1.7e308, 1e308], [1e308, 1.7e308]]))
+        with pytest.raises(go.NoConvergence, match=f"residual {residual}"):
+            eigh(np.array([[1.7e308, 1e308], [1e308, 1.7e308]], dtype=dtype))
 
 
 @pytest.mark.parametrize("n", [3, 8, 21, 64])
@@ -127,11 +132,13 @@ def test_eigh_phases_match_the_column_by_column_rule():
 def test_every_eigh_call_gets_a_non_empty_finite_block_scaled_into_half_to_two(monkeypatch):
     # eigh has no guard for an empty, non-finite or unscaled block: the
     # package never passes one.  Wrap it wherever the package holds it,
-    # run every method, and check what each call receives.
+    # run every method, and check what each call receives: a block of
+    # the source's dtype among the rest.
     blocks = []
+    dtype = []
 
     def recording(a):
-        blocks.append(a)
+        blocks.append((a, dtype[-1]))
         return eigh(a)
 
     names = ["gradedortho"] + [
@@ -143,6 +150,7 @@ def test_every_eigh_call_gets_a_non_empty_finite_block_scaled_into_half_to_two(m
             monkeypatch.setattr(module, "eigh", recording)
 
     def run(source, signed):
+        dtype.append(source.matrix.dtype)
         methods = (
             [go.pseudo_orthonormalize_graded]
             if signed
@@ -161,6 +169,8 @@ def test_every_eigh_call_gets_a_non_empty_finite_block_scaled_into_half_to_two(m
     for _ in range(4):
         run(random_graded_source(rng), False)
         run(random_indefinite_source(rng), True)
+        run(real_part(random_graded_source(rng)), False)
+        run(real_part(random_indefinite_source(rng)), True)
     g = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, -1.0], [0.5, -1.0, -2.5]])
     for scale in (1.7e308 / 3.0, 1e-320, 0.0):
         for levels in ([["a", "b", "c"]], [["a"], ["b", "c"]]):
@@ -169,9 +179,10 @@ def test_every_eigh_call_gets_a_non_empty_finite_block_scaled_into_half_to_two(m
             run(go.GramSource(index, scale * g), True)
 
     zero_blocks = 0
-    for a in blocks:
+    assert {np.dtype(np.float64), np.dtype(np.complex128)} == {d for _, d in blocks}
+    for a, source_dtype in blocks:
         largest = max_abs(a)
-        assert a.dtype == np.complex128 and a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
+        assert a.dtype == source_dtype and a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
         assert np.isfinite(a).all()
         assert largest == 0.0 or 0.5 <= largest < 2.0
         zero_blocks += largest == 0.0
