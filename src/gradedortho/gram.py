@@ -102,6 +102,12 @@ def _refuse_oversize(n, *others):
             )
 
 
+def fourier_harmonics(max_harmonic):
+    """The harmonic at each flat row of a Fourier source: 0, +1, -1, +2, -2, ..."""
+    positive = np.arange(1, max_harmonic + 1, dtype=np.int64)
+    return np.concatenate([[0], np.column_stack([positive, -positive]).ravel()])
+
+
 def fourier_gram(max_harmonic, weight=None):
     """Gram matrix of {exp(imx)} for |m| <= max_harmonic in L2([0,2pi], rho).
 
@@ -112,6 +118,12 @@ def fourier_gram(max_harmonic, weight=None):
     grid has at least 4*max_harmonic + 1 points), all moments at once
     by one real FFT of the samples.  The matrix is exactly Toeplitz in
     the harmonic difference and exactly Hermitian by construction.
+
+    The source returned also holds ``moments``, read-only: mu(s) =
+    G[m, m'] for m - m' = s = 0..2M, taken from G's column at harmonic
+    -M, so they have G's bits and dtype.  No other source has the
+    field; it sends the source past the graded level loop to the
+    Levinson recursion (:func:`gradedortho.ortho.orthonormalize_graded`).
     """
     if max_harmonic < 0:
         raise ValueError("max_harmonic must be non-negative")
@@ -119,8 +131,7 @@ def fourier_gram(max_harmonic, weight=None):
     _refuse_oversize(n_coeff)
     # level 0 holds the constant, level k the +k and -k harmonics
     index = GradedIndex([["0"]] + [["+", "-"]] * max_harmonic)
-    positive = np.arange(1, max_harmonic + 1, dtype=np.int64)
-    harmonics = np.concatenate([[0], np.column_stack([positive, -positive]).ravel()])
+    harmonics = fourier_harmonics(max_harmonic)
     if weight is None:
         moments = np.zeros(n_coeff, dtype=np.complex128)
         moments[0] = TWO_PI
@@ -141,7 +152,11 @@ def fourier_gram(max_harmonic, weight=None):
     # moment of every difference s = -2M..2M at position s + 2M
     by_difference = np.concatenate([np.conj(moments[:0:-1]), moments])
     gram = by_difference[harmonics[:, None] - harmonics[None, :] + 2 * max_harmonic]
-    return GramSource(index, gram)
+    source = GramSource(index, gram)
+    source.moments = np.empty(n_coeff, dtype=source.matrix.dtype)
+    source.moments[harmonics + max_harmonic] = source.matrix[:, -1]
+    source.moments.setflags(write=False)
+    return source
 
 
 def monomial_index(dimension, max_degree):

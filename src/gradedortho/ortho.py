@@ -14,7 +14,9 @@ method G^(-1/2) from one ``eigh``.  :func:`verify_table` judges any
 table and returns its verdict as data; only the command line prints it.
 Every array takes the dtype of G, float64 when it is real and
 complex128 otherwise, so a real problem runs in real LAPACK and BLAS
-and its tables are real.
+and its tables are real.  A Fourier source, the one that holds
+``moments``, skips the loop under both metrics: its G is Toeplitz, and
+the Levinson recursion gives the same table in O(N²) work.
 """
 
 import math
@@ -25,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateMetric, LinearlyDependentInput, TerminalIsotropicVector
+from .gram import fourier_harmonics
 from .spectral import _hermitian_part, eigh, max_abs
 
 DEFAULT_DEGENERACY_TOL = 1e-10
@@ -154,34 +157,72 @@ def level_normalizer(
     whose eigenvalues pass the float maximum normalizes too; B is formed
     in those units.  A b with an entry that is not finite (a projection
     that overflowed) is a ValueError naming the level.
+
+    b may also be an (..., n, n) stack of blocks, ``raw`` then None or a
+    stack of the same shape and ``level`` the blocks' ids, of shape
+    ``b.shape[:-2]``; r and signs are stacked alike.  One ``eigh`` of
+    the stack gives each block the bits of its own 2-D call, with its
+    own scaling, band and phases, and the first block in flat order that
+    its own call would refuse raises that call's error.
     """
-    what = "full Gram matrix" if level is None else f"level {level}: projected Gram block"
-    largest = max_abs(b)
-    if not math.isfinite(largest):
-        raise ValueError(f"{what} is not finite")
+    largest = np.abs(b).max(axis=(-2, -1))
+    if not np.isfinite(largest).all():
+        first = np.flatnonzero(~np.isfinite(largest))[0]
+        if first:  # a block before it may be refused
+            flat = b.reshape(-1, *b.shape[-2:])
+            raws = None if raw is None else raw.reshape(flat.shape)[:first]
+            level_normalizer(flat[:first], degeneracy_tol, _ids(level)[:first], signed, raws)
+        raise ValueError(f"{_block_name(_ids(level)[first])} is not finite")
     # 4^-m itself can pass the float range (a subnormal b), 2^-m cannot
-    half = math.ldexp(1.0, -(math.frexp(largest)[1] // 2))
-    values, vectors = eigh(b * half * half)
-    n = len(values)
-    gamma = (largest if raw is None else max_abs(raw)) * half * half
-    top = max(values[0], -values[-1])  # values is descending
-    low = np.min(np.abs(values)) if signed else values[-1]
-    band = degeneracy_tol * max(gamma, top)
-    if low <= band:
-        scale = "max|eigenvalue|" if top > gamma else "max|G|" if level is None else "max|G_kk|"
+    half = np.ldexp(1.0, -(np.frexp(largest)[1] // 2))
+    values, vectors = eigh(b * half[..., None, None] * half[..., None, None])
+    n = values.shape[-1]
+    gamma = (largest if raw is None else np.abs(raw).max(axis=(-2, -1))) * half * half
+    top = np.maximum(values[..., 0], -values[..., -1])  # values is descending
+    low = np.abs(values).min(axis=-1) if signed else values[..., -1]
+    band = degeneracy_tol * np.maximum(gamma, top)
+    refused = low <= band
+    if refused.any():
+        first = refused.argmax()
+        lid = _ids(level)[first]
+        low, band, half, top, gamma = (np.ravel(x)[first] for x in (low, band, half, top, gamma))
+        scale = "max|eigenvalue|" if top > gamma else "max|G|" if lid is None else "max|G_kk|"
         quantity = "smallest |eigenvalue|" if signed else "smallest eigenvalue"
-        raise _refusal(what, quantity, low / half / half, band / half / half, scale, level, signed)
-    p = int(np.count_nonzero(values > 0.0))
-    signs = np.concatenate([np.ones(p, dtype=np.int64), -np.ones(n - p, dtype=np.int64)])
+        raise _refusal(
+            _block_name(lid), quantity, low / half / half, band / half / half, scale, lid, signed
+        )
+    # values is descending, so the positive eigenvalues lead
+    positive = values > 0.0
+    signs = np.where(positive, np.int64(1), np.int64(-1))
+    p = positive.sum(axis=-1)
     # 2^-m / sqrt(λ 4^-m) rounds as 1 / sqrt(λ) does: every step is exact
     # up to one rounding, and scaling by a power of two keeps it.
-    if p in (0, n):
-        r = (vectors * (half / np.sqrt(np.abs(values)))) @ vectors.conj().T
-        return _hermitian_part(r), signs
-    # values is descending, so positives already lead; flip the negative
-    # block to get descending |eigenvalue| there as well.
-    order = np.concatenate([np.arange(p), np.arange(n - 1, p - 1, -1)])
-    return vectors[:, order] * (half / np.sqrt(np.abs(values[order]))), signs
+    scaled = vectors * (half[..., None] / np.sqrt(np.abs(values)))[..., None, :]
+    definite = (p == 0) | (p == n)
+    if definite.all():
+        return _hermitian_part(scaled @ vectors.swapaxes(-1, -2).conj()), signs
+    # Flip the negative block to get descending |eigenvalue| there as
+    # well.  Each block's columns are taken as rows of its transpose, so
+    # r is column-major per block, as indexing a 2-D block's columns
+    # leaves it: the loop's products with r read that layout.
+    columns = np.arange(n)
+    order = np.where(positive, columns, n - 1 + p[..., None] - columns)
+    r = np.take_along_axis(scaled.swapaxes(-1, -2), order[..., :, None], axis=-2)
+    r = r.swapaxes(-1, -2)
+    if definite.any():
+        r[definite] = _hermitian_part(
+            scaled[definite] @ vectors[definite].swapaxes(-1, -2).conj()
+        )
+    return r, signs
+
+
+def _ids(level):
+    """The block ids of a stack, in flat order (one id for a 2-D block)."""
+    return np.ravel(np.asarray(level, dtype=object))
+
+
+def _block_name(level):
+    return "full Gram matrix" if level is None else f"level {level}: projected Gram block"
 
 
 def _refusal(what, quantity, value, band, scale, level, signed=False, note=""):
@@ -208,7 +249,11 @@ def orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     Levels are processed in increasing order; each one is projected
     against all finished levels and then normalized symmetrically, so
     singleton levels reproduce Gram-Schmidt and a single level
-    reproduces the Gram (Loewdin) method.
+    reproduces the Gram (Loewdin) method.  A Fourier source (one with
+    ``moments``, from :func:`~gradedortho.gram.fourier_gram`) takes the
+    Levinson recursion in O(N²) instead of the loop below, with the
+    same normalizer, band and errors; its table is the loop's up to
+    rounding.
 
     The finished output vectors are the leading columns of one N x N
     coefficient matrix C; because it is block upper triangular, level k
@@ -291,6 +336,8 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
     """
     gram = source.matrix
     index = source.index
+    if hasattr(source, "moments"):  # a Fourier source: G is Toeplitz
+        return _fourier_levels(source, degeneracy_tol, signed)
     c = np.zeros((index.total, index.total), dtype=gram.dtype)
     signs = np.ones(index.total, dtype=np.int64)
     stops = []
@@ -318,6 +365,70 @@ def _orthonormalize_levels(source, degeneracy_tol, signed):
             stops.append(hi)
             lo = hi
     return CoefficientTable(index, c, stops, signs if signed else None)
+
+
+def _fourier_levels(source, degeneracy_tol, signed):
+    """The graded table of a Fourier source in O(N²), by the Levinson recursion.
+
+    Over the harmonics -M..M, G is the Hermitian Toeplitz T with
+    T[i, j] = mu(i - j), and levels 0..k span the window -k..k.  The
+    monic predictor a_n, with T_n a_n = α_n e_1 and a_n[0] = 1, grows by
+    a_n+1 = [a_n; 0] - ε_n [0; J conj(a_n)], ε_n = T[n, :n] a_n / α_n
+    (Levinson, J. Math. Phys. 25 (1947); weakly stable for positive
+    definite T, Cybenko 1980).  α_n is read as (T_n a_n)[0] from a_n
+    itself rather than carried as α_n-1 (1 - |ε_n-1|²), so b_k below
+    is the Gram block of the vectors written.  The end columns Y_k of
+    T_2k+1⁻¹ and the inverse b_k of their rows at +k and -k, the loop's
+    projected block, have closed forms in a_2k: b_k = α_2k [[1, ε_2k],
+    [conj(ε_2k), 1]], and Y_k b_k, level k's raw vectors less their
+    projections on the lower levels, is [[0; J conj(a_2k)], [a_2k; 0]]
+    over the window.  Level k's columns are Y_k b_k r_k, with r_k
+    itself in its own rows; level 0 is the loop's call on G[:1, :1],
+    and one call normalizes levels 1..M as one (M, 2, 2) stack of b_k
+    against the raw blocks of G, so a refusal names the lowest failing
+    level, with the loop's band and class.  The recursion runs on
+    mu 4^-m, mu(0) 4^-m in [1/2, 2), so no product overflows; ε and
+    a_n do not depend on that scale.  Nothing is promoted: a signed run
+    gets the Euclidean table with every sign +1 when κ(G) < 1/eps and
+    degeneracy_tol < 1, and at degeneracy_tol >= 1 level 0 is refused.
+    """
+    gram, index = source.matrix, source.index
+    m = len(index) - 1
+    c = np.zeros_like(gram)
+    r0, signs = level_normalizer(gram[:1, :1], degeneracy_tol, 0, signed, gram[:1, :1])
+    c[:1, :1] = r0
+    if m == 0:
+        return CoefficientTable(index, c, index.ends, signs if signed else None)
+    half = math.ldexp(1.0, -(math.frexp(gram[0, 0].real)[1] // 2))
+    mu = source.moments * half * half
+    # rows[j], the flat row of harmonic j - m in fourier_gram's order;
+    # levels[k - 1], the rows of +k and -k, at [ends[k - 1], ends[k])
+    rows = np.argsort(fourier_harmonics(m))
+    levels = np.column_stack([rows[m + 1 :], rows[m - 1 :: -1]])
+    a = np.zeros_like(mu)
+    a[0] = 1.0
+    blocks = np.empty((m, 2, 2), dtype=gram.dtype)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(1, 2 * m + 1):
+            alpha = np.vdot(mu[:n], a[:n]).real
+            eps = (mu[n:0:-1] @ a[:n]) / alpha
+            if n % 2 == 0:
+                k = n // 2
+                window = rows[m - k : m + k + 1]
+                plus, minus = levels[k - 1]
+                c[window[1:], plus] = a[n - 1 :: -1].conj()
+                c[window[:-1], minus] = a[:n]
+                d = alpha / half / half
+                blocks[k - 1] = [[d, d * eps], [d * eps.conjugate(), d]]
+            a[1 : n + 1] -= eps * a[n - 1 :: -1].conj()
+        raw = gram[levels[:, :, None], levels[:, None, :]]
+        r, level_signs = level_normalizer(blocks, degeneracy_tol, range(1, m + 1), signed, raw)
+        for k, rk in enumerate(r, start=1):
+            lo, hi = index.ends[k - 1], index.ends[k]
+            c[:lo, lo:hi] = c[:lo, lo:hi] @ rk
+            c[lo:hi, lo:hi] = rk
+    signs = np.concatenate([signs, level_signs.ravel()])
+    return CoefficientTable(index, c, index.ends, signs if signed else None)
 
 
 def _projected_block(gram, c, signs, lo, hi):

@@ -25,6 +25,11 @@ def pseudo_orthonormalize_graded(source, degeneracy_tol=DEFAULT_DEGENERACY_TOL):
     definite source no singleton level is promoted unless its raw or
     projected value lies within the isotropy band, degeneracy_tol times
     the largest magnitude in its row of G; when none does, every step
-    reduces exactly to the Euclidean path and all signs come out +1.
+    reduces exactly to the Euclidean path and all signs come out +1.  A
+    Fourier source takes the Euclidean run's Levinson route, which
+    promotes nothing: when κ(G) < 1/eps and degeneracy_tol < 1 its table
+    is that run's, with every sign +1.  At degeneracy_tol >= 1 the
+    route refuses level 0 (DegenerateMetric), where the loop would
+    promote it.
     """
     return _orthonormalize_levels(source, degeneracy_tol, signed=True)

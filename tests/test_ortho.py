@@ -1119,3 +1119,135 @@ def test_complex_run_of_a_rotated_real_gram_is_the_rotated_real_table(case, meth
     assert complex_.stops == real.stops
     bound = 16.0 * np.finfo(float).eps * np.linalg.cond(source.matrix)
     assert relative_error(complex_.matrix, d.conj()[:, None] * real.matrix * d) <= bound
+
+
+# --- Fourier sources: the Levinson route ------------------------------------
+
+def the_loop(source):
+    """The same G without the moments: the graded level loop runs it."""
+    return go.GramSource(source.index, source.matrix)
+
+
+def floored_weight(max_harmonic, floor):
+    """floor + (1 + cos x)^2 (1 + 0.3 sin 3x) / 4 on the grid 4M + 1: at
+    M = 100 a floor of 1e-6 gives κ(G) = 1.2e6."""
+    n = 4 * max_harmonic + 1
+    x = 2.0 * np.pi * np.arange(n) / n
+    return floor + (1.0 + np.cos(x)) ** 2 * (1.0 + 0.3 * np.sin(3.0 * x)) / 4.0
+
+
+FOURIER_ROUTE_CASES = {
+    **{
+        name: lambda name=name: parse_problem(ROOT / "problems" / f"{name}.json").source
+        for name in ("fourier_euclidean", "fourier_pseudo")
+    },
+    **{
+        f"fourier_many_levels-{seed}": lambda seed=seed: build(
+            *builder_args(benchmark_problem("fourier_many_levels", seed))
+        )
+        for seed in (101, 202, 303)
+    },
+    "fourier-M200": lambda: build(*fourier_sampled(200)),
+    "kappa-1.2e6": lambda: go.fourier_gram(100, floored_weight(100, 1e-6)),
+}
+
+
+# Measured max|ΔC| / max|C| / (eps κ(G)) against the loop: 0.31 and 0 on
+# the exemplars, 2.8, 2.8 and 3.2 on fourier_many_levels, 2.0 at M=200
+# and 0.07 at κ = 1.2e6, so c = 16 leaves a margin of 5.
+@pytest.mark.parametrize("case", sorted(FOURIER_ROUTE_CASES))
+def test_the_levinson_route_gives_the_loops_table_within_eps_kappa(case):
+    source = FOURIER_ROUTE_CASES[case]()
+    table, loop = go.orthonormalize_graded(source), go.orthonormalize_graded(the_loop(source))
+    assert table.stops == loop.stops == source.index.ends
+    assert table.matrix.dtype == loop.matrix.dtype == source.matrix.dtype
+    bound = 16.0 * np.finfo(float).eps * np.linalg.cond(source.matrix)
+    assert relative_error(table.matrix, loop.matrix) <= bound
+    assert go.verify_table(source, table).passed
+    # the signed run is the Euclidean one, with every sign +1
+    signed = go.pseudo_orthonormalize_graded(source)
+    assert np.array_equal(signed.matrix, table.matrix) and np.all(signed.signs == 1)
+
+
+def test_a_fourier_source_takes_the_route_and_its_g_alone_the_loop(monkeypatch):
+    # the route normalizes level 0 and then levels 1..M as one stack
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(go.ortho, "eigh", counting)
+    source = go.fourier_gram(7, floored_weight(7, 0.1))
+    go.orthonormalize_graded(source)
+    assert calls == [(1, 1), (7, 2, 2)]
+    calls.clear()
+    go.orthonormalize_graded(the_loop(source))
+    assert calls == [(1, 1)] + [(2, 2)] * 7
+
+
+@pytest.mark.parametrize(
+    "weight", [None, [3.0], [0.5, 2.0, 1e-3, 7.0]], ids=["uniform", "one", "four"]
+)
+def test_a_fourier_source_without_harmonics_is_the_gram_method_bit_for_bit(weight):
+    source = go.fourier_gram(0, weight)
+    reference = go.gram_method_reference(source).matrix
+    for run in (go.orthonormalize_graded, go.pseudo_orthonormalize_graded):
+        table = run(source)
+        assert table.matrix.dtype == reference.dtype
+        assert table.matrix.tobytes() == reference.tobytes()
+
+
+def test_a_uniform_fourier_weight_gives_a_real_table():
+    source = go.fourier_gram(6)
+    assert source.matrix.dtype == source.moments.dtype == np.float64
+    for run in (go.orthonormalize_graded, go.pseudo_orthonormalize_graded):
+        table = run(source)
+        assert table.matrix.dtype == np.float64
+        assert np.array_equal(table.matrix, run(the_loop(source)).matrix)
+
+
+def test_a_numerically_singular_fourier_weight_is_refused_as_the_loop_refuses_it():
+    # a weight of width about 0.1 rad: the loop refuses level 5, as
+    # LinearlyDependentInput under the Euclidean metric and as
+    # DegenerateMetric under the signed one
+    x = 2.0 * np.pi * np.arange(81) / 81
+    source = go.fourier_gram(20, np.exp(-100.0 * np.sin(x / 2.0) ** 2))
+    for run in (go.orthonormalize_graded, go.pseudo_orthonormalize_graded):
+        raised = []
+        for s in (source, the_loop(source)):
+            with pytest.raises((go.LinearlyDependentInput, go.DegenerateMetric)) as info:
+                run(s)
+            raised.append((type(info.value), info.value.level))
+        assert raised[0] == raised[1]
+        assert raised[0][1] == 5
+
+
+def test_a_signed_fourier_run_at_a_tolerance_of_1_refuses_level_0_on_the_route():
+    # only a degeneracy_tol of 1 or more puts the constant in the band;
+    # the route promotes nothing and refuses level 0, where the loop
+    # promotes it and then fails (at M = 0 for want of a next level)
+    for m, error, level in ((0, go.TerminalIsotropicVector, 0), (3, go.DegenerateMetric, 1)):
+        source = go.fourier_gram(m, floored_weight(m, 0.1))
+        with pytest.raises(go.DegenerateMetric) as info:
+            go.pseudo_orthonormalize_graded(source, 2.0)
+        assert info.value.level == 0
+        with pytest.raises(error) as info:
+            go.pseudo_orthonormalize_graded(the_loop(source), 2.0)
+        assert info.value.level == level
+
+
+@pytest.mark.parametrize("case", ["fourier_many_levels-101", "kappa-1.2e6"])
+def test_scaling_a_fourier_weight_by_4_to_the_k_scales_c_by_2_to_the_minus_k(case):
+    mode, args = (
+        builder_args(benchmark_problem("fourier_many_levels", 101))
+        if case.startswith("fourier")
+        else ("fourier", {"max_harmonic": 100, "weight": floored_weight(100, 1e-6)})
+    )
+    for run in (go.orthonormalize_graded, go.pseudo_orthonormalize_graded):
+        table = run(build(mode, args))
+        for k in (-40, -20, 20, 40):
+            scaled = dict(args, weight=np.asarray(args["weight"]) * 4.0**k)
+            got = run(build(mode, scaled))
+            assert got.stops == table.stops
+            assert relative_error(got.matrix * 2.0**k, table.matrix) <= 4 * np.finfo(float).eps

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gradedortho as go
+from gradedortho import spectral
 from gradedortho.fileio import parse_problem
 from gradedortho.ortho import level_normalizer
 from gradedortho.spectral import eigh, max_abs
@@ -180,12 +181,17 @@ def test_every_eigh_call_gets_a_non_empty_finite_block_scaled_into_half_to_two(m
 
     zero_blocks = 0
     assert {np.dtype(np.float64), np.dtype(np.complex128)} == {d for _, d in blocks}
-    for a, source_dtype in blocks:
-        largest = max_abs(a)
-        assert a.dtype == source_dtype and a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
-        assert np.isfinite(a).all()
-        assert largest == 0.0 or 0.5 <= largest < 2.0
-        zero_blocks += largest == 0.0
+    # a Fourier source's levels 1..M come as one (M, 2, 2) stack; each
+    # block of a stack is judged as a 2-D call is
+    assert any(a.ndim == 3 for a, _ in blocks)
+    for stack, source_dtype in blocks:
+        assert stack.ndim in (2, 3) and stack.size
+        for a in stack.reshape(-1, *stack.shape[-2:]):
+            largest = max_abs(a)
+            assert stack.dtype == source_dtype and a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
+            assert np.isfinite(a).all()
+            assert largest == 0.0 or 0.5 <= largest < 2.0
+            zero_blocks += largest == 0.0
     # on G = 0 each of the three methods, on each grading, decomposes
     # one zero block and refuses it
     assert zero_blocks == 6 and len(blocks) > zero_blocks
@@ -351,3 +357,98 @@ def test_deterministic_outputs():
     assert np.array_equal(values1, values2)
     assert np.array_equal(vectors1, vectors2)
     assert np.array_equal(level_normalizer(a)[0], level_normalizer(a)[0])
+
+
+# --- stacks: one call on an (..., n, n) stack is its blocks' 2-D calls ------
+
+def bits(a):
+    """The bytes of an array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def block_stack(rng, n, kinds, real):
+    """One block per kind, at random units 4^k: "definite" (positive),
+    "negative" (negative definite), "mixed" (both signs), "singular"
+    (one eigenvalue inside the band) or "indefinite" (one far below
+    minus the band); with raw blocks b times 0.5 to 2."""
+    spectra = {
+        "definite": lambda: rng.uniform(0.1, 1.0, n),
+        "negative": lambda: -rng.uniform(0.1, 1.0, n),
+        "mixed": lambda: rng.uniform(0.1, 1.0, n) * np.resize([1.0, -1.0], n),
+        "singular": lambda: np.concatenate([rng.uniform(0.1, 1.0, n - 1), [1e-13]]),
+        "indefinite": lambda: np.concatenate([rng.uniform(0.1, 1.0, n - 1), [-0.5]]),
+    }
+    blocks = []
+    for kind in kinds:
+        a = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
+        q = np.linalg.qr(a)[0]
+        blocks.append((q * spectra[kind]()) @ q.conj().T * 4.0 ** int(rng.integers(-30, 31)))
+    stack = spectral._hermitian_part(np.array(blocks))
+    return stack, stack * rng.uniform(0.5, 2.0, (len(kinds), 1, 1))
+
+
+def outcome(call):
+    """(r, signs) of a call, or the type, message and level it raised."""
+    try:
+        return call()
+    except (go.GradedOrthoError, ValueError) as err:
+        return type(err), str(err), getattr(err, "level", None)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_a_stack_gives_each_block_the_bits_of_its_own_call(n, real):
+    rng = np.random.default_rng(100 * n + real)
+    kinds = ["definite", "negative", "mixed"] if n > 1 else ["definite", "negative"]
+    for signed in (False, True):
+        for _ in range(4):
+            picks = list(rng.choice(kinds if signed else ["definite"], size=6))
+            stack, raw = block_stack(rng, n, picks, real)
+            levels = list(range(3, 9))
+            r, signs = level_normalizer(stack, 1e-10, levels, signed, raw)
+            assert r.shape == stack.shape and signs.shape == stack.shape[:2]
+            assert r.dtype == stack.dtype
+            for j in range(len(picks)):
+                rj, sj = level_normalizer(stack[j], 1e-10, levels[j], signed, raw[j])
+                assert bits(r[j]) == bits(rj) and np.array_equal(signs[j], sj)
+            values, vectors = eigh(stack / np.max(np.abs(stack), axis=(1, 2))[:, None, None])
+            for j, block in enumerate(stack):
+                vj, wj = eigh(block / np.max(np.abs(block)))
+                assert bits(values[j]) == bits(vj) and bits(vectors[j]) == bits(wj)
+                assert bits(spectral._hermitian_part(stack)[j]) == bits(
+                    spectral._hermitian_part(block)
+                )
+    # more than one leading axis: level ids of the same shape
+    stack, raw = block_stack(rng, n, ["definite"] * 6, real)
+    r, signs = level_normalizer(
+        stack.reshape(2, 3, n, n), 1e-10, [[1, 2, 3], [4, 5, 6]], False, raw.reshape(2, 3, n, n)
+    )
+    flat, flat_signs = level_normalizer(stack, 1e-10, range(1, 7), False, raw)
+    assert bits(r.reshape(stack.shape)) == bits(flat)
+    assert np.array_equal(signs.reshape(flat_signs.shape), flat_signs)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "kinds, signed, error, level",
+    [
+        (["definite", "singular", "definite", "indefinite"], False, go.LinearlyDependentInput, 2),
+        (["definite", "definite", "indefinite", "singular"], False, go.DegenerateMetric, 3),
+        (["definite", "mixed", "singular", "indefinite"], True, go.DegenerateMetric, 3),
+        (["nonfinite", "singular"], False, ValueError, 1),
+        (["definite", "singular", "nonfinite"], False, go.LinearlyDependentInput, 2),
+        (["definite", "mixed", "nonfinite", "indefinite"], True, ValueError, 3),
+    ],
+)
+def test_a_stack_raises_the_error_of_its_lowest_refused_block(kinds, signed, error, level, real):
+    # the first block whose own call fails decides: its class, message
+    # and level, whatever the blocks after it hold
+    rng = np.random.default_rng(len(kinds) + 10 * signed + real)
+    stack, raw = block_stack(rng, 3, [k.replace("nonfinite", "definite") for k in kinds], real)
+    stack[[k == "nonfinite" for k in kinds], 0, 0] = np.inf
+    levels = list(range(1, len(kinds) + 1))
+    own = outcome(lambda: level_normalizer(stack[level - 1], 1e-10, level, signed, raw[level - 1]))
+    assert own[0] is error and f"level {level}:" in own[1]
+    for j in range(level - 1):  # the blocks before it pass
+        level_normalizer(stack[j], 1e-10, levels[j], signed, raw[j])
+    assert outcome(lambda: level_normalizer(stack, 1e-10, levels, signed, raw)) == own
